@@ -14,8 +14,7 @@ from .planner import (ActionSet, FeasibilityReport, StateGrid, Trajectory,
                       feasibility_check, solve_dp)
 from .radio import (AssociationSnapshot, AntennaSetup, LinkBudget, RewardMap,
                     associate, build_reward_map, build_reward_maps,
-                    criterion_reward, direct_sir, received_power,
-                    relay_end_to_end_sir, stage_rates)
+                    criterion_reward, relay_end_to_end_sir, stage_rates)
 from .scenario import (Mission, PhysicalConfig, Scenario, generate_scenario,
                        t_min)
 from .smoothing import (BezierCurve, SmoothedTrajectory, bernstein,

@@ -82,7 +82,7 @@ def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> list[str]:
     written = []
     physical = cfg.physical_for(cfg.showcase_n_mbs)
     mission = cfg.mission_for(cfg.showcase_t)
-    scn = generate_scenario(physical, mission, cfg.master_seed)
+    scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
     grid = StateGrid.from_mission(mission, cfg.cell_m)
     actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
     for model_name in cfg.uav_ue_models:

@@ -72,6 +72,11 @@ class RunConfig:
     def mission_for(self, duration_t: float) -> Mission:
         return replace(self.mission, duration_t=float(duration_t))
 
+    @property
+    def min_mbs(self) -> int:
+        """Fewest MBSs a scenario may have; the relay backhaul needs an interferer."""
+        return 2 if "relay" in self.modes else 1
+
     def physical_for(self, n_mbs: float) -> PhysicalConfig:
         """n_mbs is the expected MBS count over the node area."""
         lam = float(n_mbs) / area_km2(self.mission.area_ue)
@@ -125,20 +130,15 @@ class RunConfig:
             out.append(f"schema_version must be {SCHEMA_VERSION}, got {self.schema_version}")
         if self.realizations < 1:
             out.append("realizations must be >= 1")
+        if self.master_seed < 0:
+            out.append("master_seed must be >= 0")
         if self.mbs_ue_model not in UE_LINK_MODELS:
             out.append(f"mbs_ue_model must be one of {UE_LINK_MODELS}")
-        for name in self.uav_ue_models:
-            if name not in UE_LINK_MODELS:
-                out.append(f"uav_ue_model {name!r} must be one of {UE_LINK_MODELS}")
-        for c in self.criteria:
-            if c not in CRITERIA:
-                out.append(f"criterion {c!r} must be one of {CRITERIA}")
-        for m in self.modes:
-            if m not in MODES:
-                out.append(f"mode {m!r} must be one of {MODES}")
-        for a in self.antenna_modes:
-            if a not in ANTENNA_MODES:
-                out.append(f"antenna mode {a!r} must be one of {ANTENNA_MODES}")
+        for label, values, allowed in (("uav_ue_model", self.uav_ue_models, UE_LINK_MODELS),
+                                       ("criterion", self.criteria, CRITERIA),
+                                       ("mode", self.modes, MODES),
+                                       ("antenna mode", self.antenna_modes, ANTENNA_MODES)):
+            out += [f"{label} {v!r} must be one of {allowed}" for v in values if v not in allowed]
         if self.relay_rule not in RELAY_RULES:
             out.append(f"relay_rule must be one of {RELAY_RULES}")
         if self.backhaul_model is not None and self.backhaul_model not in BACKHAUL_MODELS:
@@ -222,16 +222,26 @@ def _take(section: dict, allowed: dict, where: str) -> dict:
     return out
 
 
-def _tuple2(v, where: str) -> tuple[float, float]:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"{where} must be a [x, y] pair")
-    return (float(v[0]), float(v[1]))
+def _number(kind, value, where: str):
+    """int(value) or float(value), with a bad value reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
-def _rect(v, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(v, (list, tuple)) or len(v) != 4:
-        raise ConfigError(f"{where} must be [xmin, ymin, xmax, ymax]")
-    return tuple(float(x) for x in v)
+def _list(value, where: str, length: int | None = None) -> list:
+    """A JSON list field; a bare string is a one-element list."""
+    if isinstance(value, str):
+        value = [value]
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = f" of {length}" if length else ""
+        raise ConfigError(f"{where} must be a list{size}, got {value!r}")
+    return list(value)
+
+
+def _floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
+    return tuple(_number(float, v, where) for v in _list(value, where, length))
 
 
 def from_json_dict(doc: dict) -> RunConfig:
@@ -255,17 +265,12 @@ def from_json_dict(doc: dict) -> RunConfig:
     msec = dict(doc.get("mission", {}))
     m_allowed = {f: f for f in Mission.__dataclass_fields__}
     mkw = _take(msec, m_allowed, "mission")
-    if "start" in mkw:
-        mkw["start"] = _tuple2(mkw["start"], "mission.start")
-    if "finish" in mkw:
-        mkw["finish"] = _tuple2(mkw["finish"], "mission.finish")
-    if "area_ue" in mkw:
-        mkw["area_ue"] = _rect(mkw["area_ue"], "mission.area_ue")
-    if "area_uav" in mkw:
-        mkw["area_uav"] = _rect(mkw["area_uav"], "mission.area_uav")
+    for key, length in (("start", 2), ("finish", 2), ("area_ue", 4), ("area_uav", 4)):
+        if key in mkw:
+            mkw[key] = _floats(mkw[key], f"mission.{key}", length)
     try:
         mission = Mission(**mkw)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"mission: {exc}") from exc
 
     models = doc.get("models", {})
@@ -273,9 +278,6 @@ def from_json_dict(doc: dict) -> RunConfig:
                         "backhaul": "backhaul", "mplm": "mplm"}, "models")
     mplm_kw = _take(mo.get("mplm", {}),
                     {f: f for f in MplmSettings.__dataclass_fields__}, "models.mplm")
-    uav_ue = mo.get("uav_ue", ["ohplm"])
-    if isinstance(uav_ue, str):
-        uav_ue = [uav_ue]
 
     run = doc.get("run", {})
     ru = _take(run, {"criteria": "criteria", "modes": "modes",
@@ -295,22 +297,22 @@ def from_json_dict(doc: dict) -> RunConfig:
         physical=physical,
         mission=mission,
         mbs_ue_model=mo.get("mbs_ue", "ohplm"),
-        uav_ue_models=tuple(uav_ue),
+        uav_ue_models=tuple(_list(mo.get("uav_ue", ["ohplm"]), "models.uav_ue")),
         mplm=MplmSettings(**mplm_kw),
         backhaul_model=mo.get("backhaul"),
         relay_rule=ru.get("relay_rule", "best_direct"),
-        criteria=tuple(ru.get("criteria", ["pf"])),
-        modes=tuple(ru.get("modes", ["standalone"])),
-        antenna_modes=tuple(ru.get("antenna_modes", ["omni"])),
+        criteria=tuple(_list(ru.get("criteria", ["pf"]), "run.criteria")),
+        modes=tuple(_list(ru.get("modes", ["standalone"]), "run.modes")),
+        antenna_modes=tuple(_list(ru.get("antenna_modes", ["omni"]), "run.antenna_modes")),
         dipole=DipoleSettings(**dipole_kw),
-        sweep_t=tuple(float(t) for t in sw.get("t_values", [mission.duration_t])),
-        sweep_n_mbs=tuple(float(n) for n in sw.get("n_mbs_values", [4.0])),
-        realizations=int(ru.get("realizations", 30)),
-        master_seed=int(doc["master_seed"]),
-        showcase_t=float(sc.get("t", mission.duration_t)),
-        showcase_n_mbs=float(sc.get("n_mbs", 4.0)),
-        cell_m=float(ru.get("cell_m", 100.0)),
-        schema_version=int(doc["schema_version"]),
+        sweep_t=_floats(sw.get("t_values", [mission.duration_t]), "sweep.t_values"),
+        sweep_n_mbs=_floats(sw.get("n_mbs_values", [4.0]), "sweep.n_mbs_values"),
+        realizations=_number(int, ru.get("realizations", 30), "run.realizations"),
+        master_seed=_number(int, doc["master_seed"], "master_seed"),
+        showcase_t=_number(float, sc.get("t", mission.duration_t), "showcase.t"),
+        showcase_n_mbs=_number(float, sc.get("n_mbs", 4.0), "showcase.n_mbs"),
+        cell_m=_number(float, ru.get("cell_m", 100.0), "run.cell_m"),
+        schema_version=_number(int, doc["schema_version"], "schema_version"),
     )
 
 

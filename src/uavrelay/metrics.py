@@ -174,9 +174,8 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     seed = realization_seed(cfg.master_seed, j)
     t_values = tuple(t_values)
     physical = cfg.physical_for(n_mbs)
-    # the backhaul SIR needs at least one interfering MBS
-    min_mbs = 2 if "relay" in cfg.modes else 1
-    scn = generate_scenario(physical, cfg.mission_for(max(t_values)), seed, min_mbs=min_mbs)
+    scn = generate_scenario(physical, cfg.mission_for(max(t_values)), seed,
+                            min_mbs=cfg.min_mbs)
     actions = ActionSet.standard(cfg.cell_m, scn.mission.stage_dt, physical.v_max)
 
     results: list[RunMetrics] = []
@@ -200,8 +199,8 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
                         sm = smoothing.smooth(traj, v_max=physical.v_max)
                         violations += len(sm.speed_violations)
 
-                        disc_rates = radio.stage_rates(traj.positions[:-1], scn, mode,
-                                                       models, ants, cfg.relay_rule)
+                        # trajectory positions are cell centres: gather the map's rates
+                        disc_rates = maps[criterion].rates_at(traj.cells[:-1])
                         _, sm_rates = smoothing.evaluate_smoothed(
                             sm, scn, criterion, mode, models, ants, cfg.relay_rule)
                         for evaluation, rates in (("discrete", disc_rates),

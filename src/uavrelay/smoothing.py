@@ -23,9 +23,10 @@ def bernstein(i: int, n: int, t: float) -> float:
     return math.comb(n, i) * (1.0 - t) ** (n - i) * t ** i
 
 
-def de_casteljau(control: np.ndarray, t: float) -> np.ndarray:
-    """Numerically stable curve point by repeated linear interpolation."""
-    pts = np.array(control, dtype=float)
+def de_casteljau(control: np.ndarray, t) -> np.ndarray:
+    """Curve points by repeated linear interpolation: t (...) -> points (..., 2)."""
+    t = np.asarray(t, dtype=float)[..., None]
+    pts = np.asarray(control, dtype=float).reshape((-1,) + (1,) * (t.ndim - 1) + (2,))
     while pts.shape[0] > 1:
         pts = (1.0 - t) * pts[:-1] + t * pts[1:]
     return pts[0]
@@ -48,7 +49,7 @@ class BezierCurve:
         return de_casteljau(self.control, t)
 
     def points(self, ts) -> np.ndarray:
-        return np.array([de_casteljau(self.control, t) for t in np.asarray(ts, dtype=float)])
+        return de_casteljau(self.control, ts)
 
 
 @dataclass(eq=False)
@@ -114,7 +115,6 @@ def evaluate_smoothed(smoothed: SmoothedTrajectory, scn: Scenario, criterion: st
     """
     if not rect_contains(scn.mission.area_uav, smoothed.positions):
         raise ValueError("smoothed trajectory leaves the flight area")
-    stage_positions = smoothed.positions[:-1]
-    rates = radio.stage_rates(stage_positions, scn, mode, models, ants, relay_rule)
-    rewards = np.array([radio.criterion_reward(r, criterion) for r in rates])
+    rates = radio.stage_rates(smoothed.positions[:-1], scn, mode, models, ants, relay_rule)
+    rewards = radio.criterion_reward(rates, criterion)
     return rewards, rates

@@ -50,6 +50,52 @@ class TestConfigParsing:
         assert again == cfg
 
 
+BAD_VALUES = [
+    ({"run": {"realizations": "abc"}}, "run.realizations"),
+    ({"run": {"cell_m": "wide"}}, "run.cell_m"),
+    ({"master_seed": "one"}, "master_seed"),
+    ({"schema_version": None}, "schema_version"),
+    ({"sweep": {"t_values": ["soon"]}}, "sweep.t_values"),
+    ({"sweep": {"n_mbs_values": 4}}, "sweep.n_mbs_values"),
+    ({"showcase": {"t": [240]}}, "showcase.t"),
+    ({"showcase": {"n_mbs": "many"}}, "showcase.n_mbs"),
+    ({"mission": {"start": ["west", 0]}}, "mission.start"),
+    ({"mission": {"stage_dt": "8"}}, "mission"),
+    ({"run": {"criteria": 5}}, "run.criteria"),
+    ({"models": {"uav_ue": {"mplm": 1}}}, "models.uav_ue"),
+]
+
+BARE_STRINGS = [
+    ({"models": {"uav_ue": "mplm"}}, "uav_ue_models", ("mplm",)),
+    ({"run": {"criteria": "pf"}}, "criteria", ("pf",)),
+    ({"run": {"modes": "standalone"}}, "modes", ("standalone",)),
+    ({"run": {"antenna_modes": "dipole"}}, "antenna_modes", ("dipole",)),
+]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("patch,where", BAD_VALUES)
+    def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, patch, where):
+        with pytest.raises(ConfigError, match=where):
+            from_json_dict({**MINIMAL, **patch})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, **patch}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_master_seed_rejected(self):
+        diags = from_json_dict({**MINIMAL, "master_seed": -1}).validate()
+        assert any("master_seed" in d for d in diags)
+
+    @pytest.mark.parametrize("patch,field,expected", BARE_STRINGS)
+    def test_bare_string_is_one_element_list(self, patch, field, expected):
+        cfg = from_json_dict({**MINIMAL, **patch})
+        assert getattr(cfg, field) == expected
+        assert cfg.validate() == []
+
+
 class TestValidation:
     def test_t_below_minimum(self):
         doc = small_run_doc(sweep={"t_values": [72], "n_mbs_values": [4]})
@@ -197,6 +243,29 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta_deg,phi_deg,gain_linear,gain_db"
         assert len(lines) == 1 + 37 * 72
+
+    def test_run_byte_identical_across_jobs(self, tmp_path):
+        doc = cli.load_preset("fig7").to_json_dict()
+        doc["run"]["realizations"] = 3
+        path = self.write_config(tmp_path, doc)
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--jobs", str(jobs)]) == 0
+        names = sorted(f.name for f in outs[1].iterdir()
+                       if f.suffix == ".csv" or f.name == "manifest.json")
+        assert "sweep.csv" in names and "manifest.json" in names
+        assert names == sorted(f.name for f in outs[2].iterdir()
+                               if f.suffix == ".csv" or f.name == "manifest.json")
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    def test_heatmap_relay_seed_with_one_mbs_draw(self, tmp_path):
+        # seed 279 first draws a single MBS, which relay mode cannot use
+        out = tmp_path / "hm279"
+        assert cli.main(["heatmap", "--preset", "fig5", "--seed", "279",
+                         "--out", str(out)]) == 0
+        assert (out / "heatmap_pf_relay_mplm_omni.csv").exists()
 
     def test_heatmap_subcommand(self, tmp_path):
         path = self.write_config(tmp_path, small_run_doc())

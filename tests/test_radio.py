@@ -4,18 +4,54 @@ import numpy as np
 import pytest
 
 from uavrelay import radio
-from uavrelay.antenna import CrossedDipole, Omni
+from uavrelay.antenna import CrossedDipole, LinkGeometry, Omni, tx_gain
 from uavrelay.config import RunConfig
-from uavrelay.pathloss import LinkModels, OhplmModel, BackhaulUmaAvModel
-from uavrelay.planner import StateGrid
+from uavrelay.pathloss import LinkModels, MplmModel, OhplmModel, BackhaulUmaAvModel
+from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import (AntennaSetup, associate, criterion_reward,
-                            dbm_to_mw, direct_sir, link_budget,
-                            received_power, relay_end_to_end_sir, stage_rates)
+                            dbm_to_mw, link_budget, relay_end_to_end_sir, stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
 
 OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
+DIPOLE = AntennaSetup(mbs=CrossedDipole(1), uav=CrossedDipole(1))
 MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel(),
                     backhaul=BackhaulUmaAvModel())
+MPLM_MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=MplmModel(),
+                         backhaul=BackhaulUmaAvModel())
+
+
+# --- scalar oracles: one UE, one transmitter, one UAV position at a time -----
+
+def received_power(tx_index, ue_xy, scn, uav_pos, models, ants) -> float:
+    """Received power (mW) at one ground point from one transmitter."""
+    cfg = scn.config
+    if tx_index < scn.n_mbs:
+        tx_xy, h_tx, p_dbm = scn.mbs_xy[tx_index], cfg.h_bs, cfg.p_mbs_dbm
+        model, mode = models.mbs_ue, ants.mbs
+    else:
+        tx_xy, h_tx, p_dbm = uav_pos, cfg.h_uav, cfg.p_uav_dbm
+        model, mode = models.uav_ue, ants.uav
+    dx = float(ue_xy[0]) - float(tx_xy[0])
+    dy = float(ue_xy[1]) - float(tx_xy[1])
+    z = math.sqrt(dx * dx + dy * dy)
+    d = math.sqrt(z * z + (h_tx - cfg.h_ue) ** 2)
+    loss = model.loss_db(np.array([d]), np.array([z]), f_c_mhz=cfg.f_c_mhz,
+                         h_tx=h_tx, h_rx=cfg.h_ue)
+    p = float((dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0))[0])
+    if isinstance(mode, Omni):
+        return p
+    geom = LinkGeometry((float(tx_xy[0]), float(tx_xy[1]), h_tx),
+                        (float(ue_xy[0]), float(ue_xy[1]), cfg.h_ue), tx_mode=mode)
+    return p * tx_gain(geom)
+
+
+def direct_sir(ue_index: int, server_index: int, budget) -> float:
+    """Serving power over the summed power of every other transmitter."""
+    row = budget.powers_mw[ue_index]
+    if row.size < 2:
+        raise ValueError("SIR undefined with an empty interference set")
+    interf = row.sum() - row[server_index]
+    return float(row[server_index] / interf)
 
 
 def make_scenario(mbs, ue, lambda_mbs=4.0):
@@ -103,6 +139,10 @@ class TestRelaySir:
             relay_end_to_end_sir(0.0, 1.0)
         with pytest.raises(ValueError):
             relay_end_to_end_sir(1.0, -2.0)
+
+    def test_zero_access_gives_zero(self):
+        # a UE in the UAV dipole's nadir null has access SIR exactly 0
+        assert relay_end_to_end_sir(4.0, 0.0) == 0.0
 
 
 class TestAssociate:
@@ -289,3 +329,129 @@ def test_antenna_changes_sir_map_with_fixed_nodes():
     dip_map = radio.build_reward_map(scn, "pf", "standalone", models,
                                      cfg.antenna_setup("dipole"), grid)
     assert not np.allclose(omni_map.max_sir_db, dip_map.max_sir_db)
+
+
+def dense_scenario():
+    """Nine MBSs: sums run over >= 9 terms and take numpy's pairwise path."""
+    rng = np.random.default_rng(7)
+    return make_scenario(rng.uniform(0.0, 1000.0, (9, 2)), rng.uniform(0.0, 1000.0, (15, 2)),
+                         lambda_mbs=9.0)
+
+
+SCENARIOS = {
+    "ppp": lambda: generate_scenario(PhysicalConfig(lambda_ue=12.0), Mission(), 42),
+    "dense": dense_scenario,
+    # a UE straight below the UAV at (500, 450): zero access SIR under a dipole
+    "nadir": lambda: make_scenario([[100.0, 200.0], [800.0, 700.0], [300.0, 900.0]],
+                                   [[500.0, 450.0], [120.0, 640.0], [870.0, 90.0]]),
+}
+POSITION_GRID = np.stack(np.meshgrid([-100.0, 300.0, 500.0, 1100.0], [0.0, 450.0, 900.0]),
+                         axis=-1)  # (ny, nx, 2)
+
+
+def oracle_association(scn, pos, mode, models, ants, rule):
+    """Per-UE (server, sir, rate) from the scalar oracles at one UAV position."""
+    budget = link_budget(scn, pos, models, ants)
+    m = scn.n_mbs
+    k = scn.n_ue
+    servers, sirs = [], []
+    if mode == "relay":
+        bh = radio.backhaul_budget(scn, pos, models, ants)
+        bh_sirs = [bh[i] / (bh.sum() - bh[i]) for i in range(m)]
+        donor = bh_sirs.index(max(bh_sirs))
+    for ue in range(k):
+        direct = [direct_sir(ue, s, budget) for s in range(m if mode == "relay" else m + 1)]
+        best = direct.index(max(direct))
+        server, sir = best, direct[best]
+        if mode == "relay":
+            row = budget.powers_mw[ue]
+            e2e = relay_end_to_end_sir(bh_sirs[donor], row[m] / row[:m].sum())
+            if e2e > (direct[best] if rule == "best_direct" else bh_sirs[donor]):
+                server, sir = m, e2e
+        servers.append(server)
+        sirs.append(sir)
+    loads = [servers.count(s) + (mode == "relay" and s == donor) for s in range(m + 1)]
+    rates = [np.log2(1.0 + sir) / loads[s] for s, sir in zip(servers, sirs)]
+    return servers, sirs, rates
+
+
+class TestBatchedEngine:
+    """Position batches give the same bits as per-position and scalar oracles."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("models", [MODELS, MPLM_MODELS], ids=["ohplm", "mplm"])
+    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_link_budget_grid(self, scenario, models, ants):
+        scn = SCENARIOS[scenario]()
+        powers = link_budget(scn, POSITION_GRID, models, ants).powers_mw
+        ny, nx, _ = POSITION_GRID.shape
+        assert powers.shape == (ny, nx, scn.n_ue, scn.n_mbs + 1)
+        for iy in range(ny):
+            for ix in range(nx):
+                pos = POSITION_GRID[iy, ix]
+                single = link_budget(scn, pos, models, ants).powers_mw
+                assert np.array_equal(powers[iy, ix], single)
+                oracle = [[received_power(t, ue, scn, pos, models, ants)
+                           for t in range(scn.n_mbs + 1)] for ue in scn.ue_xy]
+                assert np.array_equal(single, np.array(oracle).reshape(single.shape))
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("models", [MODELS, MPLM_MODELS], ids=["ohplm", "mplm"])
+    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    @pytest.mark.parametrize("mode,rule", [("standalone", "best_direct"),
+                                           ("relay", "best_direct"),
+                                           ("relay", "backhaul_literal")])
+    def test_associate_grid(self, scenario, models, ants, mode, rule):
+        scn = SCENARIOS[scenario]()
+        snap = associate(scn, POSITION_GRID, mode, models, ants, rule)
+        ny, nx, _ = POSITION_GRID.shape
+        assert snap.rate.shape == (ny, nx, scn.n_ue)
+        for iy in range(ny):
+            for ix in range(nx):
+                pos = POSITION_GRID[iy, ix]
+                single = associate(scn, pos, mode, models, ants, rule)
+                for field in ("server", "sir", "rate", "loads", "donor"):
+                    got = getattr(snap, field)
+                    if got is not None:
+                        assert np.array_equal(got[iy, ix], getattr(single, field)), field
+                servers, sirs, rates = oracle_association(scn, pos, mode, models, ants, rule)
+                assert np.array_equal(single.server, servers)
+                assert np.array_equal(single.sir, sirs)
+                assert np.array_equal(single.rate, rates)
+
+    def test_nadir_ue_has_zero_access_sir_under_dipole(self):
+        scn = SCENARIOS["nadir"]()
+        budget = link_budget(scn, (500.0, 450.0), MODELS, DIPOLE)
+        assert budget.powers_mw[0, budget.uav_index] == 0.0
+        for rule in radio.RELAY_RULES:
+            snap = associate(scn, POSITION_GRID, "relay", MODELS, DIPOLE, rule)
+            assert snap.server[1, 2, 0] != snap.uav_index
+            assert np.all(snap.sir > 0) and np.all(snap.rate > 0)
+
+    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_per_position_probe_points(self, ants):
+        # one probe UE under each UAV position, the heat map's max-SIR probe
+        scn = SCENARIOS["dense"]()
+        probes = POSITION_GRID[:, :, None, :]
+        powers = link_budget(scn, POSITION_GRID, MODELS, ants, ue_xy=probes).powers_mw
+        for iy, ix in np.ndindex(POSITION_GRID.shape[:2]):
+            pos = POSITION_GRID[iy, ix]
+            single = link_budget(scn, pos, MODELS, ants, ue_xy=[pos]).powers_mw
+            assert np.array_equal(powers[iy, ix], single)
+
+    @pytest.mark.parametrize("mode", radio.MODES)
+    def test_map_rates_are_the_discrete_trajectory_rates(self, mode):
+        scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 9)
+        grid = StateGrid.from_mission(Mission())
+        rm = radio.build_reward_map(scn, "pf", mode, MODELS, DIPOLE, grid)
+        traj = solve_dp(rm, grid, ActionSet.standard(100.0, 8.0, 17.7))
+        disc = stage_rates(traj.positions[:-1], scn, mode, MODELS, DIPOLE)
+        assert np.array_equal(rm.rates_at(traj.cells[:-1]), disc)
+        assert np.array_equal(criterion_reward(disc, "pf"), traj.stage_rewards)
+
+    def test_empty_ue_set(self):
+        scn = make_scenario([[100.0, 100.0], [900.0, 900.0]], np.zeros((0, 2)))
+        for mode in radio.MODES:
+            snap = associate(scn, POSITION_GRID, mode, MODELS, OMNI)
+            assert snap.rate.shape == POSITION_GRID.shape[:2] + (0,)
+            assert np.all(criterion_reward(snap.rate, "pf") == 0.0)
