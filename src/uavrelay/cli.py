@@ -73,10 +73,6 @@ class _OutputTracker:
             p.unlink(missing_ok=True)
 
 
-def _combo_tag(criterion: str, mode: str, model: str, antenna_name: str) -> str:
-    return f"{criterion}_{mode}_{model}_{antenna_name}"
-
-
 def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> list[str]:
     """Trajectories, smoothed curves and heat maps for the showcase scenario."""
     written = []
@@ -85,25 +81,20 @@ def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> list[str]:
     scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
     grid = StateGrid.from_mission(mission, cfg.cell_m)
     actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
-    for model_name in cfg.uav_ue_models:
-        models = cfg.link_models(model_name)
-        for antenna_name in cfg.antenna_modes:
-            ants = cfg.antenna_setup(antenna_name)
-            for mode in cfg.modes:
-                maps = radio.build_reward_maps(scn, cfg.criteria, mode, models,
-                                               ants, grid, cfg.relay_rule)
-                for criterion in cfg.criteria:
-                    tag = _combo_tag(criterion, mode, model_name, antenna_name)
-                    maps[criterion].to_csv(out.path(f"heatmap_{tag}.csv"))
-                    written.append(f"heatmap_{tag}.csv")
-                    traj = solve_dp(maps[criterion], grid, actions,
-                                    stage_dt=mission.stage_dt)
-                    traj.to_csv(out.path(f"trajectory_{tag}.csv"))
-                    traj.to_json(out.path(f"trajectory_{tag}.json"))
-                    written += [f"trajectory_{tag}.csv", f"trajectory_{tag}.json"]
-                    sm = smoothing.smooth(traj, v_max=physical.v_max)
-                    sm.to_csv(out.path(f"smoothed_{tag}.csv"))
-                    written.append(f"smoothed_{tag}.csv")
+    for model_name, antenna_name, mode, models, ants in cfg.combinations():
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
+                                       grid, cfg.relay_rule)
+        for criterion in cfg.criteria:
+            tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
+            maps[criterion].to_csv(out.path(f"heatmap_{tag}.csv"))
+            written.append(f"heatmap_{tag}.csv")
+            traj = solve_dp(maps[criterion], grid, actions, stage_dt=mission.stage_dt)
+            traj.to_csv(out.path(f"trajectory_{tag}.csv"))
+            traj.to_json(out.path(f"trajectory_{tag}.json"))
+            written += [f"trajectory_{tag}.csv", f"trajectory_{tag}.json"]
+            sm = smoothing.smooth(traj, v_max=physical.v_max)
+            sm.to_csv(out.path(f"smoothed_{tag}.csv"))
+            written.append(f"smoothed_{tag}.csv")
     return written
 
 

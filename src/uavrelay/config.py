@@ -7,13 +7,15 @@ typo cannot silently fall back to a default. `schema_version` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl)
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
-from .scenario import Mission, PhysicalConfig, area_km2, rect_contains, t_min
+from .scenario import (MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
+                       rect_contains, t_min)
 
 SCHEMA_VERSION = 1
 
@@ -121,6 +123,15 @@ class RunConfig:
                                 uav=CrossedDipole(self.dipole.uav_spin))
         raise ConfigError(f"unknown antenna mode {name!r}")
 
+    def combinations(self):
+        """(uav_ue_model, antenna, mode, LinkModels, AntennaSetup) in output order."""
+        for model_name in self.uav_ue_models:
+            models = self.link_models(model_name)
+            for antenna_name in self.antenna_modes:
+                ants = self.antenna_setup(antenna_name)
+                for mode in self.modes:
+                    yield model_name, antenna_name, mode, models, ants
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -160,17 +171,27 @@ class RunConfig:
             out.append(f"f_c_mhz={self.physical.f_c_mhz} outside OHPLM range [{lo}, {hi}]")
 
         need = t_min(self.mission.start, self.mission.finish, self.physical.v_max)
-        for t in tuple(self.sweep_t) + (self.showcase_t,):
+        for t in dict.fromkeys(tuple(self.sweep_t) + (self.showcase_t,)):
+            if not math.isfinite(t):
+                out.append(f"duration T={t} must be finite")
+                continue
             if t < need:
                 out.append(f"T={t}s is below T_min={need:.3f}s")
             n = t / self.mission.stage_dt
             if abs(n - round(n)) > 1e-9:
                 out.append(f"T={t}s is not a multiple of stage_dt={self.mission.stage_dt}s")
-        for n_mbs in self.sweep_n_mbs:
-            if n_mbs <= 0:
-                out.append(f"n_mbs={n_mbs} must be positive")
-        if self.showcase_n_mbs <= 0:
-            out.append("showcase_n_mbs must be positive")
+        # expected node counts, computed as generate_scenario computes them
+        area = area_km2(self.mission.area_ue)
+        for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]
+                             + [("showcase_n_mbs", self.showcase_n_mbs)]):
+            if not n_mbs > 0:
+                out.append(f"{label}={n_mbs} must be positive")
+            elif not self.physical_for(n_mbs).lambda_mbs * area <= MAX_POISSON_MEAN:
+                out.append(f"{label}={n_mbs} exceeds the largest expected node "
+                           f"count {MAX_POISSON_MEAN:g}")
+        if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
+            out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
+                       f"largest expected node count {MAX_POISSON_MEAN:g}")
 
         if not rect_contains(self.mission.area_uav, [self.mission.start, self.mission.finish]):
             out.append("mission endpoints must lie inside the flight area")
@@ -214,6 +235,8 @@ class RunConfig:
 
 def _take(section: dict, allowed: dict, where: str) -> dict:
     """Map JSON keys to kwargs, rejecting anything unknown."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     out = {}
     for key, value in section.items():
         if key not in allowed:
@@ -226,7 +249,7 @@ def _number(kind, value, where: str):
     """int(value) or float(value), with a bad value reported as a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
@@ -278,6 +301,11 @@ def from_json_dict(doc: dict) -> RunConfig:
                         "backhaul": "backhaul", "mplm": "mplm"}, "models")
     mplm_kw = _take(mo.get("mplm", {}),
                     {f: f for f in MplmSettings.__dataclass_fields__}, "models.mplm")
+    for key in ("a_hat", "b_hat", "c_hat"):
+        if key in mplm_kw:
+            mplm_kw[key] = _number(float, mplm_kw[key], f"models.mplm.{key}")
+    if not isinstance(mplm_kw.get("reference", ""), str):
+        mplm_kw["reference"] = _number(float, mplm_kw["reference"], "models.mplm.reference")
 
     run = doc.get("run", {})
     ru = _take(run, {"criteria": "criteria", "modes": "modes",

@@ -178,46 +178,42 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
                             min_mbs=cfg.min_mbs)
     actions = ActionSet.standard(cfg.cell_m, scn.mission.stage_dt, physical.v_max)
 
+    # durations share the grid geometry and differ only in their stage count
+    grids = {t: StateGrid.from_mission(cfg.mission_for(t), cfg.cell_m) for t in t_values}
     results: list[RunMetrics] = []
     violations = 0
-    for model_name in cfg.uav_ue_models:
-        models = cfg.link_models(model_name)
-        for antenna_name in cfg.antenna_modes:
-            ants = cfg.antenna_setup(antenna_name)
-            for mode in cfg.modes:
-                grid0 = StateGrid.from_mission(cfg.mission_for(t_values[0]), cfg.cell_m)
-                maps = radio.build_reward_maps(scn, cfg.criteria, mode, models,
-                                               ants, grid0, cfg.relay_rule)
-                for t in t_values:
-                    grid = StateGrid.from_mission(cfg.mission_for(t), cfg.cell_m)
-                    for criterion in cfg.criteria:
-                        combo = ComboKey(criterion, mode, model_name, antenna_name)
-                        traj = solve_dp(maps[criterion], grid, actions,
-                                        stage_dt=scn.mission.stage_dt)
-                        violations += len(check_trajectory(traj, grid, actions,
-                                                           physical.v_max))
-                        sm = smoothing.smooth(traj, v_max=physical.v_max)
-                        violations += len(sm.speed_violations)
+    for model_name, antenna_name, mode, models, ants in cfg.combinations():
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
+                                       grids[t_values[0]], cfg.relay_rule)
+        for t in t_values:
+            grid = grids[t]
+            for criterion in cfg.criteria:
+                combo = ComboKey(criterion, mode, model_name, antenna_name)
+                traj = solve_dp(maps[criterion], grid, actions,
+                                stage_dt=scn.mission.stage_dt)
+                violations += len(check_trajectory(traj, grid, actions, physical.v_max))
+                sm = smoothing.smooth(traj, v_max=physical.v_max)
+                violations += len(sm.speed_violations)
 
-                        # trajectory positions are cell centres: gather the map's rates
-                        disc_rates = maps[criterion].rates_at(traj.cells[:-1])
-                        _, sm_rates = smoothing.evaluate_smoothed(
-                            sm, scn, criterion, mode, models, ants, cfg.relay_rule)
-                        for evaluation, rates in (("discrete", disc_rates),
-                                                  ("smoothed", sm_rates)):
-                            if scn.n_ue:
-                                caps = time_averaged_capacity(rates, t)
-                                mean_cap = float(caps.mean())
-                                outage = outage_probability(caps, physical.outage_threshold)
-                            else:
-                                caps = np.zeros(0)
-                                mean_cap = float("nan")
-                                outage = float("nan")
-                            results.append(RunMetrics(
-                                seed=seed, t_s=t, n_mbs=n_mbs, combo=combo,
-                                evaluation=evaluation, per_ue_capacity=caps,
-                                mean_capacity=mean_cap, outage=outage,
-                            ))
+                # trajectory positions are cell centres: gather the map's rates
+                disc_rates = maps[criterion].rates_at(traj.cells[:-1])
+                _, sm_rates = smoothing.evaluate_smoothed(
+                    sm, scn, criterion, mode, models, ants, cfg.relay_rule)
+                for evaluation, rates in (("discrete", disc_rates),
+                                          ("smoothed", sm_rates)):
+                    if scn.n_ue:
+                        caps = time_averaged_capacity(rates, t)
+                        mean_cap = float(caps.mean())
+                        outage = outage_probability(caps, physical.outage_threshold)
+                    else:
+                        caps = np.zeros(0)
+                        mean_cap = float("nan")
+                        outage = float("nan")
+                    results.append(RunMetrics(
+                        seed=seed, t_s=t, n_mbs=n_mbs, combo=combo,
+                        evaluation=evaluation, per_ue_capacity=caps,
+                        mean_capacity=mean_cap, outage=outage,
+                    ))
     return results, violations, scn.mbs_rejections
 
 

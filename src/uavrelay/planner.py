@@ -101,6 +101,8 @@ class StateGrid:
 
     @classmethod
     def from_mission(cls, mission: Mission, cell_m: float = 100.0) -> "StateGrid":
+        if not cell_m > 0:
+            raise ValueError(f"cell_m={cell_m} m must be positive")
         x0, y0, x1, y1 = mission.area_uav
         nx = _axis_cells(x0, x1, cell_m, "area_uav x")
         ny = _axis_cells(y0, y1, cell_m, "area_uav y")
@@ -183,7 +185,6 @@ class Trajectory:
     actions: list[GridAction]          # length N
     stage_rewards: np.ndarray          # (N,)
     value: float
-    value_stages: list[np.ndarray] | None = None
 
     @property
     def n_stages(self) -> int:
@@ -223,70 +224,48 @@ class Trajectory:
             fh.write("\n")
 
 
-def _shifted(values: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """values[iy+dy, ix+dx] with -inf outside the grid."""
-    ny, nx = values.shape
-    out = np.full_like(values, NEG_INF)
-    src_y = slice(max(dy, 0), ny + min(dy, 0))
-    src_x = slice(max(dx, 0), nx + min(dx, 0))
-    dst_y = slice(max(-dy, 0), ny + min(-dy, 0))
-    dst_x = slice(max(-dx, 0), nx + min(-dx, 0))
-    out[dst_y, dst_x] = values[src_y, src_x]
-    return out
-
-
-def _finish_trajectory(criterion, stage_dt, grid, reward, cells, acts, value,
-                       value_stages=None) -> Trajectory:
+def _finish_trajectory(criterion, stage_dt, grid, reward, cells, acts, value) -> Trajectory:
     positions = np.array([grid.cell_xy(c) for c in cells], dtype=float)
     stage_rewards = np.array([reward[c[1], c[0]] for c in cells[:-1]], dtype=float)
     return Trajectory(criterion=criterion, stage_dt=stage_dt, cells=cells,
                       positions=positions, actions=acts,
-                      stage_rewards=stage_rewards, value=value,
-                      value_stages=value_stages)
+                      stage_rewards=stage_rewards, value=value)
 
 
 def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
-             stage_dt: float = 8.0, keep_value_stages: bool = False) -> Trajectory:
+             stage_dt: float = 8.0) -> Trajectory:
     """Exact backward recursion J_i = reward + max_a J_{i+1}(cell + a).
 
-    Ties between actions resolve to the smallest action index, which makes
-    the recovered action sequence the lexicographically first optimum.
+    The value-to-go lives inside a -inf border as wide as the longest move,
+    so each action's successor values are one fixed view of it. argmax over
+    the stacked views returns the first maximum: ties resolve to the
+    smallest action index, which makes the recovered action sequence the
+    lexicographically first optimum.
     """
     n = grid.n_stages
     reward = reward_map.rewards
     if reward.shape != (grid.ny, grid.nx):
         raise ValueError("reward map shape does not match the grid")
 
-    value = np.full((grid.ny, grid.nx), NEG_INF)
+    ny, nx = reward.shape
+    b = max(max(abs(a.dx), abs(a.dy)) for a in actions)
+    padded = np.full((ny + 2 * b, nx + 2 * b), NEG_INF)
+    value = padded[b:b + ny, b:b + nx]
     value[grid.finish_cell[1], grid.finish_cell[0]] = 0.0
-    policy = np.zeros((n, grid.ny, grid.nx), dtype=np.int8)
-    stages = [value.copy()] if keep_value_stages else None
+    moves = [padded[b + a.dy:b + a.dy + ny, b + a.dx:b + a.dx + nx] for a in actions]
+    policy = np.zeros((n, ny, nx), dtype=np.int8)
 
     for i in range(n - 1, -1, -1):
-        best = np.full((grid.ny, grid.nx), NEG_INF)
-        best_a = np.zeros((grid.ny, grid.nx), dtype=np.int8)
-        for a_idx, act in enumerate(actions):
-            cand = _shifted(value, act.dx, act.dy)
-            better = cand > best  # strict: first action wins exact ties
-            best = np.where(better, cand, best)
-            best_a = np.where(better, a_idx, best_a)
-        value = reward + best
-        policy[i] = best_a
-        if keep_value_stages:
-            stages.insert(0, value.copy())
+        cand = np.stack(moves)
+        policy[i] = cand.argmax(axis=0)
+        value[...] = reward + cand.max(axis=0)
 
     start_value = float(value[grid.start_cell[1], grid.start_cell[0]])
     if start_value == NEG_INF:
-        rep = FeasibilityReport(
-            min_stages=int(min_stages_between(grid, actions, grid.finish_cell)
-                           [grid.start_cell[1], grid.start_cell[0]]),
-            available_stages=n,
-        )
-        raise UnreachableFinishError(
-            f"finish cell unreachable: needs {rep.min_stages} stages, "
-            f"mission provides {rep.available_stages} "
-            f"(short by {rep.min_stages - rep.available_stages})"
-        )
+        dist = min_stages_between(grid, actions, grid.finish_cell)
+        need = int(dist[grid.start_cell[1], grid.start_cell[0]])
+        raise UnreachableFinishError(f"finish cell unreachable: needs {need} stages, "
+                                     f"mission provides {n} (short by {need - n})")
 
     cells = [grid.start_cell]
     acts: list[GridAction] = []
@@ -295,10 +274,12 @@ def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
         act = actions.actions[int(policy[i, iy, ix])]
         acts.append(act)
         cells.append((ix + act.dx, iy + act.dy))
-    assert cells[-1] == grid.finish_cell
+    if cells[-1] != grid.finish_cell:
+        raise RuntimeError(f"DP backtrack ended at {cells[-1]}, "
+                           f"not at the finish cell {grid.finish_cell}")
 
     return _finish_trajectory(reward_map.criterion, stage_dt, grid, reward,
-                              cells, acts, start_value, stages)
+                              cells, acts, start_value)
 
 
 def enumerate_paths(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,

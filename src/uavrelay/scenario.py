@@ -13,6 +13,8 @@ Rect = tuple[float, float, float, float]
 # Rejection-resample guard for the zero-MBS case; at the default densities a
 # single redraw is already rare.
 _MAX_MBS_REDRAWS = 100_000
+# largest Poisson mean whose exp(-mean) start term stays a normal double
+MAX_POISSON_MEAN = 700.0
 
 
 def area_km2(rect: Rect) -> float:
@@ -183,8 +185,8 @@ def _uniform_in_rect(rng: np.random.Generator, rect: Rect, n: int) -> np.ndarray
 
 def _poisson_icdf(mean: float, u: float) -> int:
     """Smallest k with Poisson(mean) CDF >= u, by direct summation."""
-    if mean > 700.0:
-        raise ValueError("Poisson inversion supports means up to 700")
+    if mean > MAX_POISSON_MEAN:
+        raise ValueError(f"Poisson inversion supports means up to {MAX_POISSON_MEAN:g}")
     pmf = math.exp(-mean)
     cdf = pmf
     k = 0

@@ -5,6 +5,7 @@ import pytest
 from uavrelay import cli
 from uavrelay.config import (ConfigError, RunConfig, from_json_dict,
                              load_config)
+from uavrelay.scenario import generate_scenario
 
 MINIMAL = {"schema_version": 1, "master_seed": 3}
 
@@ -63,6 +64,25 @@ BAD_VALUES = [
     ({"mission": {"stage_dt": "8"}}, "mission"),
     ({"run": {"criteria": 5}}, "run.criteria"),
     ({"models": {"uav_ue": {"mplm": 1}}}, "models.uav_ue"),
+    ({"models": {"mplm": "x"}}, "models.mplm"),
+    ({"models": {"mplm": {"a_hat": "abc"}}}, "models.mplm.a_hat"),
+    ({"models": {"mplm": {"reference": [0]}}}, "models.mplm.reference"),
+    ({"run": {"dipole": [1]}}, "run.dipole"),
+    ({"physical": [100]}, "physical"),
+    ({"master_seed": float("inf")}, "master_seed"),
+]
+
+# parse fine but cannot run: validate must reject them before any compute
+INVALID_VALUES = [
+    ({"physical": {"lambda_ue": 900}}, "lambda_ue"),
+    ({"sweep": {"n_mbs_values": [4, 800]}}, "n_mbs=800.0"),
+    ({"showcase": {"n_mbs": 701}}, "showcase_n_mbs=701.0"),
+    ({"run": {"cell_m": 0}}, "cell_m=0.0"),
+    ({"run": {"cell_m": -100}}, "cell_m=-100.0"),
+    ({"run": {"dipole": {"uav_spin": 1.5}}}, "dipole spins"),
+    ({"run": {"dipole": {"mbs_spin": "left"}}}, "dipole spins"),
+    ({"sweep": {"t_values": [float("nan")]}}, "duration T=nan"),
+    ({"showcase": {"t": float("inf")}}, "duration T=inf"),
 ]
 
 BARE_STRINGS = [
@@ -85,6 +105,24 @@ class TestBadInputs:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("patch,where", INVALID_VALUES)
+    def test_invalid_value_fails_validate_exit_1(self, tmp_path, capsys, patch, where):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, **patch}))
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert where in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_expected_count_still_draws(self):
+        cfg = from_json_dict({**MINIMAL, "physical": {"lambda_ue": 700},
+                              "sweep": {"n_mbs_values": [700]}})
+        assert cfg.validate() == []
+        scn = generate_scenario(cfg.physical_for(700), cfg.mission, cfg.master_seed)
+        assert scn.n_ue > 0 and scn.n_mbs > 0
+
     def test_negative_master_seed_rejected(self):
         diags = from_json_dict({**MINIMAL, "master_seed": -1}).validate()
         assert any("master_seed" in d for d in diags)
@@ -101,6 +139,12 @@ class TestValidation:
         doc = small_run_doc(sweep={"t_values": [72], "n_mbs_values": [4]})
         diags = from_json_dict(doc).validate()
         assert any("T_min" in d for d in diags)
+
+    def test_each_duration_checked_once_in_order(self):
+        doc = small_run_doc(sweep={"t_values": [72, 64, 72], "n_mbs_values": [4]},
+                            showcase={"t": 72, "n_mbs": 4})
+        diags = [d for d in from_json_dict(doc).validate() if "T_min" in d]
+        assert [d.split(" is")[0] for d in diags] == ["T=72.0s", "T=64.0s"]
 
     def test_relay_without_backhaul(self):
         doc = small_run_doc(run={"criteria": ["pf"], "modes": ["standalone", "relay"]})
@@ -145,6 +189,19 @@ class TestPresets:
     def test_fig7_has_both_antennas(self):
         cfg = cli.load_preset("fig7")
         assert cfg.antenna_modes == ("omni", "dipole")
+
+    def test_combinations_in_output_order(self):
+        cfg = from_json_dict({**MINIMAL,
+                              "models": {"uav_ue": ["ohplm", "mplm"], "backhaul": "uma_av"},
+                              "run": {"modes": ["standalone", "relay"],
+                                      "antenna_modes": ["omni", "dipole"]}})
+        combos = list(cfg.combinations())
+        assert [c[:3] for c in combos] == [
+            (m, a, mode) for m in ("ohplm", "mplm") for a in ("omni", "dipole")
+            for mode in ("standalone", "relay")]
+        for model_name, antenna_name, _, models, ants in combos:
+            assert models == cfg.link_models(model_name)
+            assert ants == cfg.antenna_setup(antenna_name)
 
 
 class TestCli:

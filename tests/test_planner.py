@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrelay.planner import (ActionSet, StateGrid, UnreachableFinishError,
                               check_trajectory, enumerate_paths,
@@ -128,12 +130,39 @@ class TestSolveDp:
         assert len(hovers) > 0
         assert set(hovers) == {(1, 2)}
 
-    def test_value_stage_dump(self):
-        grid = toy_grid(3, 3, (0, 0), (2, 2), 3)
-        traj = solve_dp(toy_map(grid, np.ones((3, 3))), grid, ACTIONS,
-                        keep_value_stages=True)
-        assert len(traj.value_stages) == 4
-        assert traj.value_stages[0][0, 0] == traj.value
+    def test_backtrack_off_the_finish_is_an_error(self):
+        # NaN rewards defeat the -inf sentinel; the end-point check must not be an assert
+        grid = toy_grid(3, 3, (0, 0), (2, 2), 2)
+        with pytest.raises(RuntimeError, match="not at the finish cell"):
+            solve_dp(toy_map(grid, np.full((3, 3), np.nan)), grid, ACTIONS)
+
+
+@st.composite
+def small_instances(draw):
+    """A grid of at most 4 x 4 cells, any endpoints, horizon 0-5, integer rewards."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    grid = toy_grid(nx, ny, draw(cell), draw(cell), draw(st.integers(0, 5)))
+    # few distinct integer values make exact ties between paths common
+    rewards = draw(st.lists(st.integers(-2, 2), min_size=nx * ny, max_size=nx * ny))
+    return grid, np.array(rewards, dtype=float).reshape(ny, nx)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_instances())
+def test_solve_dp_equals_enumerate_paths(instance):
+    grid, rewards = instance
+    rm = toy_map(grid, rewards)
+    try:
+        oracle = enumerate_paths(rm, grid, ACTIONS)
+    except UnreachableFinishError:
+        with pytest.raises(UnreachableFinishError):
+            solve_dp(rm, grid, ACTIONS)
+        return
+    traj = solve_dp(rm, grid, ACTIONS)
+    assert traj.cells == oracle.cells
+    assert [a.name for a in traj.actions] == [a.name for a in oracle.actions]
+    assert traj.value == oracle.value
 
 
 class TestEnumeratePaths:
