@@ -13,7 +13,6 @@ unparsable input.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.metadata
 import importlib.resources
 import json
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, pathloss, radio, smoothing
+from . import metrics, output, pathloss, radio, smoothing
 from .antenna import CrossedDipole, radiation_gain
 from .config import ConfigError, RunConfig, from_json_dict, load_config
 from .planner import ActionSet, StateGrid, solve_dp
@@ -57,25 +56,39 @@ def _resolve_config(args) -> RunConfig:
 
 
 class _OutputTracker:
-    """Collects files written by a run so failures leave no partial output."""
+    """Names the files a run writes so a failure leaves no partial output."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.files: list[Path] = []
+        self.names: list[str] = []
 
     def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.files.append(p)
-        return p
-
-    def discard_all(self) -> None:
-        for p in self.files:
-            p.unlink(missing_ok=True)
+        self.names.append(name)
+        return self.out_dir / name
 
 
-def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> list[str]:
+def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
+    """Validate cfg, then call write(cfg, tracker); on failure remove what it wrote."""
+    diagnostics = cfg.validate()
+    if diagnostics:
+        for d in diagnostics:
+            print(f"config error: {d}", file=sys.stderr)
+        return 1
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = _OutputTracker(out_dir)
+    try:
+        write(cfg, out)
+    except Exception:
+        for name in out.names:
+            (out_dir / name).unlink(missing_ok=True)
+        raise
+    print(f"wrote {len(out.names)} files to {out_dir}")
+    return 0
+
+
+def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
     """Trajectories, smoothed curves and heat maps for the showcase scenario."""
-    written = []
     physical = cfg.physical_for(cfg.showcase_n_mbs)
     mission = cfg.mission_for(cfg.showcase_t)
     scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
@@ -87,62 +100,36 @@ def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> list[str]:
         for criterion in cfg.criteria:
             tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
             maps[criterion].to_csv(out.path(f"heatmap_{tag}.csv"))
-            written.append(f"heatmap_{tag}.csv")
             traj = solve_dp(maps[criterion], grid, actions, stage_dt=mission.stage_dt)
             traj.to_csv(out.path(f"trajectory_{tag}.csv"))
             traj.to_json(out.path(f"trajectory_{tag}.json"))
-            written += [f"trajectory_{tag}.csv", f"trajectory_{tag}.json"]
             sm = smoothing.smooth(traj, v_max=physical.v_max)
             sm.to_csv(out.path(f"smoothed_{tag}.csv"))
-            written.append(f"smoothed_{tag}.csv")
-    return written
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_config(args)
-    diagnostics = cfg.validate()
-    if diagnostics:
-        for d in diagnostics:
-            print(f"config error: {d}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = _OutputTracker(out_dir)
-    pathloss.reset_validity_warnings()
-    try:
+    def write(cfg: RunConfig, out: _OutputTracker) -> None:
+        pathloss.reset_validity_warnings()
         result = metrics.monte_carlo_sweep(cfg, jobs=args.jobs)
         result.to_csv(out.path("sweep.csv"))
-        with open(out.path("sweep.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(result.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-        outputs = ["sweep.csv", "sweep.json"]
-        outputs += _write_showcase(cfg, out)
+        output.write_json(out.path("sweep.json"), result.to_json_dict())
+        _write_showcase(cfg, out)
         manifest = {
             "package": "uavrelay",
             "version": package_version(),
             "master_seed": cfg.master_seed,
             "config": cfg.to_json_dict(),
-            "outputs": sorted(outputs),
+            "outputs": sorted(out.names),
             "trajectory_violations": result.trajectory_violations,
             "mbs_rejections": result.mbs_rejections,
         }
-        with open(out.path("manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-    except Exception:
-        out.discard_all()
-        raise
-    print(f"wrote {len(outputs) + 1} files to {out_dir}")
-    return 0
+        output.write_json(out.path("manifest.json"), manifest)
+
+    return _write_outputs(_resolve_config(args), args.out, write)
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    diagnostics = cfg.validate()
+    diagnostics = _resolve_config(args).validate()
     for d in diagnostics:
         print(f"config error: {d}")
     if not diagnostics:
@@ -153,67 +140,43 @@ def cmd_validate(args) -> int:
 def cmd_pathloss_table(args) -> int:
     cfg = _resolve_config(args) if (args.config or args.preset) else RunConfig()
     phys = cfg.physical
-    rows = []
     distances = np.arange(50.0, 1501.0, 25.0)
-    ground = {
+    dh = phys.h_uav - phys.h_ue
+    mplm = cfg.ue_model("mplm")
+    models = {
         "ohplm_mbs": lambda d: pathloss.hata_path_loss(d, phys.f_c_mhz, phys.h_bs, phys.h_ue),
         "ohplm_uav": lambda d: pathloss.hata_path_loss(d, phys.f_c_mhz, phys.h_uav, phys.h_ue),
         "fspl": lambda d: pathloss.fspl(d, phys.f_c_mhz),
         "backhaul_uma_av": lambda d: pathloss.backhaul_path_loss(d, phys.f_c_mhz, phys.h_uav),
+        "mplm": lambda d: mplm.loss_db(d, math.sqrt(d * d - dh * dh), f_c_mhz=phys.f_c_mhz,
+                                       h_tx=phys.h_uav, h_rx=phys.h_ue),
     }
-    mplm_model = cfg.ue_model("mplm")
-    dh = phys.h_uav - phys.h_ue
-    for name, fn in ground.items():
-        for d in distances:
-            rows.append((name, float(d), float(fn(d))))
-    for d in distances:
-        if d <= dh:
-            continue  # slant range cannot be shorter than the height gap
-        z = math.sqrt(d * d - dh * dh)
-        loss = mplm_model.loss_db(d, z, f_c_mhz=phys.f_c_mhz, h_tx=phys.h_uav, h_rx=phys.h_ue)
-        rows.append(("mplm", float(d), float(loss)))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model", "d_m", "loss_db"])
-        for name, d, loss in rows:
-            w.writerow([name, repr(d), repr(loss)])
+    # a slant range cannot be shorter than the height gap
+    rows = ((name, d, float(fn(d))) for name, fn in models.items() for d in distances
+            if name != "mplm" or d > dh)
+    output.write_csv(args.out, ["model", "d_m", "loss_db"], rows)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_antenna_pattern(args) -> int:
     mode = CrossedDipole(spin=args.spin)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["theta_deg", "phi_deg", "gain_linear", "gain_db"])
+
+    def rows():
         for theta in range(0, 181, 5):
             for phi in range(0, 360, 5):
-                th = math.radians(theta)
-                ph = math.radians(phi)
+                th, ph = math.radians(theta), math.radians(phi)
                 d = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
                 g = float(radiation_gain(np.array(d), mode))
-                w.writerow([theta, phi, repr(g), repr(10.0 * math.log10(g))])
+                yield theta, phi, g, 10.0 * math.log10(g)
+
+    output.write_csv(args.out, ["theta_deg", "phi_deg", "gain_linear", "gain_db"], rows())
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_heatmap(args) -> int:
-    cfg = _resolve_config(args)
-    diagnostics = cfg.validate()
-    if diagnostics:
-        for d in diagnostics:
-            print(f"config error: {d}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = _OutputTracker(out_dir)
-    try:
-        written = _write_showcase(cfg, out)
-    except Exception:
-        out.discard_all()
-        raise
-    print(f"wrote {len(written)} files to {out_dir}")
-    return 0
+    return _write_outputs(_resolve_config(args), args.out, _write_showcase)
 
 
 def _add_config_args(p: argparse.ArgumentParser, with_seed: bool = True) -> None:

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, replace
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl)
+from .planner import ActionSet, StateGrid, feasibility_check
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
 from .scenario import (MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        rect_contains, t_min)
@@ -170,16 +171,28 @@ class RunConfig:
         if uses_ohplm and not (lo <= self.physical.f_c_mhz <= hi):
             out.append(f"f_c_mhz={self.physical.f_c_mhz} outside OHPLM range [{lo}, {hi}]")
 
+        try:
+            grid = StateGrid.from_mission(self.mission, self.cell_m)
+            actions = ActionSet.standard(self.cell_m, self.mission.stage_dt, self.physical.v_max)
+            # fewest grid stages from start to finish, whatever T is
+            min_stages = feasibility_check(self.mission, grid, actions).min_stages
+        except ValueError as exc:
+            out.append(str(exc))
+            min_stages = 0
         need = t_min(self.mission.start, self.mission.finish, self.physical.v_max)
         for t in dict.fromkeys(tuple(self.sweep_t) + (self.showcase_t,)):
-            if not math.isfinite(t):
-                out.append(f"duration T={t} must be finite")
+            if not (math.isfinite(t) and t > 0):
+                out.append(f"duration T={t} must be finite and positive")
                 continue
             if t < need:
                 out.append(f"T={t}s is below T_min={need:.3f}s")
             n = t / self.mission.stage_dt
             if abs(n - round(n)) > 1e-9:
                 out.append(f"T={t}s is not a multiple of stage_dt={self.mission.stage_dt}s")
+            elif t >= need and round(n) < min_stages:
+                # grid moves are slower than v_max along most headings
+                out.append(f"T={t}s gives {round(n)} stages of {self.mission.stage_dt}s, "
+                           f"but the grid path from start to finish needs {min_stages}")
         # expected node counts, computed as generate_scenario computes them
         area = area_km2(self.mission.area_ue)
         for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]
@@ -195,12 +208,6 @@ class RunConfig:
 
         if not rect_contains(self.mission.area_uav, [self.mission.start, self.mission.finish]):
             out.append("mission endpoints must lie inside the flight area")
-        try:
-            from .planner import ActionSet, StateGrid
-            StateGrid.from_mission(self.mission, self.cell_m)
-            ActionSet.standard(self.cell_m, self.mission.stage_dt, self.physical.v_max)
-        except ValueError as exc:
-            out.append(str(exc))
         return out
 
     def to_json_dict(self) -> dict:
@@ -233,24 +240,28 @@ class RunConfig:
         return d
 
 
-def _take(section: dict, allowed: dict, where: str) -> dict:
-    """Map JSON keys to kwargs, rejecting anything unknown."""
+def _take(section, allowed, where: str) -> dict:
+    """A JSON object whose keys are all in `allowed`; no field is a boolean."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    out = {}
     for key, value in section.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        out[allowed[key]] = value
-    return out
+        if isinstance(value, bool):
+            raise ConfigError(f"{where}.{key} must not be true/false, got {value!r}")
+    return dict(section)
 
 
 def _number(kind, value, where: str):
-    """int(value) or float(value), with a bad value reported as a ConfigError."""
+    """int(value) or float(value); a boolean, or a fraction for int, is a ConfigError."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from exc
 
 
 def _list(value, where: str, length: int | None = None) -> list:
@@ -268,26 +279,19 @@ def _floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
 
 
 def from_json_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    top_allowed = {"schema_version", "master_seed", "physical", "mission",
-                   "models", "run", "sweep", "showcase"}
-    for key in doc:
-        if key not in top_allowed:
-            raise ConfigError(f"unknown key {key!r} at top level")
+    doc = _take(doc, ("schema_version", "master_seed", "physical", "mission", "models",
+                      "run", "sweep", "showcase"), "config")
     for key in ("schema_version", "master_seed"):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}")
 
-    phys_fields = {f: f for f in PhysicalConfig.__dataclass_fields__}
     try:
-        physical = PhysicalConfig(**_take(doc.get("physical", {}), phys_fields, "physical"))
+        physical = PhysicalConfig(**_take(doc.get("physical", {}),
+                                          PhysicalConfig.__dataclass_fields__, "physical"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"physical: {exc}") from exc
 
-    msec = dict(doc.get("mission", {}))
-    m_allowed = {f: f for f in Mission.__dataclass_fields__}
-    mkw = _take(msec, m_allowed, "mission")
+    mkw = _take(doc.get("mission", {}), Mission.__dataclass_fields__, "mission")
     for key, length in (("start", 2), ("finish", 2), ("area_ue", 4), ("area_uav", 4)):
         if key in mkw:
             mkw[key] = _floats(mkw[key], f"mission.{key}", length)
@@ -296,30 +300,19 @@ def from_json_dict(doc: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mission: {exc}") from exc
 
-    models = doc.get("models", {})
-    mo = _take(models, {"mbs_ue": "mbs_ue", "uav_ue": "uav_ue",
-                        "backhaul": "backhaul", "mplm": "mplm"}, "models")
-    mplm_kw = _take(mo.get("mplm", {}),
-                    {f: f for f in MplmSettings.__dataclass_fields__}, "models.mplm")
+    mo = _take(doc.get("models", {}), ("mbs_ue", "uav_ue", "backhaul", "mplm"), "models")
+    mplm_kw = _take(mo.get("mplm", {}), MplmSettings.__dataclass_fields__, "models.mplm")
     for key in ("a_hat", "b_hat", "c_hat"):
         if key in mplm_kw:
             mplm_kw[key] = _number(float, mplm_kw[key], f"models.mplm.{key}")
     if not isinstance(mplm_kw.get("reference", ""), str):
         mplm_kw["reference"] = _number(float, mplm_kw["reference"], "models.mplm.reference")
 
-    run = doc.get("run", {})
-    ru = _take(run, {"criteria": "criteria", "modes": "modes",
-                     "relay_rule": "relay_rule", "antenna_modes": "antenna_modes",
-                     "dipole": "dipole", "realizations": "realizations",
-                     "cell_m": "cell_m"}, "run")
-    dipole_kw = _take(ru.get("dipole", {}),
-                      {f: f for f in DipoleSettings.__dataclass_fields__}, "run.dipole")
-
-    sweep = doc.get("sweep", {})
-    sw = _take(sweep, {"t_values": "t_values", "n_mbs_values": "n_mbs_values"}, "sweep")
-
-    showcase = doc.get("showcase", {})
-    sc = _take(showcase, {"t": "t", "n_mbs": "n_mbs"}, "showcase")
+    ru = _take(doc.get("run", {}), ("criteria", "modes", "relay_rule", "antenna_modes",
+                                    "dipole", "realizations", "cell_m"), "run")
+    dipole_kw = _take(ru.get("dipole", {}), DipoleSettings.__dataclass_fields__, "run.dipole")
+    sw = _take(doc.get("sweep", {}), ("t_values", "n_mbs_values"), "sweep")
+    sc = _take(doc.get("showcase", {}), ("t", "n_mbs"), "showcase")
 
     return RunConfig(
         physical=physical,

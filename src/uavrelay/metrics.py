@@ -10,14 +10,13 @@ same networks, as are reruns.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import radio, smoothing
+from . import output, pathloss, radio, smoothing
 from .config import RunConfig
 from .planner import ActionSet, StateGrid, check_trajectory, solve_dp
 from .scenario import generate_scenario
@@ -44,6 +43,7 @@ def outage_probability(capacities, threshold: float) -> float:
 
 @dataclass(frozen=True)
 class ComboKey:
+    # field order is the sweep.csv column order
     criterion: str
     mode: str
     uav_ue_model: str
@@ -123,35 +123,19 @@ class SweepResult:
         return hits[0]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_COLUMNS)
-            for p in self.points:
-                cap, cap_se, n = p.capacity
-                out, out_se, _ = p.outage
-                w.writerow([
-                    repr(float(p.t_s)), repr(float(p.n_mbs)),
-                    p.combo.criterion, p.combo.mode, p.combo.uav_ue_model,
-                    p.combo.antenna, p.evaluation,
-                    repr(cap), repr(cap_se), repr(out), repr(out_se), n,
-                ])
+        output.write_csv(path, CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS]
+                                             for row in self.to_json_dict()["points"]))
 
     def to_json_dict(self) -> dict:
         rows = []
         for p in self.points:
             cap, cap_se, n = p.capacity
             out, out_se, _ = p.outage
-            rows.append({
-                "t_s": p.t_s, "n_mbs": p.n_mbs,
-                "criterion": p.combo.criterion, "mode": p.combo.mode,
-                "uav_ue_model": p.combo.uav_ue_model, "antenna": p.combo.antenna,
-                "evaluation": p.evaluation,
-                "mean_capacity_bps_hz": cap, "stderr_capacity": cap_se,
-                "mean_outage": out, "stderr_outage": out_se,
-                "n_realizations": n,
-                "capacity_samples": p.capacity_samples,
-                "outage_samples": p.outage_samples,
-            })
+            cells = (p.t_s, p.n_mbs, *astuple(p.combo), p.evaluation,
+                     cap, cap_se, out, out_se, n)
+            rows.append({**dict(zip(CSV_COLUMNS, cells, strict=True)),
+                         "capacity_samples": p.capacity_samples,
+                         "outage_samples": p.outage_samples})
         return {
             "realizations": self.realizations,
             "trajectory_violations": self.trajectory_violations,
@@ -218,61 +202,49 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
 
 
 def _realization_task(args):
-    cfg, t_values, n_mbs, j = args
-    return n_mbs, j, run_realization(cfg, t_values, n_mbs, j)
+    """One realization; its path-loss validity warnings are returned, not logged."""
+    cfg, n_mbs, j = args
+    with pathloss.gather_validity_warnings() as warnings:
+        out = run_realization(cfg, cfg.sweep_t, n_mbs, j)
+    return out, warnings
 
 
-def monte_carlo_sweep(cfg: RunConfig, axes=None, criteria=None, modes=None,
-                      realizations: int | None = None, jobs: int = 1) -> SweepResult:
+def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
     """Run the configured sweep; deterministic for a fixed master seed.
 
-    Results are reduced in (n_mbs, realization) order regardless of worker
-    scheduling, so outputs are byte-stable for any `jobs`.
+    Points are created in output order (T, n_mbs, combination, criterion,
+    evaluation) and samples appended in (n_mbs, realization) task order,
+    which `pool.map` keeps, so outputs are byte-stable for any `jobs`. The
+    path-loss validity warnings are logged in that order too, once per run.
     """
-    if axes is not None:
-        cfg = replace(cfg, sweep_t=tuple(axes["t_values"]),
-                      sweep_n_mbs=tuple(axes["n_mbs_values"]))
-    if criteria is not None:
-        cfg = replace(cfg, criteria=tuple(criteria))
-    if modes is not None:
-        cfg = replace(cfg, modes=tuple(modes))
-    if realizations is not None:
-        cfg = replace(cfg, realizations=int(realizations))
     if cfg.realizations < 1:
         raise ValueError("realizations must be >= 1")
+    keys = [(float(t), float(n_mbs), ComboKey(criterion, mode, model_name, antenna_name),
+             evaluation)
+            for t in cfg.sweep_t
+            for n_mbs in cfg.sweep_n_mbs
+            for model_name, antenna_name, mode, _, _ in cfg.combinations()
+            for criterion in cfg.criteria
+            for evaluation in EVALUATIONS]
+    points = {key: SweepPoint(*key, capacity_samples=[], outage_samples=[]) for key in keys}
 
-    tasks = [(cfg, cfg.sweep_t, n_mbs, j)
-             for n_mbs in cfg.sweep_n_mbs
-             for j in range(cfg.realizations)]
+    tasks = [(cfg, n_mbs, j) for n_mbs in cfg.sweep_n_mbs for j in range(cfg.realizations)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_realization_task, tasks))
     else:
-        raw = [_realization_task(t) for t in tasks]
-    raw.sort(key=lambda r: (cfg.sweep_n_mbs.index(r[0]), r[1]))
+        raw = list(map(_realization_task, tasks))
 
-    samples: dict[tuple, SweepPoint] = {}
     violations = 0
     rejections = 0
-    for n_mbs, j, (metrics_list, viol, rej) in raw:
+    for (metrics_list, viol, rej), warnings in raw:
+        for key, message in warnings.items():
+            pathloss.warn_once(key, message)
         violations += viol
         rejections += rej
         for m in metrics_list:
-            key = (m.t_s, m.n_mbs, m.combo, m.evaluation)
-            if key not in samples:
-                samples[key] = SweepPoint(t_s=m.t_s, n_mbs=m.n_mbs, combo=m.combo,
-                                          evaluation=m.evaluation,
-                                          capacity_samples=[], outage_samples=[])
-            samples[key].capacity_samples.append(m.mean_capacity)
-            samples[key].outage_samples.append(m.outage)
-
-    def order(point: SweepPoint):
-        c = point.combo
-        return (cfg.sweep_t.index(point.t_s), cfg.sweep_n_mbs.index(point.n_mbs),
-                cfg.uav_ue_models.index(c.uav_ue_model),
-                cfg.antenna_modes.index(c.antenna), cfg.modes.index(c.mode),
-                cfg.criteria.index(c.criterion), EVALUATIONS.index(point.evaluation))
-
-    points = sorted(samples.values(), key=order)
-    return SweepResult(points=points, realizations=cfg.realizations,
+            point = points[(m.t_s, m.n_mbs, m.combo, m.evaluation)]
+            point.capacity_samples.append(m.mean_capacity)
+            point.outage_samples.append(m.outage)
+    return SweepResult(points=list(points.values()), realizations=cfg.realizations,
                        trajectory_violations=violations, mbs_rejections=rejections)

@@ -6,6 +6,7 @@ Every function accepts scalars or numpy arrays.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ OHPLM_D_RANGE = (1000.0, 10_000.0)
 UMA_AV_ALTITUDE_RANGE = (22.5, 300.0)
 
 _warned: set[str] = set()
+_gathered: dict[str, str] | None = None  # see gather_validity_warnings
 
 
 def reset_validity_warnings() -> None:
@@ -33,8 +35,22 @@ def reset_validity_warnings() -> None:
     _warned.clear()
 
 
-def _warn_once(key: str, message: str) -> None:
-    if key not in _warned:
+@contextlib.contextmanager
+def gather_validity_warnings():
+    """Yield a key -> message dict of the warnings raised in the block, unlogged."""
+    global _gathered
+    outer, _gathered = _gathered, {}
+    try:
+        yield _gathered
+    finally:
+        _gathered = outer
+
+
+def warn_once(key: str, message: str) -> None:
+    """Log a validity warning once per run; inside a gather block, collect it."""
+    if _gathered is not None:
+        _gathered.setdefault(key, message)
+    elif key not in _warned:
         _warned.add(key)
         log.warning(message)
 
@@ -76,13 +92,13 @@ def hata_path_loss(d, f_c_mhz: float, h_tx: float, h_ue: float):
     if np.any(d <= 0):
         raise ValueError("hata_path_loss requires d > 0")
     if not (OHPLM_FC_RANGE[0] <= f_c_mhz <= OHPLM_FC_RANGE[1]):
-        _warn_once("fc", f"OHPLM carrier {f_c_mhz} MHz outside {OHPLM_FC_RANGE}")
+        warn_once("fc", f"OHPLM carrier {f_c_mhz} MHz outside {OHPLM_FC_RANGE}")
     if not (OHPLM_HBS_RANGE[0] <= h_tx <= OHPLM_HBS_RANGE[1]):
-        _warn_once("hbs", f"OHPLM tx height {h_tx} m outside {OHPLM_HBS_RANGE}")
+        warn_once("hbs", f"OHPLM tx height {h_tx} m outside {OHPLM_HBS_RANGE}")
     if not (OHPLM_HUE_RANGE[0] <= h_ue <= OHPLM_HUE_RANGE[1]):
-        _warn_once("hue", f"OHPLM UE height {h_ue} m outside {OHPLM_HUE_RANGE}")
+        warn_once("hue", f"OHPLM UE height {h_ue} m outside {OHPLM_HUE_RANGE}")
     if np.any(d < OHPLM_D_RANGE[0]) or np.any(d > OHPLM_D_RANGE[1]):
-        _warn_once("d", "OHPLM applied outside its 1-10 km distance range")
+        warn_once("d", "OHPLM applied outside its 1-10 km distance range")
     co = hata_coefficients(f_c_mhz, h_tx, h_ue)
     out = co.a_coef + co.b_coef * np.log10(d / 1000.0) + co.c_coef
     return out if out.ndim else float(out)

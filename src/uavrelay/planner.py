@@ -9,14 +9,13 @@ used to verify the recursion on small instances.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import output
 from .radio import RewardMap
 from .scenario import Mission
 
@@ -194,18 +193,12 @@ class Trajectory:
         return [i for i, a in enumerate(self.actions) if a.is_hover]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["stage", "t_s", "x_m", "y_m", "v_mps", "heading_rad", "stage_reward"])
-            for i, (x, y) in enumerate(self.positions):
-                if i < self.n_stages:
-                    act = self.actions[i]
-                    w.writerow([i, repr(i * self.stage_dt), repr(float(x)), repr(float(y)),
-                                repr(act.speed), repr(act.heading),
-                                repr(float(self.stage_rewards[i]))])
-                else:
-                    w.writerow([i, repr(i * self.stage_dt), repr(float(x)), repr(float(y)),
-                                repr(0.0), repr(0.0), repr(0.0)])
+        moves = [(a.speed, a.heading, r) for a, r in zip(self.actions, self.stage_rewards)]
+        moves.append((0.0, 0.0, 0.0))  # no move out of the finish position
+        output.write_csv(path, ["stage", "t_s", "x_m", "y_m", "v_mps", "heading_rad",
+                                "stage_reward"],
+                         ((i, i * self.stage_dt, x, y, *moves[i])
+                          for i, (x, y) in enumerate(self.positions)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,9 +212,7 @@ class Trajectory:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        output.write_json(path, self.to_json_dict())
 
 
 def _finish_trajectory(criterion, stage_dt, grid, reward, cells, acts, value) -> Trajectory:

@@ -13,13 +13,13 @@ scalar received-power and direct-SIR helpers are no longer exported.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import output
 from .antenna import AntennaMode, Omni, combined_gain, ue_link_gain
 from .pathloss import LinkModels
 from .scenario import Scenario
@@ -247,24 +247,15 @@ class RewardMap:
     max_sir_db: np.ndarray  # (ny, nx)
     rates: np.ndarray | None = None  # (ny, nx, K)
 
-    def reward_at(self, cell: tuple[int, int]) -> float:
-        ix, iy = cell
-        return float(self.rewards[iy, ix])
-
     def rates_at(self, cells) -> np.ndarray:
         """Per-UE rates with the UAV over each (ix, iy) cell; (len(cells), K)."""
         ix, iy = np.asarray(cells, dtype=int).reshape(-1, 2).T
         return self.rates[iy, ix]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["cell_x_m", "cell_y_m", "reward", "max_sir_db"])
-            for iy in range(self.ys.size):
-                for ix in range(self.xs.size):
-                    w.writerow([repr(float(self.xs[ix])), repr(float(self.ys[iy])),
-                                repr(float(self.rewards[iy, ix])),
-                                repr(float(self.max_sir_db[iy, ix]))])
+        output.write_csv(path, ["cell_x_m", "cell_y_m", "reward", "max_sir_db"],
+                         ((x, y, self.rewards[iy, ix], self.max_sir_db[iy, ix])
+                          for iy, y in enumerate(self.ys) for ix, x in enumerate(self.xs)))
 
 
 def build_reward_maps(scn: Scenario, criteria, mode: str, models: LinkModels,

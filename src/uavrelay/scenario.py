@@ -7,6 +7,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import output
+
 # (xmin, ymin, xmax, ymax) in meters
 Rect = tuple[float, float, float, float]
 
@@ -148,9 +150,7 @@ class Scenario:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        output.write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":

@@ -1,13 +1,12 @@
 """Bezier smoothing of DP waypoint paths and off-grid re-evaluation."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import radio
+from . import output, radio
 from .pathloss import LinkModels
 from .radio import AntennaSetup
 from .planner import Trajectory
@@ -71,13 +70,10 @@ class SmoothedTrajectory:
     stage_dt: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t_s", "x_m", "y_m", "v_mps"])
-            for j, (x, y) in enumerate(self.positions):
-                v = self.speeds[j] if j < self.speeds.size else 0.0
-                w.writerow([repr(j * self.stage_dt), repr(float(x)), repr(float(y)),
-                            repr(float(v))])
+        speeds = [*self.speeds, 0.0]  # no speed after the last sample
+        output.write_csv(path, ["t_s", "x_m", "y_m", "v_mps"],
+                         ((j * self.stage_dt, x, y, speeds[j])
+                          for j, (x, y) in enumerate(self.positions)))
 
 
 def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:

@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uavrelay
 from uavrelay import cli
-from uavrelay.config import (ConfigError, RunConfig, from_json_dict,
+from uavrelay.config import (ANTENNA_MODES, MPLM_REFERENCES, UE_LINK_MODELS, ConfigError,
+                             DipoleSettings, MplmSettings, RunConfig, from_json_dict,
                              load_config)
-from uavrelay.scenario import generate_scenario
+from uavrelay.radio import CRITERIA, MODES, RELAY_RULES
+from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
 
 MINIMAL = {"schema_version": 1, "master_seed": 3}
 
@@ -51,6 +60,59 @@ class TestConfigParsing:
         assert again == cfg
 
 
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _names(pool):
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def run_configs(draw):
+    stage_dt = draw(st.sampled_from([4.0, 8.0, 10.0]))
+    durations = st.integers(1, 60).map(lambda n: n * stage_dt)
+    point = st.tuples(st.sampled_from([0.0, 500.0, 1000.0]), st.sampled_from([0.0, 500.0, 1000.0]))
+    return RunConfig(
+        physical=PhysicalConfig(
+            p_mbs_dbm=draw(_finite(0, 60)), p_uav_dbm=draw(_finite(0, 40)),
+            v_max=draw(_finite(18, 50)), h_uav=draw(_finite(60, 300)),
+            h_bs=draw(_finite(10, 50)), h_ue=draw(_finite(0.5, 5)),
+            f_c_mhz=draw(_finite(150, 6000)), alpha_los=draw(_finite(1.5, 3)),
+            alpha_nlos=draw(_finite(3, 5)), lambda_ue=draw(_finite(0, 500)),
+            outage_threshold=draw(_finite(0.001, 1))),
+        mission=Mission(start=draw(point), finish=draw(point), duration_t=draw(durations),
+                        stage_dt=stage_dt),
+        mbs_ue_model=draw(st.sampled_from(UE_LINK_MODELS)),
+        uav_ue_models=draw(_names(UE_LINK_MODELS)),
+        mplm=MplmSettings(a_hat=draw(_finite(0.01, 0.99)), b_hat=draw(_finite(1, 500)),
+                          c_hat=draw(_finite(1, 50)),
+                          variant=draw(st.sampled_from(["corrected", "as_written"])),
+                          reference=draw(st.sampled_from(MPLM_REFERENCES) | _finite(-50, 50))),
+        backhaul_model=draw(st.sampled_from([None, "uma_av"])),
+        relay_rule=draw(st.sampled_from(RELAY_RULES)),
+        criteria=draw(_names(CRITERIA)),
+        modes=draw(_names(MODES)),
+        antenna_modes=draw(_names(ANTENNA_MODES)),
+        dipole=DipoleSettings(draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))),
+        sweep_t=tuple(draw(st.lists(durations, min_size=1, max_size=4))),
+        sweep_n_mbs=tuple(draw(st.lists(_finite(0.5, 50), min_size=1, max_size=3))),
+        realizations=draw(st.integers(1, 100)),
+        master_seed=draw(st.integers(0, 2**63)),
+        showcase_t=draw(durations),
+        showcase_n_mbs=draw(_finite(0.5, 50)),
+        cell_m=draw(st.sampled_from([50.0, 100.0])),
+    )
+
+
+@given(cfg=run_configs())
+@settings(deadline=None)
+def test_json_round_trip(cfg):
+    again = from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+    assert again == cfg
+    assert again.validate() == cfg.validate()
+
+
 BAD_VALUES = [
     ({"run": {"realizations": "abc"}}, "run.realizations"),
     ({"run": {"cell_m": "wide"}}, "run.cell_m"),
@@ -70,6 +132,14 @@ BAD_VALUES = [
     ({"run": {"dipole": [1]}}, "run.dipole"),
     ({"physical": [100]}, "physical"),
     ({"master_seed": float("inf")}, "master_seed"),
+    ({"run": {"realizations": 2.5}}, "run.realizations"),
+    ({"master_seed": 3.7}, "master_seed"),
+    ({"schema_version": 1.9}, "schema_version"),
+    ({"run": {"realizations": True}}, "run.realizations"),
+    ({"master_seed": False}, "master_seed"),
+    ({"sweep": {"t_values": [True]}}, "sweep.t_values"),
+    ({"physical": {"h_uav": True}}, "physical.h_uav"),
+    ({"run": {"dipole": {"uav_spin": True}}}, "run.dipole.uav_spin"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -83,6 +153,13 @@ INVALID_VALUES = [
     ({"run": {"dipole": {"mbs_spin": "left"}}}, "dipole spins"),
     ({"sweep": {"t_values": [float("nan")]}}, "duration T=nan"),
     ({"showcase": {"t": float("inf")}}, "duration T=inf"),
+    # 64 s beats the straight-line T_min, but cardinal grid moves need 10 stages
+    ({"mission": {"finish": [1000, 0]}, "sweep": {"t_values": [64]}},
+     "T=64.0s gives 8 stages of 8.0s, but the grid path from start to finish needs 10"),
+    ({"mission": {"finish": [1000, 0]}, "showcase": {"t": 64}},
+     "T=64.0s gives 8 stages"),
+    # with start == finish T_min is 0, so only the sign check catches T=0
+    ({"mission": {"finish": [0, 0]}, "sweep": {"t_values": [0]}}, "duration T=0.0"),
 ]
 
 BARE_STRINGS = [
@@ -316,6 +393,23 @@ class TestCli:
                                if f.suffix == ".csv" or f.name == "manifest.json")
         for name in names:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    def test_run_warns_once_for_any_jobs(self, tmp_path):
+        # pool workers are separate processes: only a subprocess sees their stderr
+        path = self.write_config(tmp_path, small_run_doc())
+        src = str(Path(uavrelay.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        warnings = {}
+        for jobs in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "uavrelay.cli", "run", "--config", str(path),
+                 "--out", str(tmp_path / f"w{jobs}"), "--jobs", str(jobs)],
+                capture_output=True, text=True, env=env, check=True)
+            warnings[jobs] = [line for line in proc.stderr.splitlines() if line]
+        assert "OHPLM applied outside its 1-10 km distance range" in warnings[1]
+        assert len(set(warnings[1])) == len(warnings[1])
+        assert warnings[2] == warnings[1]
 
     def test_heatmap_relay_seed_with_one_mbs_draw(self, tmp_path):
         # seed 279 first draws a single MBS, which relay mode cannot use

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,15 +98,14 @@ class TestSweep:
         assert len(res.points) == 2 * len(SMALL.sweep_t)
 
     def test_axes_override(self):
-        res = monte_carlo_sweep(SMALL, axes={"t_values": [240.0],
-                                             "n_mbs_values": [2.0, 4.0]},
-                                realizations=2)
+        res = monte_carlo_sweep(replace(SMALL, sweep_t=(240.0,), sweep_n_mbs=(2.0, 4.0),
+                                        realizations=2))
         assert {p.n_mbs for p in res.points} == {2.0, 4.0}
         assert res.realizations == 2
 
     def test_rejects_zero_realizations(self):
         with pytest.raises(ValueError):
-            monte_carlo_sweep(SMALL, realizations=0)
+            monte_carlo_sweep(replace(SMALL, realizations=0))
 
     def test_csv_header_frozen(self, tmp_path):
         res = monte_carlo_sweep(SMALL)
