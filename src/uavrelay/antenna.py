@@ -126,15 +126,8 @@ def tx_gain(geom: LinkGeometry) -> float:
     return float(ue_link_gain(d, geom.tx_mode))
 
 
-def backhaul_combined_gain(geom: LinkGeometry) -> float:
-    """Radiation gain at both ends times the polarization loss factor."""
-    d = np.asarray(geom.rx_position, dtype=float) - np.asarray(geom.tx_position, dtype=float)
-    g = radiation_gain(d, geom.tx_mode) * radiation_gain(-d, geom.rx_mode)
-    return float(g * polarization_loss_factor(d, geom.tx_mode, geom.rx_mode))
-
-
 def combined_gain(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
-    """Vectorized backhaul_combined_gain over direction rows."""
+    """Radiation gain at both ends times the polarization loss factor, per tx->rx direction."""
     u = np.asarray(directions, dtype=float)
     g = radiation_gain(u, tx_mode) * radiation_gain(-u, rx_mode)
     return g * polarization_loss_factor(u, tx_mode, rx_mode)

@@ -97,8 +97,10 @@ def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
     for model_name, antenna_name, mode, models, ants in cfg.combinations():
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
                                        grid, cfg.relay_rule)
+        max_sir_db = radio.max_sir_map(scn, models, ants, grid)
         for criterion in cfg.criteria:
             tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
+            maps[criterion].max_sir_db = max_sir_db
             maps[criterion].to_csv(out.path(f"heatmap_{tag}.csv"))
             traj = solve_dp(maps[criterion], grid, actions, stage_dt=mission.stage_dt)
             traj.to_csv(out.path(f"trajectory_{tag}.csv"))
@@ -111,8 +113,7 @@ def cmd_run(args) -> int:
     def write(cfg: RunConfig, out: _OutputTracker) -> None:
         pathloss.reset_validity_warnings()
         result = metrics.monte_carlo_sweep(cfg, jobs=args.jobs)
-        result.to_csv(out.path("sweep.csv"))
-        output.write_json(out.path("sweep.json"), result.to_json_dict())
+        result.write(out.path("sweep.csv"), out.path("sweep.json"))
         _write_showcase(cfg, out)
         manifest = {
             "package": "uavrelay",

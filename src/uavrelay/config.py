@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl)
-from .planner import ActionSet, StateGrid, feasibility_check
+from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
 from .scenario import (MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        rect_contains, t_min)
@@ -149,8 +149,14 @@ class RunConfig:
         for label, values, allowed in (("uav_ue_model", self.uav_ue_models, UE_LINK_MODELS),
                                        ("criterion", self.criteria, CRITERIA),
                                        ("mode", self.modes, MODES),
-                                       ("antenna mode", self.antenna_modes, ANTENNA_MODES)):
-            out += [f"{label} {v!r} must be one of {allowed}" for v in values if v not in allowed]
+                                       ("antenna mode", self.antenna_modes, ANTENNA_MODES),
+                                       ("sweep T", self.sweep_t, None),
+                                       ("sweep n_mbs", self.sweep_n_mbs, None)):
+            out += [f"{label} {v!r} must be one of {allowed}" for v in values
+                    if allowed and v not in allowed]
+            # a repeated value would add its samples to the same sweep point again
+            out += [f"{label} {v!r} is listed more than once"
+                    for v in dict.fromkeys(v for v in values if values.count(v) > 1)]
         if self.relay_rule not in RELAY_RULES:
             out.append(f"relay_rule must be one of {RELAY_RULES}")
         if self.backhaul_model is not None and self.backhaul_model not in BACKHAUL_MODELS:
@@ -175,10 +181,10 @@ class RunConfig:
             grid = StateGrid.from_mission(self.mission, self.cell_m)
             actions = ActionSet.standard(self.cell_m, self.mission.stage_dt, self.physical.v_max)
             # fewest grid stages from start to finish, whatever T is
-            min_stages = feasibility_check(self.mission, grid, actions).min_stages
+            need_stages = min_stages(grid, actions)
         except ValueError as exc:
             out.append(str(exc))
-            min_stages = 0
+            need_stages = 0
         need = t_min(self.mission.start, self.mission.finish, self.physical.v_max)
         for t in dict.fromkeys(tuple(self.sweep_t) + (self.showcase_t,)):
             if not (math.isfinite(t) and t > 0):
@@ -189,10 +195,10 @@ class RunConfig:
             n = t / self.mission.stage_dt
             if abs(n - round(n)) > 1e-9:
                 out.append(f"T={t}s is not a multiple of stage_dt={self.mission.stage_dt}s")
-            elif t >= need and round(n) < min_stages:
+            elif t >= need and round(n) < need_stages:
                 # grid moves are slower than v_max along most headings
                 out.append(f"T={t}s gives {round(n)} stages of {self.mission.stage_dt}s, "
-                           f"but the grid path from start to finish needs {min_stages}")
+                           f"but the grid path from start to finish needs {need_stages}")
         # expected node counts, computed as generate_scenario computes them
         area = area_km2(self.mission.area_ue)
         for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]

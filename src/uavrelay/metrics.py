@@ -54,12 +54,10 @@ class ComboKey:
 class RunMetrics:
     """Outcome of one realization for one combination and one evaluation."""
 
-    seed: int
     t_s: float
     n_mbs: float
     combo: ComboKey
     evaluation: str
-    per_ue_capacity: np.ndarray
     mean_capacity: float
     outage: float
 
@@ -122,9 +120,12 @@ class SweepResult:
             raise KeyError(f"{len(hits)} sweep points match the given tags")
         return hits[0]
 
-    def to_csv(self, path) -> None:
-        output.write_csv(path, CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS]
-                                             for row in self.to_json_dict()["points"]))
+    def write(self, csv_path, json_path) -> None:
+        """sweep.csv and sweep.json, both from one to_json_dict() document."""
+        doc = self.to_json_dict()
+        output.write_csv(csv_path, CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS]
+                                                 for row in doc["points"]))
+        output.write_json(json_path, doc)
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -155,11 +156,10 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     reward map is reused across durations: nodes are static, so the map only
     depends on the network, the combination, and the grid geometry.
     """
-    seed = realization_seed(cfg.master_seed, j)
     t_values = tuple(t_values)
     physical = cfg.physical_for(n_mbs)
-    scn = generate_scenario(physical, cfg.mission_for(max(t_values)), seed,
-                            min_mbs=cfg.min_mbs)
+    scn = generate_scenario(physical, cfg.mission_for(max(t_values)),
+                            realization_seed(cfg.master_seed, j), min_mbs=cfg.min_mbs)
     actions = ActionSet.standard(cfg.cell_m, scn.mission.stage_dt, physical.v_max)
 
     # durations share the grid geometry and differ only in their stage count
@@ -190,12 +190,10 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
                         mean_cap = float(caps.mean())
                         outage = outage_probability(caps, physical.outage_threshold)
                     else:
-                        caps = np.zeros(0)
                         mean_cap = float("nan")
                         outage = float("nan")
                     results.append(RunMetrics(
-                        seed=seed, t_s=t, n_mbs=n_mbs, combo=combo,
-                        evaluation=evaluation, per_ue_capacity=caps,
+                        t_s=t, n_mbs=n_mbs, combo=combo, evaluation=evaluation,
                         mean_capacity=mean_cap, outage=outage,
                     ))
     return results, violations, scn.mbs_rejections

@@ -62,7 +62,6 @@ class HataCoefficients:
     a_coef: float
     b_coef: float
     c_coef: float
-    ue_correction: float
 
 
 def hata_ue_correction(f_c_mhz: float, h_ue: float) -> float:
@@ -70,7 +69,7 @@ def hata_ue_correction(f_c_mhz: float, h_ue: float) -> float:
 
 
 def hata_coefficients(f_c_mhz: float, h_bs: float, h_ue: float) -> HataCoefficients:
-    """A, B, C and the UE-height correction for a suburban environment.
+    """A, B and C for a suburban environment.
 
     A = 69.55 + 26.16 log10(f) - 13.82 log10(h_bs) - a(h_ue)
     B = 44.9 - 6.55 log10(h_bs)
@@ -80,7 +79,7 @@ def hata_coefficients(f_c_mhz: float, h_bs: float, h_ue: float) -> HataCoefficie
     a = 69.55 + 26.16 * math.log10(f_c_mhz) - 13.82 * math.log10(h_bs) - corr
     b = 44.9 - 6.55 * math.log10(h_bs)
     c = -2.0 * math.log10(f_c_mhz / 28.0) ** 2 - 5.4
-    return HataCoefficients(a_coef=a, b_coef=b, c_coef=c, ue_correction=corr)
+    return HataCoefficients(a_coef=a, b_coef=b, c_coef=c)
 
 
 def hata_path_loss(d, f_c_mhz: float, h_tx: float, h_ue: float):

@@ -152,25 +152,10 @@ def min_stages_between(grid: StateGrid, actions: ActionSet,
     return dist
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    min_stages: int
-    available_stages: int
-
-    @property
-    def slack(self) -> int:
-        return self.available_stages - self.min_stages
-
-    @property
-    def feasible(self) -> bool:
-        return self.min_stages >= 0 and self.slack >= 0
-
-
-def feasibility_check(mission: Mission, grid: StateGrid, actions: ActionSet) -> FeasibilityReport:
-    """Stage budget: shortest action-path to the finish vs. available stages."""
+def min_stages(grid: StateGrid, actions: ActionSet) -> int:
+    """Fewest stages from the start cell to the finish cell; -1 if unreachable."""
     dist = min_stages_between(grid, actions, grid.finish_cell)
-    need = int(dist[grid.start_cell[1], grid.start_cell[0]])
-    return FeasibilityReport(min_stages=need, available_stages=mission.n_stages)
+    return int(dist[grid.start_cell[1], grid.start_cell[0]])
 
 
 @dataclass(eq=False)
@@ -253,8 +238,7 @@ def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
 
     start_value = float(value[grid.start_cell[1], grid.start_cell[0]])
     if start_value == NEG_INF:
-        dist = min_stages_between(grid, actions, grid.finish_cell)
-        need = int(dist[grid.start_cell[1], grid.start_cell[0]])
+        need = min_stages(grid, actions)
         raise UnreachableFinishError(f"finish cell unreachable: needs {need} stages, "
                                      f"mission provides {n} (short by {need - n})")
 

@@ -7,9 +7,10 @@ interferes) at every position in both modes.
 
 UAV positions come in batches shaped (..., 2), e.g. one (2,) point or a grid
 row (nx, 2); results keep that leading shape: powers (..., K, M+1), servers,
-SIRs and rates (..., K), bit-identical to one call per position. The
-UAV-independent MBS->UE block is computed once per call and broadcast. The
-scalar received-power and direct-SIR helpers are no longer exported.
+SIRs and rates (..., K), bit-identical to one call per position. One
+routine computes the received power of each link class (MBS->UE, UAV->UE
+and the MBS->UAV backhaul); the UAV-independent MBS->UE block is computed
+once per call and broadcast.
 """
 from __future__ import annotations
 
@@ -47,34 +48,31 @@ class AntennaSetup:
     mbs: AntennaMode = Omni()
     uav: AntennaMode = Omni()
 
-    @property
-    def name(self) -> str:
-        return "omni" if isinstance(self.uav, Omni) and isinstance(self.mbs, Omni) else "dipole"
 
+def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
+                 f_c_mhz: float, gain=None) -> np.ndarray:
+    """Received power (mW) of one link class, tx and rx ground points broadcast.
 
-@dataclass(eq=False)
-class LinkBudget:
-    """Received power (mW) at each UE from each transmitter, UAV last."""
-
-    powers_mw: np.ndarray  # (..., K, M+1)
-    n_mbs: int
-
-    @property
-    def uav_index(self) -> int:
-        return self.n_mbs
-
-
-def _xyz(xy: np.ndarray, height: float) -> np.ndarray:
-    """(..., 2) ground points lifted to (..., 3) at a fixed height."""
-    return np.concatenate([xy, np.full(xy.shape[:-1] + (1,), height)], axis=-1)
+    gain, when given, maps the (..., 3) tx->rx directions to linear gains.
+    """
+    delta = rx_xy - tx_xy
+    z = np.linalg.norm(delta, axis=-1)
+    d3d = np.sqrt(z ** 2 + (h_tx - h_rx) ** 2)
+    loss = model.loss_db(d3d, z, f_c_mhz=f_c_mhz, h_tx=h_tx, h_rx=h_rx)
+    p = dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0)
+    if gain is None:
+        return p
+    rise = np.full(delta.shape[:-1] + (1,), h_rx - h_tx)
+    return p * gain(np.concatenate([delta, rise], axis=-1))
 
 
 def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
-                ue_xy: np.ndarray | None = None) -> LinkBudget:
-    """Downlink budget at the UEs for a batch of UAV positions (..., 2).
+                ue_xy: np.ndarray | None = None) -> np.ndarray:
+    """Received power (mW) at each UE from each transmitter, UAV last; (..., K, M+1).
 
-    ue_xy replaces the scenario's UEs by probe points, either (K, 2) shared
-    by every position or (..., K, 2) with one set per position.
+    uav_pos is a batch of UAV positions (..., 2). ue_xy replaces the
+    scenario's UEs by probe points, either (K, 2) shared by every position
+    or (..., K, 2) with one set per position.
     """
     cfg = scn.config
     m = scn.n_mbs
@@ -82,31 +80,17 @@ def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
         raise ValueError("scenario has no MBS; interference-limited SIR undefined")
     uav_xy = np.asarray(uav_pos, dtype=float)
     ue_xy = scn.ue_xy if ue_xy is None else np.asarray(ue_xy, dtype=float)
-
-    z_mbs = np.linalg.norm(ue_xy[..., :, None, :] - scn.mbs_xy, axis=-1)
-    d_mbs = np.sqrt(z_mbs ** 2 + (cfg.h_bs - cfg.h_ue) ** 2)
-    z_uav = np.linalg.norm(ue_xy - uav_xy[..., None, :], axis=-1)
-    d_uav = np.sqrt(z_uav ** 2 + (cfg.h_uav - cfg.h_ue) ** 2)
-
-    loss_mbs = models.mbs_ue.loss_db(d_mbs, z_mbs, f_c_mhz=cfg.f_c_mhz,
-                                     h_tx=cfg.h_bs, h_rx=cfg.h_ue)
-    loss_uav = models.uav_ue.loss_db(d_uav, z_uav, f_c_mhz=cfg.f_c_mhz,
-                                     h_tx=cfg.h_uav, h_rx=cfg.h_ue)
-
-    p_mbs = dbm_to_mw(cfg.p_mbs_dbm) * 10.0 ** (-loss_mbs / 10.0)
-    p_uav = dbm_to_mw(cfg.p_uav_dbm) * 10.0 ** (-loss_uav / 10.0)
-
-    ue_xyz = _xyz(ue_xy, cfg.h_ue)
-    if not isinstance(ants.mbs, Omni):
-        p_mbs = p_mbs * ue_link_gain(ue_xyz[..., :, None, :] - _xyz(scn.mbs_xy, cfg.h_bs),
-                                     ants.mbs)
-    if not isinstance(ants.uav, Omni):
-        p_uav = p_uav * ue_link_gain(ue_xyz - _xyz(uav_xy, cfg.h_uav)[..., None, :], ants.uav)
-
+    p_mbs = _received_mw(scn.mbs_xy, cfg.h_bs, ue_xy[..., :, None, :], cfg.h_ue,
+                         cfg.p_mbs_dbm, models.mbs_ue, cfg.f_c_mhz,
+                         None if isinstance(ants.mbs, Omni)
+                         else lambda u: ue_link_gain(u, ants.mbs))
+    p_uav = _received_mw(uav_xy[..., None, :], cfg.h_uav, ue_xy, cfg.h_ue,
+                         cfg.p_uav_dbm, models.uav_ue, cfg.f_c_mhz,
+                         None if isinstance(ants.uav, Omni)
+                         else lambda u: ue_link_gain(u, ants.uav))
     # p_uav already has the batch shape (..., K); the MBS block is shared
-    powers = np.concatenate([np.broadcast_to(p_mbs, p_uav.shape + (m,)), p_uav[..., None]],
-                            axis=-1)
-    return LinkBudget(powers_mw=powers, n_mbs=m)
+    return np.concatenate([np.broadcast_to(p_mbs, p_uav.shape + (m,)), p_uav[..., None]],
+                          axis=-1)
 
 
 def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
@@ -116,13 +100,9 @@ def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
         raise ValueError("relay mode requires a backhaul path-loss model")
     cfg = scn.config
     uav_xy = np.asarray(uav_pos, dtype=float)
-    z = np.linalg.norm(scn.mbs_xy - uav_xy[..., None, :], axis=-1)
-    d3d = np.sqrt(z ** 2 + (cfg.h_uav - cfg.h_bs) ** 2)
-    loss = models.backhaul.loss_db(d3d, z, f_c_mhz=cfg.f_c_mhz,
-                                   h_tx=cfg.h_bs, h_rx=cfg.h_uav)
-    p = dbm_to_mw(cfg.p_mbs_dbm) * 10.0 ** (-loss / 10.0)
-    directions = _xyz(uav_xy, cfg.h_uav)[..., None, :] - _xyz(scn.mbs_xy, cfg.h_bs)
-    return p * combined_gain(directions, ants.mbs, ants.uav)
+    return _received_mw(scn.mbs_xy, cfg.h_bs, uav_xy[..., None, :], cfg.h_uav,
+                        cfg.p_mbs_dbm, models.backhaul, cfg.f_c_mhz,
+                        lambda u: combined_gain(u, ants.mbs, ants.uav))
 
 
 def relay_end_to_end_sir(gamma_backhaul, gamma_access):
@@ -139,17 +119,11 @@ def relay_end_to_end_sir(gamma_backhaul, gamma_access):
 class AssociationSnapshot:
     """Who serves whom at a batch of UAV positions, with loads, SIRs and rates."""
 
-    mode: str
-    server: np.ndarray        # (..., K) transmitter index per UE
+    server: np.ndarray        # (..., K) transmitter index per UE; M is the UAV
     loads: np.ndarray         # (..., M+1) scheduled units per transmitter
     sir: np.ndarray           # (..., K) linear; end-to-end for UAV-served UEs in relay mode
     rate: np.ndarray          # (..., K) bps/Hz, Shannon rate / server load
-    n_mbs: int
     donor: np.ndarray | None = None  # (...,) MBS feeding the UAV backhaul (relay mode)
-
-    @property
-    def uav_index(self) -> int:
-        return self.n_mbs
 
 
 def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
@@ -168,9 +142,8 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
         raise ValueError(f"unknown mode {mode!r}")
     if relay_rule not in RELAY_RULES:
         raise ValueError(f"unknown relay rule {relay_rule!r}")
-    budget = link_budget(scn, uav_pos, models, ants)
-    powers = budget.powers_mw
-    m = budget.n_mbs
+    powers = link_budget(scn, uav_pos, models, ants)
+    m = scn.n_mbs
     transmitters = np.arange(m + 1)
     total = powers.sum(axis=-1, keepdims=True)
 
@@ -202,8 +175,8 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
     if donor is not None:
         loads = loads + (transmitters == donor[..., None])  # the UAV at its donor
     rate = np.log2(1.0 + sir) / np.take_along_axis(loads, server, axis=-1)
-    return AssociationSnapshot(mode=mode, server=server, loads=loads,
-                               sir=sir, rate=rate, n_mbs=m, donor=donor)
+    return AssociationSnapshot(server=server, loads=loads,
+                               sir=sir, rate=rate, donor=donor)
 
 
 def criterion_reward(rates, criterion: str):
@@ -232,19 +205,19 @@ def stage_rates(positions, scn: Scenario, mode: str, models: LinkModels,
 
 @dataclass(eq=False)
 class RewardMap:
-    """Per-cell stage reward for one criterion plus a max-SIR diagnostic.
+    """Per-cell stage reward for one criterion.
 
-    rewards[iy, ix] is the reward with the UAV hovering over cell (ix, iy);
-    max_sir_db[iy, ix] is the best-transmitter SIR a probe UE on the ground
-    below that cell would see, for heat-map export. rates[iy, ix] holds the
-    per-UE rates behind the reward when the map was built from a scenario.
+    rewards[iy, ix] is the reward with the UAV hovering over cell (ix, iy).
+    rates[iy, ix] holds the per-UE rates behind the reward when the map was
+    built from a scenario. max_sir_db, the heat-map diagnostic of
+    max_sir_map, must be set before to_csv.
     """
 
     criterion: str
     xs: np.ndarray         # (nx,) cell center x, meters
     ys: np.ndarray         # (ny,) cell center y, meters
     rewards: np.ndarray    # (ny, nx)
-    max_sir_db: np.ndarray  # (ny, nx)
+    max_sir_db: np.ndarray | None = None  # (ny, nx)
     rates: np.ndarray | None = None  # (ny, nx, K)
 
     def rates_at(self, cells) -> np.ndarray:
@@ -253,6 +226,8 @@ class RewardMap:
         return self.rates[iy, ix]
 
     def to_csv(self, path) -> None:
+        if self.max_sir_db is None:
+            raise ValueError("the heat map needs max_sir_db; fill it from max_sir_map")
         output.write_csv(path, ["cell_x_m", "cell_y_m", "reward", "max_sir_db"],
                          ((x, y, self.rewards[iy, ix], self.max_sir_db[iy, ix])
                           for iy, y in enumerate(self.ys) for ix, x in enumerate(self.xs)))
@@ -263,8 +238,7 @@ def build_reward_maps(scn: Scenario, criteria, mode: str, models: LinkModels,
                       relay_rule: str = "best_direct") -> dict[str, RewardMap]:
     """One association sweep over the grid, shared by all requested criteria.
 
-    Each grid row is one batch: the UAV over every cell of the row, and a
-    probe UE below the UAV for the max-SIR diagnostic.
+    Each grid row is one batch: the UAV over every cell of the row.
     """
     criteria = tuple(criteria)
     for c in criteria:
@@ -272,21 +246,22 @@ def build_reward_maps(scn: Scenario, criteria, mode: str, models: LinkModels,
             raise ValueError(f"unknown criterion {c!r}")
     xs, ys = grid.axis_x(), grid.axis_y()
     rates = np.empty((ys.size, xs.size, scn.n_ue))
-    max_sir = np.empty((ys.size, xs.size))
+    for iy, y in enumerate(ys):
+        rates[iy] = associate(scn, np.column_stack([xs, np.full(xs.size, y)]), mode,
+                              models, ants, relay_rule).rate
+    return {c: RewardMap(criterion=c, xs=xs, ys=ys, rewards=criterion_reward(rates, c),
+                         rates=rates)
+            for c in criteria}
+
+
+def max_sir_map(scn: Scenario, models: LinkModels, ants: AntennaSetup,
+                grid: "StateGrid") -> np.ndarray:
+    """Best-transmitter SIR (dB) of a probe UE on the ground below each cell; (ny, nx)."""
+    xs, ys = grid.axis_x(), grid.axis_y()
+    out = np.empty((ys.size, xs.size))
     for iy, y in enumerate(ys):
         row = np.column_stack([xs, np.full(xs.size, y)])
-        rates[iy] = associate(scn, row, mode, models, ants, relay_rule).rate
-        probe = link_budget(scn, row, models, ants, ue_xy=row[:, None, :]).powers_mw[:, 0]
+        probe = link_budget(scn, row, models, ants, ue_xy=row[:, None, :])[:, 0]
         sir = probe / (probe.sum(axis=-1, keepdims=True) - probe)
-        max_sir[iy] = 10.0 * np.log10(sir.max(axis=-1))
-    return {
-        c: RewardMap(criterion=c, xs=xs, ys=ys, rewards=criterion_reward(rates, c),
-                     max_sir_db=max_sir, rates=rates)
-        for c in criteria
-    }
-
-
-def build_reward_map(scn: Scenario, criterion: str, mode: str, models: LinkModels,
-                     ants: AntennaSetup, grid: "StateGrid",
-                     relay_rule: str = "best_direct") -> RewardMap:
-    return build_reward_maps(scn, (criterion,), mode, models, ants, grid, relay_rule)[criterion]
+        out[iy] = 10.0 * np.log10(sir.max(axis=-1))
+    return out

@@ -61,9 +61,6 @@ class SmoothedTrajectory:
     reported (speed_violations) but never repaired here.
     """
 
-    source: Trajectory
-    curve: BezierCurve
-    sample_ts: np.ndarray      # (N+1,) curve parameters
     positions: np.ndarray      # (N+1, 2) meters
     speeds: np.ndarray         # (N,) m/s between consecutive samples
     speed_violations: list[int]
@@ -85,10 +82,8 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
     waypoints = np.asarray(traj.positions, dtype=float)
     if waypoints.shape[0] < 2:
         raise ValueError("need at least 2 waypoints to smooth")
-    curve = BezierCurve(waypoints)
     n = waypoints.shape[0] - 1
-    ts = np.arange(n + 1) / n
-    positions = curve.points(ts)
+    positions = BezierCurve(waypoints).points(np.arange(n + 1) / n)
     # exact endpoint interpolation regardless of rounding in de Casteljau
     positions[0] = waypoints[0]
     positions[-1] = waypoints[-1]
@@ -96,8 +91,7 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
     violations = []
     if v_max is not None:
         violations = [int(j) for j in np.nonzero(speeds > v_max + 1e-9)[0]]
-    return SmoothedTrajectory(source=traj, curve=curve, sample_ts=ts,
-                              positions=positions, speeds=speeds,
+    return SmoothedTrajectory(positions=positions, speeds=speeds,
                               speed_violations=violations, stage_dt=traj.stage_dt)
 
 

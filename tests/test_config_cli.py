@@ -160,6 +160,15 @@ INVALID_VALUES = [
      "T=64.0s gives 8 stages"),
     # with start == finish T_min is 0, so only the sign check catches T=0
     ({"mission": {"finish": [0, 0]}, "sweep": {"t_values": [0]}}, "duration T=0.0"),
+    # a repeated list value would count the same realizations twice
+    ({"sweep": {"t_values": [160, 160], "n_mbs_values": [4, 4]}},
+     "sweep T 160.0 is listed more than once"),
+    ({"sweep": {"n_mbs_values": [4, 2, 4]}}, "sweep n_mbs 4.0 is listed more than once"),
+    ({"run": {"criteria": ["pf", "pf"], "antenna_modes": ["omni", "omni"]}},
+     "criterion 'pf' is listed more than once"),
+    ({"run": {"antenna_modes": ["omni", "omni"]}}, "antenna mode 'omni' is listed more"),
+    ({"run": {"modes": ["standalone", "standalone"]}}, "mode 'standalone' is listed more"),
+    ({"models": {"uav_ue": ["fspl", "ohplm", "fspl"]}}, "uav_ue_model 'fspl' is listed more"),
 ]
 
 BARE_STRINGS = [

@@ -110,7 +110,7 @@ class TestSweep:
     def test_csv_header_frozen(self, tmp_path):
         res = monte_carlo_sweep(SMALL)
         path = tmp_path / "sweep.csv"
-        res.to_csv(path)
+        res.write(path, tmp_path / "sweep.json")
         header = path.read_text().splitlines()[0]
         assert header == ("t_s,n_mbs,criterion,mode,uav_ue_model,antenna,"
                           "evaluation,mean_capacity_bps_hz,stderr_capacity,"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from uavrelay.planner import (ActionSet, StateGrid, UnreachableFinishError,
                               check_trajectory, enumerate_paths,
-                              feasibility_check, min_stages_between, solve_dp)
+                              min_stages, min_stages_between, solve_dp)
 from uavrelay.radio import RewardMap
 from uavrelay.scenario import Mission
 
@@ -195,19 +195,14 @@ class TestEnumeratePaths:
 
 class TestFeasibility:
     def test_diagonal_kilometer_needs_ten_stages(self):
-        mission = Mission()
-        grid = StateGrid.from_mission(mission)
-        rep = feasibility_check(mission, grid, ACTIONS)
-        assert rep.min_stages == 10
-        assert rep.available_stages == 30
-        assert rep.slack == 20
-        assert rep.feasible
+        grid = StateGrid.from_mission(Mission())
+        assert min_stages(grid, ACTIONS) == 10
+        assert grid.n_stages == 30
 
     def test_start_equals_finish(self):
         mission = Mission(finish=(0.0, 0.0), duration_t=240.0)
         grid = StateGrid.from_mission(mission)
-        rep = feasibility_check(mission, grid, ACTIONS)
-        assert rep.min_stages == 0
+        assert min_stages(grid, ACTIONS) == 0
 
     def test_bfs_matches_chebyshev_on_open_grid(self):
         grid = toy_grid(13, 13, (1, 1), (11, 11), 30)

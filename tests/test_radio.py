@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrelay import radio
 from uavrelay.antenna import CrossedDipole, LinkGeometry, Omni, tx_gain
@@ -45,9 +47,9 @@ def received_power(tx_index, ue_xy, scn, uav_pos, models, ants) -> float:
     return p * tx_gain(geom)
 
 
-def direct_sir(ue_index: int, server_index: int, budget) -> float:
+def direct_sir(ue_index: int, server_index: int, powers) -> float:
     """Serving power over the summed power of every other transmitter."""
-    row = budget.powers_mw[ue_index]
+    row = powers[ue_index]
     if row.size < 2:
         raise ValueError("SIR undefined with an empty interference set")
     interf = row.sum() - row[server_index]
@@ -98,22 +100,19 @@ def test_received_power_zero_in_pattern_null():
 
 class TestDirectSir:
     def test_two_equal_transmitters(self):
-        budget = radio.LinkBudget(powers_mw=np.array([[2.5, 2.5]]), n_mbs=1)
-        assert direct_sir(0, 0, budget) == 1.0
+        assert direct_sir(0, 0, np.array([[2.5, 2.5]])) == 1.0
 
     def test_hand_arithmetic(self):
-        budget = radio.LinkBudget(powers_mw=np.array([[8.0, 1.0, 1.0]]), n_mbs=2)
-        assert direct_sir(0, 0, budget) == pytest.approx(4.0, rel=1e-12)
+        assert direct_sir(0, 0, np.array([[8.0, 1.0, 1.0]])) == pytest.approx(4.0, rel=1e-12)
 
     def test_added_transmitter_decreases_sir(self):
-        b2 = radio.LinkBudget(powers_mw=np.array([[8.0, 1.0]]), n_mbs=1)
-        b3 = radio.LinkBudget(powers_mw=np.array([[8.0, 1.0, 0.5]]), n_mbs=2)
+        b2 = np.array([[8.0, 1.0]])
+        b3 = np.array([[8.0, 1.0, 0.5]])
         assert direct_sir(0, 0, b3) < direct_sir(0, 0, b2)
 
     def test_empty_interference_rejected(self):
-        budget = radio.LinkBudget(powers_mw=np.array([[8.0]]), n_mbs=1)
         with pytest.raises(ValueError):
-            direct_sir(0, 0, budget)
+            direct_sir(0, 0, np.array([[8.0]]))
 
 
 class TestRelaySir:
@@ -151,7 +150,7 @@ class TestAssociate:
                                 Mission(), 42)
         snap = associate(scn, (300.0, 700.0), "standalone", MODELS, OMNI)
         budget = link_budget(scn, (300.0, 700.0), MODELS, OMNI)
-        k, t = budget.powers_mw.shape
+        k, t = budget.shape
         for ue in range(k):
             best, best_sir = None, -1.0
             for srv in range(t):
@@ -166,7 +165,7 @@ class TestAssociate:
         scn = make_scenario([[0.0, 0.0], [1000.0, 0.0]], [[500.0, 0.0]])
         snap = associate(scn, (500.0, 2000.0), "standalone", MODELS, OMNI)
         budget = link_budget(scn, (500.0, 2000.0), MODELS, OMNI)
-        assert budget.powers_mw[0, 0] == budget.powers_mw[0, 1]
+        assert budget[0, 0] == budget[0, 1]
         assert snap.server[0] == 0
 
     def test_rate_follows_shannon_over_load(self):
@@ -196,7 +195,7 @@ class TestAssociate:
         bh_sir = bh / (bh.sum() - bh)
         gamma_bh = bh_sir[snap.donor]
         assert np.argmax(bh_sir) == snap.donor
-        on_uav = snap.server == snap.uav_index
+        on_uav = snap.server == scn.n_mbs
         assert np.all(snap.sir[on_uav] <= 2.0 * gamma_bh + 1e-12)
 
     def test_relay_rules_differ(self):
@@ -204,7 +203,7 @@ class TestAssociate:
         a = associate(scn, (500.0, 500.0), "relay", MODELS, OMNI, "best_direct")
         b = associate(scn, (500.0, 500.0), "relay", MODELS, OMNI, "backhaul_literal")
         # the literal rule admits UEs whose e2e SIR only beats the backhaul SIR
-        assert (a.server == a.uav_index).sum() <= (b.server == b.uav_index).sum()
+        assert (a.server == scn.n_mbs).sum() <= (b.server == scn.n_mbs).sum()
 
     def test_sir_invariant_under_common_power_scaling(self):
         mission = Mission()
@@ -282,12 +281,14 @@ class TestRewardMap:
                                        models, OMNI, self.grid())
         for rm in maps.values():
             assert np.allclose(rm.rewards, rm.rewards.T, rtol=1e-10, atol=1e-12)
-            assert np.allclose(rm.max_sir_db, rm.max_sir_db.T, rtol=1e-10, atol=1e-12)
+        max_sir = radio.max_sir_map(scn, models, OMNI, self.grid())
+        assert np.allclose(max_sir, max_sir.T, rtol=1e-10, atol=1e-12)
 
     def test_single_criterion_matches_joint_build(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 15)
         models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
-        solo = radio.build_reward_map(scn, "pf", "standalone", models, OMNI, self.grid())
+        solo = radio.build_reward_maps(scn, ("pf",), "standalone", models, OMNI,
+                                       self.grid())["pf"]
         joint = radio.build_reward_maps(scn, ("pf", "sum_rate"), "standalone",
                                         models, OMNI, self.grid())["pf"]
         assert np.array_equal(solo.rewards, joint.rewards)
@@ -295,16 +296,20 @@ class TestRewardMap:
     def test_rewards_finite_and_deterministic(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 30)
         models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
-        a = radio.build_reward_map(scn, "pf", "standalone", models, OMNI, self.grid())
-        b = radio.build_reward_map(scn, "pf", "standalone", models, OMNI, self.grid())
+        a = radio.build_reward_maps(scn, ("pf",), "standalone", models, OMNI, self.grid())["pf"]
+        b = radio.build_reward_maps(scn, ("pf",), "standalone", models, OMNI, self.grid())["pf"]
         assert np.all(np.isfinite(a.rewards))
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_csv_export(self, tmp_path):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 2)
         models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
-        rm = radio.build_reward_map(scn, "sum_rate", "standalone", models, OMNI, self.grid())
+        rm = radio.build_reward_maps(scn, ("sum_rate",), "standalone", models, OMNI,
+                                     self.grid())["sum_rate"]
         path = tmp_path / "map.csv"
+        with pytest.raises(ValueError, match="max_sir_db"):
+            rm.to_csv(path)
+        rm.max_sir_db = radio.max_sir_map(scn, models, OMNI, self.grid())
         rm.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "cell_x_m,cell_y_m,reward,max_sir_db"
@@ -324,11 +329,9 @@ def test_antenna_changes_sir_map_with_fixed_nodes():
     scn = generate_scenario(PhysicalConfig(), Mission(), 11)
     grid = StateGrid.from_mission(Mission())
     models = cfg.link_models("ohplm")
-    omni_map = radio.build_reward_map(scn, "pf", "standalone", models,
-                                      cfg.antenna_setup("omni"), grid)
-    dip_map = radio.build_reward_map(scn, "pf", "standalone", models,
-                                     cfg.antenna_setup("dipole"), grid)
-    assert not np.allclose(omni_map.max_sir_db, dip_map.max_sir_db)
+    omni_map = radio.max_sir_map(scn, models, cfg.antenna_setup("omni"), grid)
+    dip_map = radio.max_sir_map(scn, models, cfg.antenna_setup("dipole"), grid)
+    assert not np.allclose(omni_map, dip_map)
 
 
 def dense_scenario():
@@ -364,7 +367,7 @@ def oracle_association(scn, pos, mode, models, ants, rule):
         best = direct.index(max(direct))
         server, sir = best, direct[best]
         if mode == "relay":
-            row = budget.powers_mw[ue]
+            row = budget[ue]
             e2e = relay_end_to_end_sir(bh_sirs[donor], row[m] / row[:m].sum())
             if e2e > (direct[best] if rule == "best_direct" else bh_sirs[donor]):
                 server, sir = m, e2e
@@ -383,13 +386,13 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
     def test_link_budget_grid(self, scenario, models, ants):
         scn = SCENARIOS[scenario]()
-        powers = link_budget(scn, POSITION_GRID, models, ants).powers_mw
+        powers = link_budget(scn, POSITION_GRID, models, ants)
         ny, nx, _ = POSITION_GRID.shape
         assert powers.shape == (ny, nx, scn.n_ue, scn.n_mbs + 1)
         for iy in range(ny):
             for ix in range(nx):
                 pos = POSITION_GRID[iy, ix]
-                single = link_budget(scn, pos, models, ants).powers_mw
+                single = link_budget(scn, pos, models, ants)
                 assert np.array_equal(powers[iy, ix], single)
                 oracle = [[received_power(t, ue, scn, pos, models, ants)
                            for t in range(scn.n_mbs + 1)] for ue in scn.ue_xy]
@@ -422,10 +425,10 @@ class TestBatchedEngine:
     def test_nadir_ue_has_zero_access_sir_under_dipole(self):
         scn = SCENARIOS["nadir"]()
         budget = link_budget(scn, (500.0, 450.0), MODELS, DIPOLE)
-        assert budget.powers_mw[0, budget.uav_index] == 0.0
+        assert budget[0, scn.n_mbs] == 0.0
         for rule in radio.RELAY_RULES:
             snap = associate(scn, POSITION_GRID, "relay", MODELS, DIPOLE, rule)
-            assert snap.server[1, 2, 0] != snap.uav_index
+            assert snap.server[1, 2, 0] != scn.n_mbs
             assert np.all(snap.sir > 0) and np.all(snap.rate > 0)
 
     @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
@@ -433,17 +436,17 @@ class TestBatchedEngine:
         # one probe UE under each UAV position, the heat map's max-SIR probe
         scn = SCENARIOS["dense"]()
         probes = POSITION_GRID[:, :, None, :]
-        powers = link_budget(scn, POSITION_GRID, MODELS, ants, ue_xy=probes).powers_mw
+        powers = link_budget(scn, POSITION_GRID, MODELS, ants, ue_xy=probes)
         for iy, ix in np.ndindex(POSITION_GRID.shape[:2]):
             pos = POSITION_GRID[iy, ix]
-            single = link_budget(scn, pos, MODELS, ants, ue_xy=[pos]).powers_mw
+            single = link_budget(scn, pos, MODELS, ants, ue_xy=[pos])
             assert np.array_equal(powers[iy, ix], single)
 
     @pytest.mark.parametrize("mode", radio.MODES)
     def test_map_rates_are_the_discrete_trajectory_rates(self, mode):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 9)
         grid = StateGrid.from_mission(Mission())
-        rm = radio.build_reward_map(scn, "pf", mode, MODELS, DIPOLE, grid)
+        rm = radio.build_reward_maps(scn, ("pf",), mode, MODELS, DIPOLE, grid)["pf"]
         traj = solve_dp(rm, grid, ActionSet.standard(100.0, 8.0, 17.7))
         disc = stage_rates(traj.positions[:-1], scn, mode, MODELS, DIPOLE)
         assert np.array_equal(rm.rates_at(traj.cells[:-1]), disc)
@@ -455,3 +458,35 @@ class TestBatchedEngine:
             snap = associate(scn, POSITION_GRID, mode, MODELS, OMNI)
             assert snap.rate.shape == POSITION_GRID.shape[:2] + (0,)
             assert np.all(criterion_reward(snap.rate, "pf") == 0.0)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32),
+       lambda_mbs=st.sampled_from([2.0, 4.0, 9.0]),
+       lambda_ue=st.sampled_from([3.0, 20.0]),
+       positions=st.lists(st.tuples(st.floats(-100.0, 1100.0), st.floats(-100.0, 1100.0)),
+                          min_size=1, max_size=6),
+       mode_rule=st.sampled_from([("standalone", "best_direct"), ("relay", "best_direct"),
+                                  ("relay", "backhaul_literal")]),
+       ants=st.sampled_from([OMNI, DIPOLE]),
+       models=st.sampled_from([MODELS, MPLM_MODELS]))
+def test_associate_properties(seed, lambda_mbs, lambda_ue, positions, mode_rule, ants, models):
+    """Batched association equals per-position calls; SIRs, rates and loads are sane."""
+    mode, rule = mode_rule
+    scn = generate_scenario(PhysicalConfig(lambda_mbs=lambda_mbs, lambda_ue=lambda_ue),
+                            Mission(), seed, min_mbs=2)
+    pos = np.array(positions, dtype=float)
+    snap = associate(scn, pos, mode, models, ants, rule)
+    assert np.all(snap.sir > 0)
+    assert np.all(np.isfinite(snap.rate)) and np.all(snap.rate >= 0)
+    assert np.all(snap.loads.sum(axis=-1) == scn.n_ue + (mode == "relay"))
+    for i, p in enumerate(pos):
+        single = associate(scn, p, mode, models, ants, rule)
+        for field in ("server", "sir", "rate", "loads", "donor"):
+            got = getattr(snap, field)
+            if got is not None:
+                assert np.array_equal(got[i], getattr(single, field)), field
+        loads = np.bincount(single.server, minlength=scn.n_mbs + 1)
+        if mode == "relay":
+            loads[single.donor] += 1  # the UAV is scheduled at its donor
+        assert np.array_equal(single.loads, loads)

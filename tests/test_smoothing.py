@@ -128,7 +128,7 @@ class TestSmooth:
     def test_dp_path_speeds_within_limit(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 272)
         grid = StateGrid.from_mission(Mission())
-        rm = radio.build_reward_map(scn, "pf", "standalone", MODELS, OMNI, grid)
+        rm = radio.build_reward_maps(scn, ("pf",), "standalone", MODELS, OMNI, grid)["pf"]
         traj = solve_dp(rm, grid, ACTIONS)
         sm = smooth(traj, v_max=17.7)
         assert sm.positions.shape[0] == traj.positions.shape[0]
