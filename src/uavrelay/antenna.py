@@ -63,7 +63,8 @@ class LinkGeometry:
 
 def _unit(directions: np.ndarray) -> np.ndarray:
     d = np.asarray(directions, dtype=float)
-    norm = np.linalg.norm(d, axis=-1, keepdims=True)
+    # np.linalg.norm's sum of squares, without its conj() copy of a real array
+    norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
     if np.any(norm == 0):
         raise ValueError("zero-length link direction")
     return d / norm

@@ -94,10 +94,13 @@ def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
     scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
     grid = StateGrid.from_mission(mission, cfg.cell_m)
     actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
+    max_sir_maps = {}  # the SIR probe depends on the links and antennas, not the mode
     for model_name, antenna_name, mode, models, ants in cfg.combinations():
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
                                        grid, cfg.relay_rule)
-        max_sir_db = radio.max_sir_map(scn, models, ants, grid)
+        if (model_name, antenna_name) not in max_sir_maps:
+            max_sir_maps[model_name, antenna_name] = radio.max_sir_map(scn, models, ants, grid)
+        max_sir_db = max_sir_maps[model_name, antenna_name]
         for criterion in cfg.criteria:
             tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
             maps[criterion].max_sir_db = max_sir_db

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, replace
 
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
-                       MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl)
+                       MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl,
+                       uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
 from .scenario import (MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
@@ -163,6 +164,10 @@ class RunConfig:
             out.append(f"backhaul_model must be one of {BACKHAUL_MODELS} or null")
         if "relay" in self.modes and self.backhaul_model is None:
             out.append("relay mode requires a backhaul_model")
+        if "relay" in self.modes and self.backhaul_model == "uma_av":
+            problem = uma_av_altitude_problem(self.physical.h_uav)
+            if problem:
+                out.append(problem)
         if self.mplm.variant not in ("corrected", "as_written"):
             out.append("mplm.variant must be 'corrected' or 'as_written'")
         if isinstance(self.mplm.reference, str) and self.mplm.reference not in MPLM_REFERENCES:

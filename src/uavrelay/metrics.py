@@ -169,33 +169,34 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     for model_name, antenna_name, mode, models, ants in cfg.combinations():
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
                                        grids[t_values[0]], cfg.relay_rule)
+        runs = []  # (T, criterion, discrete rates, smoothed trajectory)
         for t in t_values:
             grid = grids[t]
             for criterion in cfg.criteria:
-                combo = ComboKey(criterion, mode, model_name, antenna_name)
                 traj = solve_dp(maps[criterion], grid, actions,
                                 stage_dt=scn.mission.stage_dt)
                 violations += len(check_trajectory(traj, grid, actions, physical.v_max))
                 sm = smoothing.smooth(traj, v_max=physical.v_max)
                 violations += len(sm.speed_violations)
-
                 # trajectory positions are cell centres: gather the map's rates
-                disc_rates = maps[criterion].rates_at(traj.cells[:-1])
-                _, sm_rates = smoothing.evaluate_smoothed(
-                    sm, scn, criterion, mode, models, ants, cfg.relay_rule)
-                for evaluation, rates in (("discrete", disc_rates),
-                                          ("smoothed", sm_rates)):
-                    if scn.n_ue:
-                        caps = time_averaged_capacity(rates, t)
-                        mean_cap = float(caps.mean())
-                        outage = outage_probability(caps, physical.outage_threshold)
-                    else:
-                        mean_cap = float("nan")
-                        outage = float("nan")
-                    results.append(RunMetrics(
-                        t_s=t, n_mbs=n_mbs, combo=combo, evaluation=evaluation,
-                        mean_capacity=mean_cap, outage=outage,
-                    ))
+                runs.append((t, criterion, maps[criterion].rates_at(traj.cells[:-1]), sm))
+        # one association batch over the smoothed samples of every (T, criterion)
+        sm_rates = smoothing.evaluate_smoothed([sm for *_, sm in runs], scn, mode, models,
+                                               ants, cfg.relay_rule)
+        for (t, criterion, disc_rates, _), smoothed_rates in zip(runs, sm_rates, strict=True):
+            combo = ComboKey(criterion, mode, model_name, antenna_name)
+            for evaluation, rates in (("discrete", disc_rates), ("smoothed", smoothed_rates)):
+                if scn.n_ue:
+                    caps = time_averaged_capacity(rates, t)
+                    mean_cap = float(caps.mean())
+                    outage = outage_probability(caps, physical.outage_threshold)
+                else:
+                    mean_cap = float("nan")
+                    outage = float("nan")
+                results.append(RunMetrics(
+                    t_s=t, n_mbs=n_mbs, combo=combo, evaluation=evaluation,
+                    mean_capacity=mean_cap, outage=outage,
+                ))
     return results, violations, scn.mbs_rejections
 
 

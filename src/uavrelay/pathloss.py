@@ -139,13 +139,14 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
         raise ValueError("horizontal distance must be non-negative")
 
     m = np.floor(z * math.sqrt(bm.a_hat * bm.b_hat) / 1000.0 - 1.0).astype(int)
-    rows = np.maximum(m, 0) + 1  # avoids 0 division where the product is empty
-    tau = np.ones_like(z, dtype=float)
+    # tau depends on z only through m >= -1: tabulate it once per m, then gather
+    ms = np.arange(-1, (int(m.max()) if m.size else -1) + 1)
+    rows = np.maximum(ms, 0) + 1  # avoids 0 division where the product is empty
+    table = np.ones(ms.shape)
     dh = h_uav - h_ue
     two_c2 = 2.0 * bm.c_hat ** 2
-    max_m = int(m.max()) if m.size else -1
-    for n in range(0, max_m + 1):
-        active = m >= n
+    for n in range(0, int(ms[-1]) + 1):
+        active = ms >= n
         if variant == "corrected":
             h_ray = h_uav - (n + 0.5) * dh / rows
             factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
@@ -153,7 +154,8 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
             h_ray = h_uav - (n + 0.5) * dh
             factor = 1.0 - np.exp(-h_ray / two_c2)
         factor = np.clip(factor, 0.0, 1.0)
-        tau = np.where(active, tau * factor, tau)
+        table = np.where(active, table * factor, table)
+    tau = table[m + 1]
     return tau if tau.ndim else float(tau)
 
 
@@ -187,15 +189,23 @@ def fspl(d, f_c_mhz: float):
     return out if out.ndim else float(out)
 
 
+def uma_av_altitude_problem(h_uav: float) -> str | None:
+    """Why the UMa-AV backhaul model rejects UAV altitude h_uav, or None if it is valid."""
+    lo, hi = UMA_AV_ALTITUDE_RANGE
+    if lo <= h_uav <= hi:
+        return None
+    return f"UMa-AV backhaul model requires altitude in [{lo}, {hi}] m"
+
+
 def backhaul_path_loss(d3d, f_c_mhz: float, h_uav: float = 120.0):
     """3GPP UMa aerial-vehicle LoS loss 28 + 22 log10(d3D) + 20 log10(f_GHz).
 
     Valid for receiver altitudes between 22.5 m and 300 m, where the UMa-AV
     LoS probability is 1.
     """
-    lo, hi = UMA_AV_ALTITUDE_RANGE
-    if not (lo <= h_uav <= hi):
-        raise ValueError(f"UMa-AV backhaul model requires altitude in [{lo}, {hi}] m")
+    problem = uma_av_altitude_problem(h_uav)
+    if problem:
+        raise ValueError(problem)
     d3d = np.asarray(d3d, dtype=float)
     if np.any(d3d <= 0):
         raise ValueError("backhaul_path_loss requires d3d > 0")

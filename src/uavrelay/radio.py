@@ -5,12 +5,18 @@ is interference limited: a UE's SIR is its serving received power over the
 sum of every other transmitter's received power, and the UAV transmits (and
 interferes) at every position in both modes.
 
-UAV positions come in batches shaped (..., 2), e.g. one (2,) point or a grid
-row (nx, 2); results keep that leading shape: powers (..., K, M+1), servers,
-SIRs and rates (..., K), bit-identical to one call per position. One
-routine computes the received power of each link class (MBS->UE, UAV->UE
-and the MBS->UAV backhaul); the UAV-independent MBS->UE block is computed
-once per call and broadcast.
+UAV positions come in batches shaped (..., 2), e.g. one (2,) point, a path
+of (N, 2) samples or the whole (ny, nx, 2) cell grid; results keep that
+leading shape: servers, SIRs and rates (..., K), bit-identical to one call
+per position. One routine computes the received power of each link class
+(MBS->UE, UAV->UE and the MBS->UAV backhaul). Association is
+transmitter-major: it takes the UAV-independent MBS->UE block once per call
+as (M, K) and the UAV->UE block as (..., K), and reduces over the M+1
+transmitters one at a time (sums in numpy's own summation order, a running
+first maximum for the server), so no (..., K, M+1) array is built. A reward
+map is one call over its grid, a re-evaluation one call over every sampled
+position of its trajectories. link_budget keeps the (..., K, M+1) layout
+for probes and tests.
 """
 from __future__ import annotations
 
@@ -55,15 +61,38 @@ def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
 
     gain, when given, maps the (..., 3) tx->rx directions to linear gains.
     """
-    delta = rx_xy - tx_xy
-    z = np.linalg.norm(delta, axis=-1)
-    d3d = np.sqrt(z ** 2 + (h_tx - h_rx) ** 2)
-    loss = model.loss_db(d3d, z, f_c_mhz=f_c_mhz, h_tx=h_tx, h_rx=h_rx)
+    shape = np.broadcast_shapes(np.shape(tx_xy), np.shape(rx_xy))
+    direction = np.empty(shape[:-1] + (3,))
+    np.subtract(rx_xy, tx_xy, out=direction[..., :2])
+    direction[..., 2] = h_rx - h_tx
+    g = None if gain is None else gain(direction)  # before the loss, for a lower peak
+    z = np.linalg.norm(direction[..., :2], axis=-1)
+    loss = model.loss_db(np.sqrt(z ** 2 + (h_tx - h_rx) ** 2), z, f_c_mhz=f_c_mhz,
+                         h_tx=h_tx, h_rx=h_rx)
     p = dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0)
-    if gain is None:
-        return p
-    rise = np.full(delta.shape[:-1] + (1,), h_rx - h_tx)
-    return p * gain(np.concatenate([delta, rise], axis=-1))
+    return p if g is None else p * g
+
+
+def _powers(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
+            ue_xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Received power (mW) at each UE: MBS->UE block (M, K) and UAV->UE block (..., K).
+
+    With per-position probe points ue_xy (..., K, 2) the MBS block is (..., M, K).
+    """
+    cfg = scn.config
+    if scn.n_mbs < 1:
+        raise ValueError("scenario has no MBS; interference-limited SIR undefined")
+    uav_xy = np.asarray(uav_pos, dtype=float)
+    ue_xy = scn.ue_xy if ue_xy is None else np.asarray(ue_xy, dtype=float)
+    p_mbs = _received_mw(scn.mbs_xy[:, None, :], cfg.h_bs, ue_xy[..., None, :, :], cfg.h_ue,
+                         cfg.p_mbs_dbm, models.mbs_ue, cfg.f_c_mhz,
+                         None if isinstance(ants.mbs, Omni)
+                         else lambda u: ue_link_gain(u, ants.mbs))
+    p_uav = _received_mw(uav_xy[..., None, :], cfg.h_uav, ue_xy, cfg.h_ue,
+                         cfg.p_uav_dbm, models.uav_ue, cfg.f_c_mhz,
+                         None if isinstance(ants.uav, Omni)
+                         else lambda u: ue_link_gain(u, ants.uav))
+    return p_mbs, p_uav
 
 
 def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
@@ -74,23 +103,12 @@ def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
     scenario's UEs by probe points, either (K, 2) shared by every position
     or (..., K, 2) with one set per position.
     """
-    cfg = scn.config
-    m = scn.n_mbs
-    if m < 1:
-        raise ValueError("scenario has no MBS; interference-limited SIR undefined")
-    uav_xy = np.asarray(uav_pos, dtype=float)
-    ue_xy = scn.ue_xy if ue_xy is None else np.asarray(ue_xy, dtype=float)
-    p_mbs = _received_mw(scn.mbs_xy, cfg.h_bs, ue_xy[..., :, None, :], cfg.h_ue,
-                         cfg.p_mbs_dbm, models.mbs_ue, cfg.f_c_mhz,
-                         None if isinstance(ants.mbs, Omni)
-                         else lambda u: ue_link_gain(u, ants.mbs))
-    p_uav = _received_mw(uav_xy[..., None, :], cfg.h_uav, ue_xy, cfg.h_ue,
-                         cfg.p_uav_dbm, models.uav_ue, cfg.f_c_mhz,
-                         None if isinstance(ants.uav, Omni)
-                         else lambda u: ue_link_gain(u, ants.uav))
-    # p_uav already has the batch shape (..., K); the MBS block is shared
-    return np.concatenate([np.broadcast_to(p_mbs, p_uav.shape + (m,)), p_uav[..., None]],
-                          axis=-1)
+    p_mbs, p_uav = _powers(scn, uav_pos, models, ants, ue_xy)
+    # C order: np.sum over its last axis then takes numpy's pairwise order
+    out = np.empty(p_uav.shape + (scn.n_mbs + 1,))
+    out[..., :-1] = np.swapaxes(p_mbs, -1, -2)  # one MBS block for every position
+    out[..., -1] = p_uav
+    return out
 
 
 def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
@@ -142,41 +160,85 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
         raise ValueError(f"unknown mode {mode!r}")
     if relay_rule not in RELAY_RULES:
         raise ValueError(f"unknown relay rule {relay_rule!r}")
-    powers = link_budget(scn, uav_pos, models, ants)
+    server, sir, donor = _best_server(scn, uav_pos, mode, models, ants, relay_rule)
     m = scn.n_mbs
-    transmitters = np.arange(m + 1)
-    total = powers.sum(axis=-1, keepdims=True)
-
-    donor = None
-    if mode == "standalone":
-        sir_all = powers / (total - powers)
-        server = np.argmax(sir_all, axis=-1)  # first max -> lowest index
-        sir = sir_all.max(axis=-1)
-    else:
-        if m < 2:
-            raise ValueError("relay mode needs >= 2 MBSs for a backhaul interference set")
-        bh = backhaul_budget(scn, uav_pos, models, ants)
-        bh_sir = bh / (bh.sum(axis=-1, keepdims=True) - bh)
-        donor = np.argmax(bh_sir, axis=-1)
-        gamma_bh = bh_sir.max(axis=-1, keepdims=True)
-
-        direct = powers[..., :m] / (total - powers[..., :m])
-        direct_server = np.argmax(direct, axis=-1)
-        direct_sirs = direct.max(axis=-1)
-        gamma_acc = powers[..., m] / powers[..., :m].sum(axis=-1)
-        gamma_e2e = relay_end_to_end_sir(gamma_bh, gamma_acc)
-
-        threshold = direct_sirs if relay_rule == "best_direct" else gamma_bh
-        on_uav = gamma_e2e > threshold
-        server = np.where(on_uav, m, direct_server)
-        sir = np.where(on_uav, gamma_e2e, direct_sirs)
-
-    loads = np.sum(server[..., None] == transmitters, axis=-2)
-    if donor is not None:
-        loads = loads + (transmitters == donor[..., None])  # the UAV at its donor
+    # one scheduling unit per served UE, plus the UAV's at its donor
+    units = server if donor is None else np.concatenate([server, donor[..., None]], axis=-1)
+    batch = units.shape[:-1]
+    n_pos = math.prod(batch)
+    slots = units.reshape(n_pos, units.shape[-1]) + (m + 1) * np.arange(n_pos)[:, None]
+    loads = np.bincount(slots.ravel(), minlength=n_pos * (m + 1)).reshape(batch + (m + 1,))
     rate = np.log2(1.0 + sir) / np.take_along_axis(loads, server, axis=-1)
     return AssociationSnapshot(server=server, loads=loads,
                                sir=sir, rate=rate, donor=donor)
+
+
+def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: AntennaSetup,
+                 relay_rule: str):
+    """(server, sir, donor) per UE, reducing over the M+1 transmitters one at a time."""
+    p_mbs, p_uav = _powers(scn, uav_pos, models, ants)
+    total = _leading_sum([*p_mbs, p_uav])
+    if mode == "standalone":
+        sir, server = _first_max(p / (total - p) for p in [*p_mbs, p_uav])
+        return server, sir, None
+
+    m = scn.n_mbs
+    if m < 2:
+        raise ValueError("relay mode needs >= 2 MBSs for a backhaul interference set")
+    bh = backhaul_budget(scn, uav_pos, models, ants)
+    bh_sir = bh / (bh.sum(axis=-1, keepdims=True) - bh)
+    donor = np.argmax(bh_sir, axis=-1)
+    gamma_bh = bh_sir.max(axis=-1, keepdims=True)
+
+    sir, server = _first_max(p / (total - p) for p in p_mbs)  # best direct MBS
+    gamma_e2e = relay_end_to_end_sir(gamma_bh, p_uav / _leading_sum(p_mbs))
+    threshold = sir if relay_rule == "best_direct" else gamma_bh
+    on_uav = gamma_e2e > threshold
+    np.copyto(sir, gamma_e2e, where=on_uav)
+    np.copyto(server, m, where=on_uav)
+    return server, sir, donor
+
+
+def _leading_sum(terms):
+    """Sum of a sequence of broadcastable arrays, in numpy's own last-axis order.
+
+    np.sum over a last axis of n terms adds them in order below 8 terms, in
+    eight interleaved partial sums from 8 to 128 terms, and splits the range
+    in two (at a multiple of 8) above 128. Following that order gives the
+    bits of the sum over a (..., M+1) last axis without building that array.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _leading_sum(terms[:half]) + _leading_sum(terms[half:])
+    if n < 8:
+        out = terms[0]
+        for t in terms[1:]:
+            out = out + t
+        return out
+    full = n - n % 8
+    acc = list(terms[:8])
+    for i in range(8, full, 8):
+        acc = [a + t for a, t in zip(acc, terms[i:i + 8])]
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for t in terms[full:]:
+        out = out + t
+    return out
+
+
+def _first_max(values):
+    """(maximum, index) over a stream of equal-shaped arrays; a tie keeps the lowest index.
+
+    The first array is updated in place into the maximum.
+    """
+    values = iter(values)
+    best = next(values)
+    index = np.zeros(best.shape, dtype=np.intp)
+    for i, v in enumerate(values, start=1):
+        better = v > best
+        np.copyto(best, v, where=better)
+        np.copyto(index, i, where=better)
+    return best, index
 
 
 def criterion_reward(rates, criterion: str):
@@ -236,32 +298,27 @@ class RewardMap:
 def build_reward_maps(scn: Scenario, criteria, mode: str, models: LinkModels,
                       ants: AntennaSetup, grid: "StateGrid",
                       relay_rule: str = "best_direct") -> dict[str, RewardMap]:
-    """One association sweep over the grid, shared by all requested criteria.
-
-    Each grid row is one batch: the UAV over every cell of the row.
-    """
+    """One association call over the whole grid, shared by all requested criteria."""
     criteria = tuple(criteria)
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}")
     xs, ys = grid.axis_x(), grid.axis_y()
-    rates = np.empty((ys.size, xs.size, scn.n_ue))
-    for iy, y in enumerate(ys):
-        rates[iy] = associate(scn, np.column_stack([xs, np.full(xs.size, y)]), mode,
-                              models, ants, relay_rule).rate
+    rates = associate(scn, _cell_centres(xs, ys), mode, models, ants, relay_rule).rate
     return {c: RewardMap(criterion=c, xs=xs, ys=ys, rewards=criterion_reward(rates, c),
                          rates=rates)
             for c in criteria}
 
 
+def _cell_centres(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(ny, nx, 2) grid of (x, y) cell centres; [iy, ix] is cell (ix, iy)."""
+    return np.stack(np.meshgrid(xs, ys), axis=-1)
+
+
 def max_sir_map(scn: Scenario, models: LinkModels, ants: AntennaSetup,
                 grid: "StateGrid") -> np.ndarray:
     """Best-transmitter SIR (dB) of a probe UE on the ground below each cell; (ny, nx)."""
-    xs, ys = grid.axis_x(), grid.axis_y()
-    out = np.empty((ys.size, xs.size))
-    for iy, y in enumerate(ys):
-        row = np.column_stack([xs, np.full(xs.size, y)])
-        probe = link_budget(scn, row, models, ants, ue_xy=row[:, None, :])[:, 0]
-        sir = probe / (probe.sum(axis=-1, keepdims=True) - probe)
-        out[iy] = 10.0 * np.log10(sir.max(axis=-1))
-    return out
+    cells = _cell_centres(grid.axis_x(), grid.axis_y())
+    probe = link_budget(scn, cells, models, ants, ue_xy=cells[..., None, :])[..., 0, :]
+    sir = probe / (probe.sum(axis=-1, keepdims=True) - probe)
+    return 10.0 * np.log10(sir.max(axis=-1))

@@ -1,4 +1,4 @@
-"""Bezier smoothing of DP waypoint paths and off-grid re-evaluation."""
+"""Bezier smoothing of DP waypoint paths and batched off-grid re-evaluation."""
 from __future__ import annotations
 
 import math
@@ -95,16 +95,19 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
                               speed_violations=violations, stage_dt=traj.stage_dt)
 
 
-def evaluate_smoothed(smoothed: SmoothedTrajectory, scn: Scenario, criterion: str,
-                      mode: str, models: LinkModels, ants: AntennaSetup,
-                      relay_rule: str = "best_direct"):
-    """Re-associate at every sampled position; returns (stage_rewards, rates).
+def evaluate_smoothed(smoothed: list[SmoothedTrajectory], scn: Scenario, mode: str,
+                      models: LinkModels, ants: AntennaSetup,
+                      relay_rule: str = "best_direct") -> list[np.ndarray]:
+    """Per-UE rates along each smoothed trajectory; one (N, K) array per trajectory.
 
-    Positions are taken at the start of each stage interval, matching the
-    discrete-path convention, with no grid snapping.
+    Every sampled position of every trajectory is re-associated in one
+    batch. Positions are taken at the start of each stage interval, matching
+    the discrete-path convention, with no grid snapping.
     """
-    if not rect_contains(scn.mission.area_uav, smoothed.positions):
-        raise ValueError("smoothed trajectory leaves the flight area")
-    rates = radio.stage_rates(smoothed.positions[:-1], scn, mode, models, ants, relay_rule)
-    rewards = radio.criterion_reward(rates, criterion)
-    return rewards, rates
+    starts = []
+    for sm in smoothed:
+        if not rect_contains(scn.mission.area_uav, sm.positions):
+            raise ValueError("smoothed trajectory leaves the flight area")
+        starts.append(sm.positions[:-1])
+    rates = radio.stage_rates(np.concatenate(starts), scn, mode, models, ants, relay_rule)
+    return np.split(rates, np.cumsum([len(s) for s in starts[:-1]]))

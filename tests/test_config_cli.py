@@ -169,6 +169,10 @@ INVALID_VALUES = [
     ({"run": {"antenna_modes": ["omni", "omni"]}}, "antenna mode 'omni' is listed more"),
     ({"run": {"modes": ["standalone", "standalone"]}}, "mode 'standalone' is listed more"),
     ({"models": {"uav_ue": ["fspl", "ohplm", "fspl"]}}, "uav_ue_model 'fspl' is listed more"),
+    # the UMa-AV backhaul loss is only defined up to 300 m
+    ({"physical": {"h_uav": 400}, "models": {"backhaul": "uma_av"},
+      "run": {"modes": ["standalone", "relay"]}},
+     "UMa-AV backhaul model requires altitude in [22.5, 300.0] m"),
 ]
 
 BARE_STRINGS = [
@@ -201,6 +205,10 @@ class TestBadInputs:
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    def test_backhaul_altitude_checked_only_with_relay_mode(self):
+        high = {"physical": {"h_uav": 400}, "models": {"backhaul": "uma_av"}}
+        assert from_json_dict({**MINIMAL, **high}).validate() == []
 
     def test_largest_expected_count_still_draws(self):
         cfg = from_json_dict({**MINIMAL, "physical": {"lambda_ue": 700},

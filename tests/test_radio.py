@@ -490,3 +490,115 @@ def test_associate_properties(seed, lambda_mbs, lambda_ue, positions, mode_rule,
         if mode == "relay":
             loads[single.donor] += 1  # the UAV is scheduled at its donor
         assert np.array_equal(single.loads, loads)
+
+
+# --- the transmitter-major kernel against the UE-major layout it replaced ----
+
+def ue_major_associate(scn, uav_pos, mode, models, ants, relay_rule="best_direct"):
+    """Association over the (..., K, M+1) power array, reduced over its last axis."""
+    powers = link_budget(scn, uav_pos, models, ants)
+    m = scn.n_mbs
+    transmitters = np.arange(m + 1)
+    total = powers.sum(axis=-1, keepdims=True)
+    donor = None
+    if mode == "standalone":
+        sir_all = powers / (total - powers)
+        server = np.argmax(sir_all, axis=-1)
+        sir = sir_all.max(axis=-1)
+    else:
+        bh = radio.backhaul_budget(scn, uav_pos, models, ants)
+        bh_sir = bh / (bh.sum(axis=-1, keepdims=True) - bh)
+        donor = np.argmax(bh_sir, axis=-1)
+        gamma_bh = bh_sir.max(axis=-1, keepdims=True)
+        direct = powers[..., :m] / (total - powers[..., :m])
+        direct_server = np.argmax(direct, axis=-1)
+        direct_sirs = direct.max(axis=-1)
+        gamma_acc = powers[..., m] / powers[..., :m].sum(axis=-1)
+        gamma_e2e = relay_end_to_end_sir(gamma_bh, gamma_acc)
+        threshold = direct_sirs if relay_rule == "best_direct" else gamma_bh
+        on_uav = gamma_e2e > threshold
+        server = np.where(on_uav, m, direct_server)
+        sir = np.where(on_uav, gamma_e2e, direct_sirs)
+    loads = np.sum(server[..., None] == transmitters, axis=-2)
+    if donor is not None:
+        loads = loads + (transmitters == donor[..., None])
+    rate = np.log2(1.0 + sir) / np.take_along_axis(loads, server, axis=-1)
+    return radio.AssociationSnapshot(server=server, loads=loads, sir=sir, rate=rate,
+                                     donor=donor)
+
+
+MODE_RULES = [("standalone", "best_direct"), ("relay", "best_direct"),
+              ("relay", "backhaul_literal")]
+
+
+def assert_same_association(got, want):
+    for field in ("server", "loads", "sir", "rate", "donor"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a, b), field
+
+
+def test_leading_sum_matches_numpy_last_axis_sum():
+    """A numpy change of summation order fails here, not as silently changed bits."""
+    rng = np.random.default_rng(0)
+    differ = []
+    for n in range(1, 301):
+        # a wide dynamic range makes every change of summation order visible
+        x = 10.0 ** rng.uniform(-14.0, 0.0, (23, n))
+        if not (np.array_equal(radio._leading_sum(list(x.T)), np.sum(x, axis=-1))
+                and np.array_equal(radio._leading_sum(x.T), np.sum(x, axis=-1))):
+            differ.append(n)
+    assert differ == []
+
+
+class TestTransmitterMajorKernel:
+    """Bit-identical to the UE-major reductions on both sides of numpy's 8 and 128 terms."""
+
+    @pytest.mark.parametrize("mode,rule", MODE_RULES)
+    def test_generated_relay_dipole_scenario(self, mode, rule):
+        scn = generate_scenario(PhysicalConfig(lambda_mbs=10.0, lambda_ue=15.0), Mission(),
+                                4, min_mbs=2)
+        assert scn.n_mbs + 1 >= 8
+        got = associate(scn, POSITION_GRID, mode, MODELS, DIPOLE, rule)
+        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, MODELS,
+                                                         DIPOLE, rule))
+
+    @pytest.mark.parametrize("n_mbs", [2, 6, 7, 8, 9, 15, 16, 127, 128, 140])
+    @pytest.mark.parametrize("mode,rule", MODE_RULES)
+    @pytest.mark.parametrize("models", [MODELS, MPLM_MODELS], ids=["ohplm", "mplm"])
+    def test_hand_built_mbs_counts(self, n_mbs, mode, rule, models):
+        rng = np.random.default_rng(n_mbs)
+        scn = make_scenario(rng.uniform(0.0, 1000.0, (n_mbs, 2)),
+                            rng.uniform(0.0, 1000.0, (11, 2)), lambda_mbs=float(n_mbs))
+        got = associate(scn, POSITION_GRID, mode, models, DIPOLE, rule)
+        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, models,
+                                                         DIPOLE, rule))
+        one = associate(scn, POSITION_GRID[1, 2], mode, models, DIPOLE, rule)
+        assert_same_association(one, ue_major_associate(scn, POSITION_GRID[1, 2], mode,
+                                                         models, DIPOLE, rule))
+
+    @pytest.mark.parametrize("mode", radio.MODES)
+    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_whole_grid_reward_maps_equal_the_row_loop(self, mode, ants):
+        scn = generate_scenario(PhysicalConfig(lambda_mbs=8.0, lambda_ue=20.0), Mission(), 13,
+                                min_mbs=2)
+        grid = StateGrid.from_mission(Mission())
+        maps = radio.build_reward_maps(scn, radio.CRITERIA, mode, MPLM_MODELS, ants, grid)
+        xs, ys = grid.axis_x(), grid.axis_y()
+        rows = np.stack([associate(scn, np.column_stack([xs, np.full(xs.size, y)]), mode,
+                                   MPLM_MODELS, ants).rate for y in ys])
+        for c, rm in maps.items():
+            assert np.array_equal(rm.rates, rows)
+            assert np.array_equal(rm.rewards, criterion_reward(rows, c))
+
+    def test_max_sir_map_equals_the_row_loop(self):
+        scn = SCENARIOS["dense"]()
+        grid = StateGrid.from_mission(Mission())
+        xs, ys = grid.axis_x(), grid.axis_y()
+        want = np.empty((ys.size, xs.size))
+        for iy, y in enumerate(ys):
+            row = np.column_stack([xs, np.full(xs.size, y)])
+            probe = link_budget(scn, row, MODELS, DIPOLE, ue_xy=row[:, None, :])[:, 0]
+            want[iy] = 10.0 * np.log10((probe / (probe.sum(-1, keepdims=True) - probe)).max(-1))
+        assert np.array_equal(radio.max_sir_map(scn, MODELS, DIPOLE, grid), want)

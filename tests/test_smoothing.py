@@ -6,7 +6,7 @@ from scipy.spatial import Delaunay
 
 from uavrelay import radio
 from uavrelay.antenna import Omni
-from uavrelay.pathloss import LinkModels, OhplmModel
+from uavrelay.pathloss import BackhaulUmaAvModel, LinkModels, OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import AntennaSetup
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
@@ -148,7 +148,8 @@ class TestEvaluateSmoothed:
         cells = [(5, 5)] * 7
         traj = lattice_trajectory(cells)
         sm = smooth(traj, v_max=17.7)
-        rewards, rates = evaluate_smoothed(sm, scn, "pf", "standalone", MODELS, OMNI)
+        [rates] = evaluate_smoothed([sm], scn, "standalone", MODELS, OMNI)
+        rewards = radio.criterion_reward(rates, "pf")
         disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", MODELS, OMNI)
         assert np.array_equal(rates, disc)
         assert rewards.shape == (6,)
@@ -160,7 +161,7 @@ class TestEvaluateSmoothed:
         sm = smooth(traj, v_max=17.7)
         # uniformly spaced collinear control points sample back to the waypoints
         assert np.allclose(sm.positions, traj.positions, atol=1e-9)
-        _, rates = evaluate_smoothed(sm, scn, "pf", "standalone", MODELS, OMNI)
+        [rates] = evaluate_smoothed([sm], scn, "standalone", MODELS, OMNI)
         disc = radio.stage_rates(sm.positions[:-1], scn, "standalone", MODELS, OMNI)
         assert np.allclose(rates, disc, rtol=1e-12)
 
@@ -170,7 +171,32 @@ class TestEvaluateSmoothed:
         sm = smooth(traj)
         sm.positions = sm.positions + 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed(sm, scn, "pf", "standalone", MODELS, OMNI)
+            evaluate_smoothed([sm], scn, "standalone", MODELS, OMNI)
+
+    @pytest.mark.parametrize("mode", radio.MODES)
+    def test_batch_equals_per_trajectory_stage_rates(self, mode):
+        scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 7)
+        grid = StateGrid.from_mission(Mission())
+        models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel(),
+                            backhaul=BackhaulUmaAvModel())
+        rm = radio.build_reward_maps(scn, ("pf",), mode, models, OMNI, grid)["pf"]
+        # horizons of different lengths, as the sweep batches its durations
+        smoothed = [smooth(solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)),
+                                    ACTIONS), v_max=17.7)
+                    for t in (160.0, 240.0, 200.0)]
+        batch = evaluate_smoothed(smoothed, scn, mode, models, OMNI)
+        assert len(batch) == len(smoothed)
+        for sm, rates in zip(smoothed, batch):
+            single = radio.stage_rates(sm.positions[:-1], scn, mode, models, OMNI)
+            assert np.array_equal(rates, single)
+
+    def test_any_trajectory_outside_flight_area_rejected(self):
+        scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
+        inside = smooth(lattice_trajectory([(1, 1), (2, 2), (3, 3)]))
+        outside = smooth(lattice_trajectory([(1, 1), (2, 2), (3, 3)]))
+        outside.positions = outside.positions + 5000.0
+        with pytest.raises(ValueError, match="flight area"):
+            evaluate_smoothed([inside, outside], scn, "standalone", MODELS, OMNI)
 
 
 def test_smoothed_csv(tmp_path):
