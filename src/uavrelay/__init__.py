@@ -3,8 +3,8 @@
 from .antenna import (AntennaMode, CrossedDipole, G_MAX, LinkGeometry, Omni,
                       combined_gain, polarization_loss_factor, tx_gain)
 from .config import ConfigError, RunConfig, from_json_dict, load_config
-from .metrics import (RunMetrics, SweepResult, monte_carlo_sweep,
-                      outage_probability, time_averaged_capacity)
+from .metrics import (SweepResult, monte_carlo_sweep, outage_probability,
+                      time_averaged_capacity)
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel,
                        HataCoefficients, LinkModels, MplmModel, OhplmModel,
                        backhaul_path_loss, fspl, hata_coefficients,

@@ -23,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, output, pathloss, radio, smoothing
+from . import metrics, output, pathloss, radio
 from .antenna import CrossedDipole, radiation_gain
 from .config import ConfigError, RunConfig, from_json_dict, load_config
-from .planner import ActionSet, StateGrid, solve_dp
+# unused here: perfbench/spans.py wraps cli.solve_dp and cli.generate_scenario by name
+from .planner import solve_dp
 from .scenario import generate_scenario
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
@@ -88,27 +89,19 @@ def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
 
 
 def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
-    """Trajectories, smoothed curves and heat maps for the showcase scenario."""
-    physical = cfg.physical_for(cfg.showcase_n_mbs)
-    mission = cfg.mission_for(cfg.showcase_t)
-    scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
-    grid = StateGrid.from_mission(mission, cfg.cell_m)
-    actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
+    """Trajectories, smoothed curves and heat maps of sweep realization 0 at the showcase point."""
+    scn = metrics.scenario_for(cfg, cfg.showcase_n_mbs, 0, cfg.showcase_t)
     max_sir_maps = {}  # the SIR probe depends on the links and antennas, not the mode
-    for model_name, antenna_name, mode, models, ants in cfg.combinations():
-        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
-                                       grid, cfg.relay_rule)
+    for (model_name, antenna_name, mode, models, ants), grid, maps, runs in (
+            metrics.plan_combinations(cfg, scn, (cfg.showcase_t,))):
         if (model_name, antenna_name) not in max_sir_maps:
             max_sir_maps[model_name, antenna_name] = radio.max_sir_map(scn, models, ants, grid)
-        max_sir_db = max_sir_maps[model_name, antenna_name]
-        for criterion in cfg.criteria:
+        for _, criterion, traj, sm, _ in runs:
             tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
-            maps[criterion].max_sir_db = max_sir_db
+            maps[criterion].max_sir_db = max_sir_maps[model_name, antenna_name]
             maps[criterion].to_csv(out.path(f"heatmap_{tag}.csv"))
-            traj = solve_dp(maps[criterion], grid, actions, stage_dt=mission.stage_dt)
             traj.to_csv(out.path(f"trajectory_{tag}.csv"))
             traj.to_json(out.path(f"trajectory_{tag}.json"))
-            sm = smoothing.smooth(traj, v_max=physical.v_max)
             sm.to_csv(out.path(f"smoothed_{tag}.csv"))
 
 
@@ -155,6 +148,10 @@ def cmd_pathloss_table(args) -> int:
         "mplm": lambda d: mplm.loss_db(d, math.sqrt(d * d - dh * dh), f_c_mhz=phys.f_c_mhz,
                                        h_tx=phys.h_uav, h_rx=phys.h_ue),
     }
+    problem = pathloss.uma_av_altitude_problem(phys.h_uav)
+    if problem:  # only relay mode uses the backhaul, so a standalone config may be here
+        print(f"skipping backhaul_uma_av: {problem}", file=sys.stderr)
+        del models["backhaul_uma_av"]
     # a slant range cannot be shorter than the height gap
     rows = ((name, d, float(fn(d))) for name, fn in models.items() for d in distances
             if name != "mplm" or d > dh)

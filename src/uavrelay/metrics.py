@@ -7,6 +7,11 @@ criterion, mode, UAV-UE path-loss model and antenna setup, evaluating both
 the discrete and the smoothed trajectory. Realization j uses seed
 master_seed + j, so all combinations and all durations are paired on the
 same networks, as are reruns.
+
+The pipeline exists once: scenario_for draws a realization and
+plan_combinations plans it (reward maps, DP, smoothing) per combination.
+run_realization adds the re-evaluation for the sweep; the CLI showcase is
+realization 0 planned at the showcase duration.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 from . import output, pathloss, radio, smoothing
 from .config import RunConfig
 from .planner import ActionSet, StateGrid, check_trajectory, solve_dp
-from .scenario import generate_scenario
+from .scenario import Scenario, generate_scenario
 
 EVALUATIONS = ("discrete", "smoothed")
 
@@ -48,18 +53,6 @@ class ComboKey:
     mode: str
     uav_ue_model: str
     antenna: str
-
-
-@dataclass(eq=False)
-class RunMetrics:
-    """Outcome of one realization for one combination and one evaluation."""
-
-    t_s: float
-    n_mbs: float
-    combo: ComboKey
-    evaluation: str
-    mean_capacity: float
-    outage: float
 
 
 @dataclass(eq=False)
@@ -149,55 +142,69 @@ def realization_seed(master_seed: int, j: int) -> int:
     return master_seed + j
 
 
-def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
-    """Full pipeline for one network realization at one MBS density.
+def scenario_for(cfg: RunConfig, n_mbs: float, j: int, duration_t: float) -> Scenario:
+    """Realization j at n_mbs; the duration only sets the T_min check, not the nodes."""
+    return generate_scenario(cfg.physical_for(n_mbs), cfg.mission_for(duration_t),
+                             realization_seed(cfg.master_seed, j), min_mbs=cfg.min_mbs)
 
-    Returns (list[RunMetrics], trajectory_violations, mbs_rejections). The
-    reward map is reused across durations: nodes are static, so the map only
-    depends on the network, the combination, and the grid geometry.
+
+def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
+    """Yield (combination, grid, reward maps, runs) per cfg.combinations() item.
+
+    runs holds (T, criterion, trajectory, smoothed curve, violation count) in
+    (T, criterion) order. The maps serve every duration: nodes are static and
+    the durations share the grid geometry.
     """
     t_values = tuple(t_values)
-    physical = cfg.physical_for(n_mbs)
-    scn = generate_scenario(physical, cfg.mission_for(max(t_values)),
-                            realization_seed(cfg.master_seed, j), min_mbs=cfg.min_mbs)
-    actions = ActionSet.standard(cfg.cell_m, scn.mission.stage_dt, physical.v_max)
-
+    v_max = scn.config.v_max
+    actions = ActionSet.standard(cfg.cell_m, scn.mission.stage_dt, v_max)
     # durations share the grid geometry and differ only in their stage count
     grids = {t: StateGrid.from_mission(cfg.mission_for(t), cfg.cell_m) for t in t_values}
-    results: list[RunMetrics] = []
-    violations = 0
-    for model_name, antenna_name, mode, models, ants in cfg.combinations():
+    for combination in cfg.combinations():
+        _, _, mode, models, ants = combination
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
                                        grids[t_values[0]], cfg.relay_rule)
-        runs = []  # (T, criterion, discrete rates, smoothed trajectory)
+        runs = []
         for t in t_values:
             grid = grids[t]
             for criterion in cfg.criteria:
-                traj = solve_dp(maps[criterion], grid, actions,
-                                stage_dt=scn.mission.stage_dt)
-                violations += len(check_trajectory(traj, grid, actions, physical.v_max))
-                sm = smoothing.smooth(traj, v_max=physical.v_max)
-                violations += len(sm.speed_violations)
-                # trajectory positions are cell centres: gather the map's rates
-                runs.append((t, criterion, maps[criterion].rates_at(traj.cells[:-1]), sm))
+                traj = solve_dp(maps[criterion], grid, actions, stage_dt=scn.mission.stage_dt)
+                violations = len(check_trajectory(traj, grid, actions, v_max))
+                sm = smoothing.smooth(traj, v_max=v_max)
+                runs.append((t, criterion, traj, sm, violations + len(sm.speed_violations)))
+        yield combination, grids[t_values[0]], maps, runs
+
+
+def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
+    """Full pipeline for one network realization at one MBS density.
+
+    Returns (samples, trajectory_violations, mbs_rejections), where samples
+    maps each sweep point (T, n_mbs, ComboKey, evaluation) to this
+    realization's (mean capacity, outage).
+    """
+    t_values = tuple(t_values)
+    scn = scenario_for(cfg, n_mbs, j, max(t_values))
+    samples: dict[tuple, tuple[float, float]] = {}
+    violations = 0
+    for (model_name, antenna_name, mode, models, ants), _, maps, runs in plan_combinations(
+            cfg, scn, t_values):
         # one association batch over the smoothed samples of every (T, criterion)
-        sm_rates = smoothing.evaluate_smoothed([sm for *_, sm in runs], scn, mode, models,
-                                               ants, cfg.relay_rule)
-        for (t, criterion, disc_rates, _), smoothed_rates in zip(runs, sm_rates, strict=True):
+        sm_rates = smoothing.evaluate_smoothed([sm for _, _, _, sm, _ in runs], scn, mode,
+                                               models, ants, cfg.relay_rule)
+        for (t, criterion, traj, _, viol), smoothed_rates in zip(runs, sm_rates, strict=True):
+            violations += viol
             combo = ComboKey(criterion, mode, model_name, antenna_name)
+            # trajectory positions are cell centres: gather the map's rates
+            disc_rates = maps[criterion].rates_at(traj.cells[:-1])
             for evaluation, rates in (("discrete", disc_rates), ("smoothed", smoothed_rates)):
                 if scn.n_ue:
                     caps = time_averaged_capacity(rates, t)
-                    mean_cap = float(caps.mean())
-                    outage = outage_probability(caps, physical.outage_threshold)
+                    sample = (float(caps.mean()),
+                              outage_probability(caps, scn.config.outage_threshold))
                 else:
-                    mean_cap = float("nan")
-                    outage = float("nan")
-                results.append(RunMetrics(
-                    t_s=t, n_mbs=n_mbs, combo=combo, evaluation=evaluation,
-                    mean_capacity=mean_cap, outage=outage,
-                ))
-    return results, violations, scn.mbs_rejections
+                    sample = (float("nan"), float("nan"))
+                samples[t, n_mbs, combo, evaluation] = sample
+    return samples, violations, scn.mbs_rejections
 
 
 def _realization_task(args):
@@ -236,14 +243,13 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
 
     violations = 0
     rejections = 0
-    for (metrics_list, viol, rej), warnings in raw:
+    for (samples, viol, rej), warnings in raw:
         for key, message in warnings.items():
             pathloss.warn_once(key, message)
         violations += viol
         rejections += rej
-        for m in metrics_list:
-            point = points[(m.t_s, m.n_mbs, m.combo, m.evaluation)]
-            point.capacity_samples.append(m.mean_capacity)
-            point.outage_samples.append(m.outage)
+        for key, (capacity, outage) in samples.items():
+            points[key].capacity_samples.append(capacity)
+            points[key].outage_samples.append(outage)
     return SweepResult(points=list(points.values()), realizations=cfg.realizations,
                        trajectory_violations=violations, mbs_rejections=rejections)

@@ -152,7 +152,9 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
             factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
         else:
             h_ray = h_uav - (n + 0.5) * dh
-            factor = 1.0 - np.exp(-h_ray / two_c2)
+            # a ray below the rooftops overflows exp to inf; the clip maps that factor to 0
+            with np.errstate(over="ignore"):
+                factor = 1.0 - np.exp(-h_ray / two_c2)
         factor = np.clip(factor, 0.0, 1.0)
         table = np.where(active, table * factor, table)
     tau = table[m + 1]

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavrelay
-from uavrelay import cli
+from uavrelay import cli, radio
 from uavrelay.config import (ANTENNA_MODES, MPLM_REFERENCES, UE_LINK_MODELS, ConfigError,
                              DipoleSettings, MplmSettings, RunConfig, from_json_dict,
                              load_config)
+from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import CRITERIA, MODES, RELAY_RULES
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
+from uavrelay.smoothing import smooth
 
 MINIMAL = {"schema_version": 1, "master_seed": 3}
 
@@ -388,6 +390,20 @@ class TestCli:
         models = {line.split(",")[0] for line in lines[1:]}
         assert models == {"ohplm_mbs", "ohplm_uav", "fspl", "backhaul_uma_av", "mplm"}
 
+    def test_pathloss_table_skips_backhaul_outside_its_altitude_range(self, tmp_path,
+                                                                       capsys):
+        # standalone only: the UMa-AV backhaul is never used, so 400 m validates
+        doc = cli.load_preset("fig7").to_json_dict()
+        doc["run"]["modes"] = ["standalone"]
+        doc["physical"]["h_uav"] = 400
+        path = self.write_config(tmp_path, doc)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "pl.csv"
+        assert cli.main(["pathloss-table", "--config", str(path), "--out", str(out)]) == 0
+        assert "UMa-AV backhaul model requires altitude in" in capsys.readouterr().err
+        models = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+        assert models == {"ohplm_mbs", "ohplm_uav", "fspl", "mplm"}
+
     def test_antenna_pattern(self, tmp_path):
         out = tmp_path / "ant.csv"
         assert cli.main(["antenna-pattern", "--out", str(out)]) == 0
@@ -440,6 +456,49 @@ class TestCli:
         out = tmp_path / "hm"
         assert cli.main(["heatmap", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "heatmap_pf_standalone_ohplm_omni.csv").exists()
+
+
+def reference_showcase(cfg, out_dir):
+    """The showcase's own scenario, grid and planning loop, kept as an oracle."""
+    physical = cfg.physical_for(cfg.showcase_n_mbs)
+    mission = cfg.mission_for(cfg.showcase_t)
+    scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
+    grid = StateGrid.from_mission(mission, cfg.cell_m)
+    actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
+    for model_name, antenna_name, mode, models, ants in cfg.combinations():
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
+                                       grid, cfg.relay_rule)
+        max_sir_db = radio.max_sir_map(scn, models, ants, grid)
+        for criterion in cfg.criteria:
+            tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
+            maps[criterion].max_sir_db = max_sir_db
+            maps[criterion].to_csv(out_dir / f"heatmap_{tag}.csv")
+            traj = solve_dp(maps[criterion], grid, actions, stage_dt=mission.stage_dt)
+            traj.to_csv(out_dir / f"trajectory_{tag}.csv")
+            traj.to_json(out_dir / f"trajectory_{tag}.json")
+            smooth(traj, v_max=physical.v_max).to_csv(out_dir / f"smoothed_{tag}.csv")
+    return scn
+
+
+def test_heatmap_matches_the_reference_showcase(tmp_path):
+    # seed 279 first draws one MBS, so relay's two-MBS minimum forces a redraw
+    doc = small_run_doc(master_seed=279,
+                        models={"uav_ue": ["ohplm"], "backhaul": "uma_av"},
+                        run={"criteria": ["pf", "sum_rate"], "modes": ["standalone", "relay"],
+                             "antenna_modes": ["omni", "dipole"]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    want = tmp_path / "want"
+    want.mkdir()
+    scn = reference_showcase(load_config(path), want)
+    assert scn.mbs_rejections > 0
+    got = tmp_path / "got"
+    assert cli.main(["heatmap", "--config", str(path), "--out", str(got)]) == 0
+    names = sorted(f.name for f in want.iterdir())
+    assert len(names) == 4 * 2 * 2 * 2
+    assert sorted(f.name for f in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_load_config_rejects_bad_json(tmp_path):

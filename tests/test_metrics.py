@@ -5,7 +5,7 @@ import pytest
 
 from uavrelay.config import RunConfig
 from uavrelay.metrics import (monte_carlo_sweep, outage_probability,
-                              realization_seed, run_realization,
+                              realization_seed, run_realization, scenario_for,
                               time_averaged_capacity)
 
 SMALL = RunConfig(criteria=("pf",), sweep_t=(160.0, 240.0), sweep_n_mbs=(4.0,),
@@ -65,6 +65,15 @@ def test_realization_seed_split():
     assert realization_seed(100, 7) == 107
 
 
+def test_scenario_for_draws_the_same_nodes_at_any_duration():
+    cfg = replace(SMALL, modes=("standalone", "relay"), backhaul_model="uma_av")
+    short, long = (scenario_for(cfg, 4.0, 2, t) for t in (160.0, 320.0))
+    assert short.mission.duration_t == 160.0 and long.mission.duration_t == 320.0
+    assert np.array_equal(short.mbs_xy, long.mbs_xy)
+    assert np.array_equal(short.ue_xy, long.ue_xy)
+    assert short.seed == long.seed == realization_seed(cfg.master_seed, 2)
+
+
 class TestSweep:
     def test_single_realization_stderr_zero(self):
         cfg = RunConfig(criteria=("pf",), sweep_t=(240.0,), sweep_n_mbs=(4.0,),
@@ -74,9 +83,9 @@ class TestSweep:
         mean, se, n = p.capacity
         assert n == 1
         assert se == 0.0
-        metrics, _, _ = run_realization(cfg, (240.0,), 4.0, 0)
-        match = [m for m in metrics if m.evaluation == "discrete"][0]
-        assert mean == match.mean_capacity
+        samples, _, _ = run_realization(cfg, (240.0,), 4.0, 0)
+        capacity, _ = samples[p.t_s, p.n_mbs, p.combo, "discrete"]
+        assert mean == capacity
 
     def test_deterministic_rerun(self):
         a = monte_carlo_sweep(SMALL)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ class TestLosProbability:
             for variant in ("corrected", "as_written"):
                 tau = los_probability(z, 120.0, 2.0, bm, variant)
                 assert np.all((tau >= 0.0) & (tau <= 1.0))
+
+    def test_as_written_overflow_stays_silent(self):
+        # rays below the rooftops overflow exp; the clip already maps them to 0
+        bm = BuildingModel(0.5, 500.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = los_probability(np.linspace(0.0, 1500.0, 7), 120.0, 2.0, bm, "as_written")
+        assert tau.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
