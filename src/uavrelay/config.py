@@ -16,8 +16,8 @@ from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
-from .scenario import (MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
-                       rect_contains, t_min)
+from .scenario import (_MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig,
+                       area_km2, rect_contains, t_min)
 
 SCHEMA_VERSION = 1
 
@@ -25,6 +25,10 @@ UE_LINK_MODELS = ("ohplm", "mplm", "fspl")
 BACKHAUL_MODELS = ("uma_av",)
 ANTENNA_MODES = ("omni", "dipole")
 MPLM_REFERENCES = ("unit", "friis_1m")
+# An expected MBS count is rejected when every draw of one scenario (the first
+# and all redraws) falls below min_mbs with a larger chance: the run would
+# fail on that realization after computing everything before it.
+MBS_SHORTFALL_CHANCE = 1e-12
 
 
 class ConfigError(ValueError):
@@ -170,9 +174,13 @@ class RunConfig:
                 out.append(problem)
         if self.mplm.variant not in ("corrected", "as_written"):
             out.append("mplm.variant must be 'corrected' or 'as_written'")
-        if isinstance(self.mplm.reference, str) and self.mplm.reference not in MPLM_REFERENCES:
-            out.append(f"mplm.reference must be a dB number or one of {MPLM_REFERENCES}")
-        if not (0 < self.mplm.a_hat < 1) or self.mplm.b_hat <= 0 or self.mplm.c_hat <= 0:
+        if isinstance(self.mplm.reference, str):
+            if self.mplm.reference not in MPLM_REFERENCES:
+                out.append(f"mplm.reference must be a dB number or one of {MPLM_REFERENCES}")
+        elif not math.isfinite(self.mplm.reference):
+            out.append(f"mplm.reference={self.mplm.reference} must be finite")
+        if not (0 < self.mplm.a_hat < 1 and 0 < self.mplm.b_hat < math.inf
+                and 0 < self.mplm.c_hat < math.inf):
             out.append("mplm building parameters out of range")
         if self.dipole.mbs_spin not in (-1, 1) or self.dipole.uav_spin not in (-1, 1):
             out.append("dipole spins must be +1 or -1")
@@ -210,9 +218,16 @@ class RunConfig:
                              + [("showcase_n_mbs", self.showcase_n_mbs)]):
             if not n_mbs > 0:
                 out.append(f"{label}={n_mbs} must be positive")
-            elif not self.physical_for(n_mbs).lambda_mbs * area <= MAX_POISSON_MEAN:
+                continue
+            # physical_for(n_mbs).lambda_mbs * area, without its finite-density check
+            mean = n_mbs / area * area
+            if not mean <= MAX_POISSON_MEAN:
                 out.append(f"{label}={n_mbs} exceeds the largest expected node "
                            f"count {MAX_POISSON_MEAN:g}")
+            elif _log_shortfall_chance(mean, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
+                out.append(f"{label}={n_mbs} is too small: all {_MAX_MBS_REDRAWS + 1} draws "
+                           f"of a scenario fall below min_mbs={self.min_mbs} with a chance "
+                           f"above {MBS_SHORTFALL_CHANCE:g}")
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
             out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
@@ -249,6 +264,16 @@ class RunConfig:
             "showcase": {"t": self.showcase_t, "n_mbs": self.showcase_n_mbs},
         }
         return d
+
+
+def _log_shortfall_chance(mean: float, min_mbs: int) -> float:
+    """log of the chance that all _MAX_MBS_REDRAWS + 1 Poisson(mean) draws are < min_mbs.
+
+    The log CDF at min_mbs - 1, -mean + log(sum of mean**k / k! for k < min_mbs),
+    keeps its digits for tiny means, where the CDF itself rounds to 1.
+    """
+    tail = sum(mean ** k / math.factorial(k) for k in range(1, min_mbs))
+    return (_MAX_MBS_REDRAWS + 1) * (math.log1p(tail) - mean)
 
 
 def _take(section, allowed, where: str) -> dict:
@@ -289,6 +314,15 @@ def _floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
     return tuple(_number(float, v, where) for v in _list(value, where, length))
 
 
+def _names(value, where: str) -> tuple[str, ...]:
+    """A list of names; a bare string is a one-element list."""
+    names = tuple(_list(value, where))
+    for v in names:
+        if not isinstance(v, str):
+            raise ConfigError(f"{where} must list names as strings, got {v!r}")
+    return names
+
+
 def from_json_dict(doc: dict) -> RunConfig:
     doc = _take(doc, ("schema_version", "master_seed", "physical", "mission", "models",
                       "run", "sweep", "showcase"), "config")
@@ -299,7 +333,7 @@ def from_json_dict(doc: dict) -> RunConfig:
     try:
         physical = PhysicalConfig(**_take(doc.get("physical", {}),
                                           PhysicalConfig.__dataclass_fields__, "physical"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"physical: {exc}") from exc
 
     mkw = _take(doc.get("mission", {}), Mission.__dataclass_fields__, "mission")
@@ -329,13 +363,13 @@ def from_json_dict(doc: dict) -> RunConfig:
         physical=physical,
         mission=mission,
         mbs_ue_model=mo.get("mbs_ue", "ohplm"),
-        uav_ue_models=tuple(_list(mo.get("uav_ue", ["ohplm"]), "models.uav_ue")),
+        uav_ue_models=_names(mo.get("uav_ue", ["ohplm"]), "models.uav_ue"),
         mplm=MplmSettings(**mplm_kw),
         backhaul_model=mo.get("backhaul"),
         relay_rule=ru.get("relay_rule", "best_direct"),
-        criteria=tuple(_list(ru.get("criteria", ["pf"]), "run.criteria")),
-        modes=tuple(_list(ru.get("modes", ["standalone"]), "run.modes")),
-        antenna_modes=tuple(_list(ru.get("antenna_modes", ["omni"]), "run.antenna_modes")),
+        criteria=_names(ru.get("criteria", ["pf"]), "run.criteria"),
+        modes=_names(ru.get("modes", ["standalone"]), "run.modes"),
+        antenna_modes=_names(ru.get("antenna_modes", ["omni"]), "run.antenna_modes"),
         dipole=DipoleSettings(**dipole_kw),
         sweep_t=_floats(sw.get("t_values", [mission.duration_t]), "sweep.t_values"),
         sweep_n_mbs=_floats(sw.get("n_mbs_values", [4.0]), "sweep.n_mbs_values"),

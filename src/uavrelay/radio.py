@@ -9,14 +9,14 @@ UAV positions come in batches shaped (..., 2), e.g. one (2,) point, a path
 of (N, 2) samples or the whole (ny, nx, 2) cell grid; results keep that
 leading shape: servers, SIRs and rates (..., K), bit-identical to one call
 per position. One routine computes the received power of each link class
-(MBS->UE, UAV->UE and the MBS->UAV backhaul). Association is
-transmitter-major: it takes the UAV-independent MBS->UE block once per call
-as (M, K) and the UAV->UE block as (..., K), and reduces over the M+1
-transmitters one at a time (sums in numpy's own summation order, a running
-first maximum for the server), so no (..., K, M+1) array is built. A reward
-map is one call over its grid, a re-evaluation one call over every sampled
-position of its trajectories. link_budget keeps the (..., K, M+1) layout
-for probes and tests.
+(MBS->UE, UAV->UE and the MBS->UAV backhaul), and link_budget is the one
+place UE powers are computed: the UAV-independent MBS->UE block once per
+call as (M, K) and the UAV->UE block as (..., K). One reduction, _best_sir,
+takes the best SIR over a sequence of per-transmitter power arrays (their
+sum in numpy's own summation order, then a running first maximum); the
+standalone server, the relay donor and the heat-map probe all use it. A
+reward map is one call over its grid, a re-evaluation one call over every
+sampled position of its trajectories.
 """
 from __future__ import annotations
 
@@ -73,11 +73,13 @@ def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
     return p if g is None else p * g
 
 
-def _powers(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
-            ue_xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
+                ue_xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Received power (mW) at each UE: MBS->UE block (M, K) and UAV->UE block (..., K).
 
-    With per-position probe points ue_xy (..., K, 2) the MBS block is (..., M, K).
+    uav_pos is a batch of UAV positions (..., 2). ue_xy replaces the
+    scenario's UEs by probe points, either (K, 2) shared by every position
+    or (..., K, 2) with one set per position; the MBS block is then (..., M, K).
     """
     cfg = scn.config
     if scn.n_mbs < 1:
@@ -93,22 +95,6 @@ def _powers(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
                          None if isinstance(ants.uav, Omni)
                          else lambda u: ue_link_gain(u, ants.uav))
     return p_mbs, p_uav
-
-
-def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
-                ue_xy: np.ndarray | None = None) -> np.ndarray:
-    """Received power (mW) at each UE from each transmitter, UAV last; (..., K, M+1).
-
-    uav_pos is a batch of UAV positions (..., 2). ue_xy replaces the
-    scenario's UEs by probe points, either (K, 2) shared by every position
-    or (..., K, 2) with one set per position.
-    """
-    p_mbs, p_uav = _powers(scn, uav_pos, models, ants, ue_xy)
-    # C order: np.sum over its last axis then takes numpy's pairwise order
-    out = np.empty(p_uav.shape + (scn.n_mbs + 1,))
-    out[..., :-1] = np.swapaxes(p_mbs, -1, -2)  # one MBS block for every position
-    out[..., -1] = p_uav
-    return out
 
 
 def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
@@ -176,27 +162,35 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
 def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: AntennaSetup,
                  relay_rule: str):
     """(server, sir, donor) per UE, reducing over the M+1 transmitters one at a time."""
-    p_mbs, p_uav = _powers(scn, uav_pos, models, ants)
-    total = _leading_sum([*p_mbs, p_uav])
+    p_mbs, p_uav = link_budget(scn, uav_pos, models, ants)
     if mode == "standalone":
-        sir, server = _first_max(p / (total - p) for p in [*p_mbs, p_uav])
+        sir, server = _best_sir([*p_mbs, p_uav])
         return server, sir, None
 
     m = scn.n_mbs
     if m < 2:
         raise ValueError("relay mode needs >= 2 MBSs for a backhaul interference set")
-    bh = backhaul_budget(scn, uav_pos, models, ants)
-    bh_sir = bh / (bh.sum(axis=-1, keepdims=True) - bh)
-    donor = np.argmax(bh_sir, axis=-1)
-    gamma_bh = bh_sir.max(axis=-1, keepdims=True)
+    # (..., M, 1): one (..., 1) array per MBS, so gamma_bh broadcasts over the UEs
+    bh = backhaul_budget(scn, uav_pos, models, ants)[..., None]
+    gamma_bh, donor = _best_sir(np.moveaxis(bh, -2, 0))
 
-    sir, server = _first_max(p / (total - p) for p in p_mbs)  # best direct MBS
+    sir, server = _best_sir([*p_mbs, p_uav], m)  # best direct MBS
     gamma_e2e = relay_end_to_end_sir(gamma_bh, p_uav / _leading_sum(p_mbs))
     threshold = sir if relay_rule == "best_direct" else gamma_bh
     on_uav = gamma_e2e > threshold
     np.copyto(sir, gamma_e2e, where=on_uav)
     np.copyto(server, m, where=on_uav)
-    return server, sir, donor
+    return server, sir, donor[..., 0]
+
+
+def _best_sir(powers, candidates: int | None = None):
+    """(SIR, index) of the best of the first `candidates` transmitters (default all).
+
+    powers is a sequence of equal-shaped received-power arrays, one per
+    transmitter; each SIR is its power over the sum of all the others.
+    """
+    total = _leading_sum(powers)
+    return _first_max(p / (total - p) for p in powers[:candidates])
 
 
 def _leading_sum(terms):
@@ -319,6 +313,8 @@ def max_sir_map(scn: Scenario, models: LinkModels, ants: AntennaSetup,
                 grid: "StateGrid") -> np.ndarray:
     """Best-transmitter SIR (dB) of a probe UE on the ground below each cell; (ny, nx)."""
     cells = _cell_centres(grid.axis_x(), grid.axis_y())
-    probe = link_budget(scn, cells, models, ants, ue_xy=cells[..., None, :])[..., 0, :]
-    sir = probe / (probe.sum(axis=-1, keepdims=True) - probe)
-    return 10.0 * np.log10(sir.max(axis=-1))
+    p_mbs, p_uav = link_budget(scn, cells, models, ants, ue_xy=cells[..., None, :])
+    # one MBS and a probe in the UAV dipole's nadir null: no interference, SIR inf
+    with np.errstate(divide="ignore"):
+        sir, _ = _best_sir([*np.moveaxis(p_mbs, -2, 0), p_uav])
+    return 10.0 * np.log10(sir[..., 0])

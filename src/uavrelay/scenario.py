@@ -37,8 +37,8 @@ def rect_contains(rect: Rect, xy, tol: float = 1e-9) -> bool:
 
 def _check_rect(rect: Rect, name: str) -> None:
     xmin, ymin, xmax, ymax = rect
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError(f"{name} must have positive extent, got {rect}")
+    if not (xmax > xmin and ymax > ymin and math.isfinite(xmax - xmin + ymax - ymin)):
+        raise ValueError(f"{name} must have finite, positive extent, got {rect}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class PhysicalConfig:
     outage_threshold: float = 0.05  # bps/Hz
 
     def __post_init__(self) -> None:
-        for name in ("p_mbs_dbm", "p_uav_dbm"):
+        for name in self.__dataclass_fields__:
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.v_max <= 0:
             raise ValueError("v_max must be positive")
         if not (self.h_uav > self.h_bs > self.h_ue > 0):
@@ -93,10 +93,10 @@ class Mission:
     area_uav: Rect = (-100.0, -100.0, 1100.0, 1100.0)
 
     def __post_init__(self) -> None:
-        if self.stage_dt <= 0:
-            raise ValueError("stage_dt must be positive")
-        if self.duration_t <= 0:
-            raise ValueError("duration_t must be positive")
+        if not 0 < self.stage_dt < math.inf:
+            raise ValueError("stage_dt must be finite and positive")
+        if not 0 < self.duration_t < math.inf:
+            raise ValueError("duration_t must be finite and positive")
         n = self.duration_t / self.stage_dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError(

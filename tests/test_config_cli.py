@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uavrelay
@@ -71,14 +72,14 @@ def _names(pool):
 
 
 @st.composite
-def run_configs(draw):
+def run_configs(draw, h_uav_max=300.0):
     stage_dt = draw(st.sampled_from([4.0, 8.0, 10.0]))
     durations = st.integers(1, 60).map(lambda n: n * stage_dt)
     point = st.tuples(st.sampled_from([0.0, 500.0, 1000.0]), st.sampled_from([0.0, 500.0, 1000.0]))
     return RunConfig(
         physical=PhysicalConfig(
             p_mbs_dbm=draw(_finite(0, 60)), p_uav_dbm=draw(_finite(0, 40)),
-            v_max=draw(_finite(18, 50)), h_uav=draw(_finite(60, 300)),
+            v_max=draw(_finite(18, 50)), h_uav=draw(_finite(60, h_uav_max)),
             h_bs=draw(_finite(10, 50)), h_ue=draw(_finite(0.5, 5)),
             f_c_mhz=draw(_finite(150, 6000)), alpha_los=draw(_finite(1.5, 3)),
             alpha_nlos=draw(_finite(3, 5)), lambda_ue=draw(_finite(0, 500)),
@@ -115,6 +116,44 @@ def test_json_round_trip(cfg):
     assert again.validate() == cfg.validate()
 
 
+@st.composite
+def one_point_documents(draw):
+    """run_configs as JSON at one realization, T and density; some with a tiny
+    expected MBS count or a NaN physical constant."""
+    doc = draw(run_configs(h_uav_max=500.0)).to_json_dict()
+    # repeated names are rejected by a check of their own; drop them for more runs
+    doc["models"]["uav_ue"] = list(dict.fromkeys(doc["models"]["uav_ue"]))
+    for key in ("criteria", "modes", "antenna_modes"):
+        doc["run"][key] = list(dict.fromkeys(doc["run"][key]))
+    doc["run"]["realizations"] = 1
+    doc["sweep"] = {"t_values": doc["sweep"]["t_values"][:1],
+                    "n_mbs_values": doc["sweep"]["n_mbs_values"][:1]}
+    tiny = draw(st.none() | st.sampled_from([1e-6, 0.003]))
+    if tiny is not None:
+        if draw(st.booleans()):
+            doc["sweep"]["n_mbs_values"] = [tiny]
+        else:
+            doc["showcase"]["n_mbs"] = tiny
+    nan_field = draw(st.none() | st.sampled_from(list(PhysicalConfig.__dataclass_fields__)))
+    if nan_field is not None:
+        doc["physical"][nan_field] = float("nan")
+    return doc
+
+
+@given(doc=one_point_documents())
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_validate_accepts_exactly_what_runs(doc):
+    """validate and run never raise, and a config validate accepts runs to exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        validated = cli.main(["validate", "--config", str(path)])
+        ran = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert validated in (0, 1)
+    assert ran == validated
+
+
 BAD_VALUES = [
     ({"run": {"realizations": "abc"}}, "run.realizations"),
     ({"run": {"cell_m": "wide"}}, "run.cell_m"),
@@ -142,6 +181,23 @@ BAD_VALUES = [
     ({"sweep": {"t_values": [True]}}, "sweep.t_values"),
     ({"physical": {"h_uav": True}}, "physical.h_uav"),
     ({"run": {"dipole": {"uav_spin": True}}}, "run.dipole.uav_spin"),
+    # names must be strings: a repeated list item is not even hashable
+    ({"run": {"criteria": [["pf"], ["pf"]]}}, "run.criteria"),
+    ({"run": {"modes": [1]}}, "run.modes"),
+    ({"run": {"antenna_modes": ["omni", None]}}, "run.antenna_modes"),
+    ({"models": {"uav_ue": [{"mplm": 1}]}}, "models.uav_ue"),
+    # Python's json reads NaN and Infinity; no physical constant may be either
+    ({"models": {"uav_ue": ["mplm"]}, "physical": {"alpha_los": float("nan")}},
+     "physical: alpha_los must be finite"),
+    ({"physical": {"v_max": float("nan")}}, "physical: v_max must be finite"),
+    ({"physical": {"outage_threshold": float("nan")}},
+     "physical: outage_threshold must be finite"),
+    ({"physical": {"h_bs": float("inf")}}, "physical: h_bs must be finite"),
+    ({"physical": {"v_max": 10 ** 400}}, "physical: int too large"),
+    ({"mission": {"duration_t": float("inf")}}, "mission: duration_t must be finite"),
+    ({"mission": {"stage_dt": float("nan")}}, "mission: stage_dt must be finite"),
+    ({"mission": {"area_uav": [-100, -100, float("inf"), 1100]}},
+     "mission: area_uav must have finite, positive extent"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -175,6 +231,15 @@ INVALID_VALUES = [
     ({"physical": {"h_uav": 400}, "models": {"backhaul": "uma_av"},
       "run": {"modes": ["standalone", "relay"]}},
      "UMa-AV backhaul model requires altitude in [22.5, 300.0] m"),
+    ({"models": {"uav_ue": ["mplm"], "mplm": {"reference": float("nan")}}},
+     "mplm.reference=nan must be finite"),
+    ({"models": {"mplm": {"b_hat": float("nan")}}}, "mplm building parameters"),
+    ({"models": {"mplm": {"c_hat": float("inf")}}}, "mplm building parameters"),
+    ({"sweep": {"n_mbs_values": [float("inf")]}}, "n_mbs=inf exceeds"),
+    # every one of a scenario's draws would have too few MBSs
+    ({"showcase": {"n_mbs": 1e-300}}, "showcase_n_mbs=1e-300 is too small"),
+    ({"models": {"backhaul": "uma_av"}, "run": {"modes": ["relay"]},
+      "sweep": {"n_mbs_values": [0.003]}}, "n_mbs=0.003 is too small"),
 ]
 
 BARE_STRINGS = [
@@ -261,6 +326,17 @@ class TestValidation:
         doc = small_run_doc(physical={"f_c_mhz": 2600.0})
         diags = from_json_dict(doc).validate()
         assert any("OHPLM" in d for d in diags)
+
+    @pytest.mark.parametrize("n_mbs,modes,ok", [
+        (3e-4, ["standalone"], True), (2.5e-4, ["standalone"], False),
+        (0.025, ["relay"], True), (0.02, ["relay"], False), (0.5, ["relay"], True)])
+    def test_mbs_shortfall_bound(self, n_mbs, modes, ok):
+        # 100001 draws all below min_mbs: exp(-n)**100001 (min 1) or
+        # (exp(-n) * (1 + n))**100001 (min 2) against 1e-12
+        doc = {**MINIMAL, "models": {"backhaul": "uma_av"}, "run": {"modes": modes},
+               "sweep": {"n_mbs_values": [n_mbs]}}
+        diags = from_json_dict(doc).validate()
+        assert (diags == []) == ok, diags
 
     def test_default_config_is_clean(self):
         assert RunConfig().validate() == []

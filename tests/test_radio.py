@@ -11,7 +11,7 @@ from uavrelay.config import RunConfig
 from uavrelay.pathloss import LinkModels, MplmModel, OhplmModel, BackhaulUmaAvModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import (AntennaSetup, associate, criterion_reward,
-                            dbm_to_mw, link_budget, relay_end_to_end_sir, stage_rates)
+                            dbm_to_mw, relay_end_to_end_sir, stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
 
 OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
@@ -45,6 +45,15 @@ def received_power(tx_index, ue_xy, scn, uav_pos, models, ants) -> float:
     geom = LinkGeometry((float(tx_xy[0]), float(tx_xy[1]), h_tx),
                         (float(ue_xy[0]), float(ue_xy[1]), cfg.h_ue), tx_mode=mode)
     return p * tx_gain(geom)
+
+
+def link_budget(scn, uav_pos, models, ants, ue_xy=None) -> np.ndarray:
+    """Received power (mW) at each UE from each transmitter, UAV last; (..., K, M+1)."""
+    p_mbs, p_uav = radio.link_budget(scn, uav_pos, models, ants, ue_xy)
+    out = np.empty(p_uav.shape + (scn.n_mbs + 1,))  # C order: numpy's last-axis sum order
+    out[..., :-1] = np.swapaxes(p_mbs, -1, -2)  # one MBS block for every position
+    out[..., -1] = p_uav
+    return out
 
 
 def direct_sir(ue_index: int, server_index: int, powers) -> float:
@@ -602,3 +611,41 @@ class TestTransmitterMajorKernel:
             probe = link_budget(scn, row, MODELS, DIPOLE, ue_xy=row[:, None, :])[:, 0]
             want[iy] = 10.0 * np.log10((probe / (probe.sum(-1, keepdims=True) - probe)).max(-1))
         assert np.array_equal(radio.max_sir_map(scn, MODELS, DIPOLE, grid), want)
+
+    def test_max_sir_map_without_interference_is_inf(self):
+        # one MBS, and the UAV dipole's nadir null hides the UAV from the probe below it
+        scn = make_scenario([[130.0, 270.0]], [[500.0, 500.0]], lambda_mbs=1.0)
+        max_sir = radio.max_sir_map(scn, MODELS, DIPOLE, StateGrid.from_mission(Mission()))
+        assert np.all(np.isposinf(max_sir))
+
+
+@pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
+def test_every_power_computation_goes_through_link_budget(monkeypatch, ants):
+    """associate (both modes) and max_sir_map each call radio.link_budget once.
+
+    perfbench's tracer counts MBS->UE work on that module global; a kernel
+    that computes powers past it would make the count read 0 without failing.
+    """
+    scn = SCENARIOS["dense"]()
+    grid = StateGrid.from_mission(Mission())
+    calls = []
+    original = radio.link_budget
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    runs = [lambda mode=mode: associate(scn, POSITION_GRID, mode, MODELS, ants)
+            for mode in radio.MODES]
+    runs.append(lambda: radio.max_sir_map(scn, MODELS, ants, grid))
+    for run in runs:
+        want = run()
+        monkeypatch.setattr(radio, "link_budget", counting)
+        got = run()
+        monkeypatch.setattr(radio, "link_budget", original)
+        assert calls == [scn]
+        calls.clear()
+        if isinstance(want, radio.AssociationSnapshot):
+            assert_same_association(got, want)
+        else:
+            assert np.array_equal(got, want)
