@@ -47,7 +47,7 @@ class CrossedDipole:
 
     def __post_init__(self) -> None:
         if self.spin not in (-1, 1):
-            raise ValueError("spin must be +1 or -1")
+            raise ValueError(f"dipole spins must be +1 or -1, got {self.spin!r}")
 
 
 AntennaMode = Omni | CrossedDipole

@@ -17,7 +17,7 @@ from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
 from .scenario import (_MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig,
-                       area_km2, rect_contains, t_min)
+                       area_km2, t_min)
 
 SCHEMA_VERSION = 1
 
@@ -96,6 +96,9 @@ class RunConfig:
             return 0.0
         if ref == "friis_1m":
             return fspl(1.0, self.physical.f_c_mhz)
+        if isinstance(ref, str) or not math.isfinite(ref):
+            raise ConfigError(f"mplm.reference={ref} must be finite or one of "
+                              f"{MPLM_REFERENCES}")
         return float(ref)
 
     def ue_model(self, name: str):
@@ -141,7 +144,8 @@ class RunConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Every violated invariant, as human-readable diagnostics."""
+        """Every violated invariant, as human-readable diagnostics: the ValueError of
+        each builder a run calls, then the rules that span fields."""
         out: list[str] = []
         if self.schema_version != SCHEMA_VERSION:
             out.append(f"schema_version must be {SCHEMA_VERSION}, got {self.schema_version}")
@@ -172,45 +176,33 @@ class RunConfig:
             problem = uma_av_altitude_problem(self.physical.h_uav)
             if problem:
                 out.append(problem)
-        if self.mplm.variant not in ("corrected", "as_written"):
-            out.append("mplm.variant must be 'corrected' or 'as_written'")
-        if isinstance(self.mplm.reference, str):
-            if self.mplm.reference not in MPLM_REFERENCES:
-                out.append(f"mplm.reference must be a dB number or one of {MPLM_REFERENCES}")
-        elif not math.isfinite(self.mplm.reference):
-            out.append(f"mplm.reference={self.mplm.reference} must be finite")
-        if not (0 < self.mplm.a_hat < 1 and 0 < self.mplm.b_hat < math.inf
-                and 0 < self.mplm.c_hat < math.inf):
-            out.append("mplm building parameters out of range")
-        if self.dipole.mbs_spin not in (-1, 1) or self.dipole.uav_spin not in (-1, 1):
-            out.append("dipole spins must be +1 or -1")
+        # MPLM too when no link uses it: its settings are part of the config
+        for name in UE_LINK_MODELS:
+            if name in (self.mbs_ue_model, *self.uav_ue_models, "mplm"):
+                _built(out, self.ue_model, name)
+        for name in ANTENNA_MODES:
+            _built(out, self.antenna_setup, name)
 
         uses_ohplm = self.mbs_ue_model == "ohplm" or "ohplm" in self.uav_ue_models
         lo, hi = OHPLM_FC_RANGE
         if uses_ohplm and not (lo <= self.physical.f_c_mhz <= hi):
             out.append(f"f_c_mhz={self.physical.f_c_mhz} outside OHPLM range [{lo}, {hi}]")
 
-        try:
-            grid = StateGrid.from_mission(self.mission, self.cell_m)
-            actions = ActionSet.standard(self.cell_m, self.mission.stage_dt, self.physical.v_max)
-            # fewest grid stages from start to finish, whatever T is
-            need_stages = min_stages(grid, actions)
-        except ValueError as exc:
-            out.append(str(exc))
-            need_stages = 0
+        grid = _built(out, StateGrid.from_mission, self.mission, self.cell_m)
+        actions = _built(out, ActionSet.standard, self.cell_m, self.mission.stage_dt,
+                         self.physical.v_max)
+        # fewest grid stages from start to finish, whatever T is
+        need_stages = 0 if grid is None or actions is None else min_stages(grid, actions)
         need = t_min(self.mission.start, self.mission.finish, self.physical.v_max)
         for t in dict.fromkeys(tuple(self.sweep_t) + (self.showcase_t,)):
-            if not (math.isfinite(t) and t > 0):
-                out.append(f"duration T={t} must be finite and positive")
+            mission = _built(out, self.mission_for, t, prefix=f"duration T={t}: ")
+            if mission is None:
                 continue
             if t < need:
                 out.append(f"T={t}s is below T_min={need:.3f}s")
-            n = t / self.mission.stage_dt
-            if abs(n - round(n)) > 1e-9:
-                out.append(f"T={t}s is not a multiple of stage_dt={self.mission.stage_dt}s")
-            elif t >= need and round(n) < need_stages:
+            elif mission.n_stages < need_stages:
                 # grid moves are slower than v_max along most headings
-                out.append(f"T={t}s gives {round(n)} stages of {self.mission.stage_dt}s, "
+                out.append(f"T={t}s gives {mission.n_stages} stages of {mission.stage_dt}s, "
                            f"but the grid path from start to finish needs {need_stages}")
         # expected node counts, computed as generate_scenario computes them
         area = area_km2(self.mission.area_ue)
@@ -231,9 +223,6 @@ class RunConfig:
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
             out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
-
-        if not rect_contains(self.mission.area_uav, [self.mission.start, self.mission.finish]):
-            out.append("mission endpoints must lie inside the flight area")
         return out
 
     def to_json_dict(self) -> dict:
@@ -264,6 +253,14 @@ class RunConfig:
             "showcase": {"t": self.showcase_t, "n_mbs": self.showcase_n_mbs},
         }
         return d
+
+
+def _built(out: list[str], build, *args, prefix: str = ""):
+    """build(*args), or None after appending its ValueError's text to out."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        out.append(f"{prefix}{exc}")
 
 
 def _log_shortfall_chance(mean: float, min_mbs: int) -> float:

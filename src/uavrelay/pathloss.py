@@ -23,6 +23,9 @@ OHPLM_HBS_RANGE = (30.0, 200.0)
 OHPLM_HUE_RANGE = (1.0, 10.0)
 OHPLM_D_RANGE = (1000.0, 10_000.0)
 
+# The two forms of the building-row LoS probability (see los_probability).
+LOS_VARIANTS = ("corrected", "as_written")
+
 # 3GPP UMa aerial-vehicle LoS model validity (receiver altitude, meters).
 UMA_AV_ALTITUDE_RANGE = (22.5, 300.0)
 
@@ -112,10 +115,14 @@ class BuildingModel:
     c_hat: float = 10.0   # Rayleigh parameter of building heights, m
 
     def __post_init__(self) -> None:
-        if not (0 < self.a_hat < 1):
-            raise ValueError("a_hat must lie in (0, 1)")
-        if self.b_hat <= 0 or self.c_hat <= 0:
-            raise ValueError("b_hat and c_hat must be positive")
+        # los_probability loops over the building rows a ray crosses: at most one row
+        # per metre keeps that loop short. Height scales from 1 mm to 1 km keep
+        # 2 c_hat^2 a normal, finite double.
+        if not (0 < self.a_hat < 1 and 0 < self.b_hat and 1e-3 <= self.c_hat <= 1e3
+                and math.sqrt(self.a_hat * self.b_hat) <= 1000.0):
+            raise ValueError("mplm building parameters out of range: need 0 < a_hat < 1, "
+                             "b_hat > 0, 1e-3 <= c_hat <= 1e3 m and sqrt(a_hat*b_hat) <= "
+                             f"1000 rows per km, got {self}")
 
 
 def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None = None,
@@ -129,7 +136,7 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
     rows; 'as_written' keeps the unsquared, uninterpolated exponent (factors
     clamped into [0, 1], where the raw expression escapes them).
     """
-    if variant not in ("corrected", "as_written"):
+    if variant not in LOS_VARIANTS:
         raise ValueError(f"unknown LoS formula variant {variant!r}")
     if h_uav <= 0 or h_ue <= 0 or h_uav <= h_ue:
         raise ValueError("heights must satisfy h_uav > h_ue > 0")
@@ -238,6 +245,10 @@ class MplmModel:
     variant: str = "corrected"
     ref_db: float = 0.0
     name = "mplm"
+
+    def __post_init__(self) -> None:
+        if self.variant not in LOS_VARIANTS:
+            raise ValueError(f"mplm.variant {self.variant!r} must be one of {LOS_VARIANTS}")
 
     def loss_db(self, d3d, z, *, f_c_mhz, h_tx, h_rx):
         return mixture_path_gain(

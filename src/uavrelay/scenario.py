@@ -17,6 +17,14 @@ Rect = tuple[float, float, float, float]
 _MAX_MBS_REDRAWS = 100_000
 # largest Poisson mean whose exp(-mean) start term stays a normal double
 MAX_POISSON_MEAN = 700.0
+# Transmit powers from 1 uW to 10 kW. Far outside this range (beyond about +-3000 dBm)
+# 10**(p/10) overflows or the received power rounds to 0 mW. Well before that, a
+# 140 dB gap between the two powers can let one received power swallow the
+# interference sum it is part of, which makes its SIR infinite.
+TX_POWER_DBM_RANGE = (-30.0, 70.0)
+# Heights stay below the 20 km of stratospheric platforms; far above it the squared
+# link distances overflow.
+MAX_HEIGHT_M = 20_000.0
 
 
 def area_km2(rect: Rect) -> float:
@@ -37,8 +45,9 @@ def rect_contains(rect: Rect, xy, tol: float = 1e-9) -> bool:
 
 def _check_rect(rect: Rect, name: str) -> None:
     xmin, ymin, xmax, ymax = rect
-    if not (xmax > xmin and ymax > ymin and math.isfinite(xmax - xmin + ymax - ymin)):
-        raise ValueError(f"{name} must have finite, positive extent, got {rect}")
+    # a positive extent can still have an area that rounds to 0 km^2
+    if not (xmax > xmin and ymax > ymin and 0 < area_km2(rect) < math.inf):
+        raise ValueError(f"{name} must have finite, positive extent and area, got {rect}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +71,16 @@ class PhysicalConfig:
         for name in self.__dataclass_fields__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        lo, hi = TX_POWER_DBM_RANGE
+        for name in ("p_mbs_dbm", "p_uav_dbm"):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name}={getattr(self, name)} must lie in [{lo}, {hi}] dBm")
         if self.v_max <= 0:
             raise ValueError("v_max must be positive")
         if not (self.h_uav > self.h_bs > self.h_ue > 0):
             raise ValueError("heights must satisfy h_uav > h_bs > h_ue > 0")
+        if self.h_uav > MAX_HEIGHT_M:
+            raise ValueError(f"h_uav={self.h_uav} m is above the {MAX_HEIGHT_M:g} m ceiling")
         if self.f_c_mhz <= 0:
             raise ValueError("f_c_mhz must be positive")
         if self.lambda_mbs <= 0 or self.lambda_ue < 0:
@@ -215,8 +230,6 @@ def generate_scenario(config: PhysicalConfig, mission: Mission, seed: int,
     redrawn (count recorded in mbs_rejections); relay pipelines need
     min_mbs=2 so the backhaul keeps an interferer. A zero-UE draw is kept.
     """
-    _check_rect(mission.area_ue, "area_ue")
-    _check_rect(mission.area_uav, "area_uav")
     if min_mbs < 1:
         raise ValueError("min_mbs must be >= 1")
     need = t_min(mission.start, mission.finish, config.v_max)

@@ -119,7 +119,8 @@ def test_json_round_trip(cfg):
 @st.composite
 def one_point_documents(draw):
     """run_configs as JSON at one realization, T and density; some with a tiny
-    expected MBS count or a NaN physical constant."""
+    expected MBS count, a NaN physical constant, a power, height or building
+    density of +-1e300, or a node area that rounds to 0 km^2."""
     doc = draw(run_configs(h_uav_max=500.0)).to_json_dict()
     # repeated names are rejected by a check of their own; drop them for more runs
     doc["models"]["uav_ue"] = list(dict.fromkeys(doc["models"]["uav_ue"]))
@@ -137,6 +138,13 @@ def one_point_documents(draw):
     nan_field = draw(st.none() | st.sampled_from(list(PhysicalConfig.__dataclass_fields__)))
     if nan_field is not None:
         doc["physical"][nan_field] = float("nan")
+    extreme = draw(st.none() | st.sampled_from(["p_mbs_dbm", "p_uav_dbm", "h_uav", "b_hat",
+                                                "area_ue"]))
+    if extreme == "area_ue":
+        doc["mission"]["area_ue"] = [0.0, 0.0, 1e-200, 1e-200]
+    elif extreme is not None:
+        section = doc["models"]["mplm"] if extreme == "b_hat" else doc["physical"]
+        section[extreme] = draw(st.sampled_from([1e300, -1e300]))
     return doc
 
 
@@ -198,6 +206,16 @@ BAD_VALUES = [
     ({"mission": {"stage_dt": float("nan")}}, "mission: stage_dt must be finite"),
     ({"mission": {"area_uav": [-100, -100, float("inf"), 1100]}},
      "mission: area_uav must have finite, positive extent"),
+    # the extent is positive, but the area rounds to 0 km^2
+    ({"mission": {"area_ue": [0, 0, 1e-200, 1e-200]}},
+     "mission: area_ue must have finite, positive extent and area"),
+    # far outside their ranges, transmit powers overflow or round to 0 mW
+    ({"physical": {"p_mbs_dbm": 1e300}}, "physical: p_mbs_dbm="),
+    ({"physical": {"p_mbs_dbm": 4000}}, "physical: p_mbs_dbm=4000 must lie in"),
+    ({"physical": {"p_mbs_dbm": -4000}}, "physical: p_mbs_dbm=-4000 must lie in"),
+    # and heights overflow the squared link distances
+    ({"physical": {"h_uav": 1e300, "h_bs": 1e299}}, "m is above the 20000 m ceiling"),
+    ({"physical": {"h_uav": 1e150}}, "m is above the 20000 m ceiling"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -240,6 +258,11 @@ INVALID_VALUES = [
     ({"showcase": {"n_mbs": 1e-300}}, "showcase_n_mbs=1e-300 is too small"),
     ({"models": {"backhaul": "uma_av"}, "run": {"modes": ["relay"]},
       "sweep": {"n_mbs_values": [0.003]}}, "n_mbs=0.003 is too small"),
+    # validate builds MPLM, whose building grid bounds its row density and height scale
+    ({"models": {"uav_ue": ["mplm"], "mplm": {"b_hat": 1e300}}}, "mplm building parameters"),
+    ({"models": {"mplm": {"c_hat": 1e200}}}, "mplm building parameters"),
+    ({"models": {"mplm": {"variant": "bogus"}}}, "mplm.variant 'bogus' must be one of"),
+    ({"models": {"mplm": {"reference": "bogus"}}}, "mplm.reference=bogus must be finite"),
 ]
 
 BARE_STRINGS = [
@@ -337,6 +360,19 @@ class TestValidation:
                "sweep": {"n_mbs_values": [n_mbs]}}
         diags = from_json_dict(doc).validate()
         assert (diags == []) == ok, diags
+
+    def test_endpoint_outside_flight_area_reported_once(self):
+        diags = from_json_dict(small_run_doc(mission={"start": [-500, 0]})).validate()
+        assert diags == ["mission start (-500.0, 0.0) lies outside the flight area"]
+
+    def test_each_builder_error_reported_once(self):
+        doc = small_run_doc(models={"mplm": {"variant": "bogus"}},
+                            run={"criteria": ["pf"], "dipole": {"mbs_spin": 2}},
+                            sweep={"t_values": [161], "n_mbs_values": [4]})
+        assert from_json_dict(doc).validate() == [
+            "mplm.variant 'bogus' must be one of ('corrected', 'as_written')",
+            "dipole spins must be +1 or -1, got 2",
+            "duration T=161.0: duration_t=161.0 is not an integer multiple of stage_dt=8.0"]
 
     def test_default_config_is_clean(self):
         assert RunConfig().validate() == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrelay.pathloss import (BuildingModel, backhaul_path_loss, fspl,
+from uavrelay.pathloss import (BuildingModel, MplmModel, backhaul_path_loss, fspl,
                                hata_coefficients, hata_path_loss,
                                los_probability, mixture_path_gain)
 
@@ -99,6 +99,26 @@ class TestLosProbability:
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
             los_probability(10.0, 120.0, 2.0, variant="other")
+
+
+class TestModelDomains:
+    def test_mplm_rejects_a_bad_variant_at_construction(self):
+        with pytest.raises(ValueError, match="mplm.variant 'bogus' must be one of"):
+            MplmModel(variant="bogus")
+
+    @pytest.mark.parametrize("kw", [{"b_hat": math.inf}, {"c_hat": math.nan},
+                                    {"a_hat": 1.0}, {"b_hat": 0.0},
+                                    # more than one building row per metre
+                                    {"b_hat": 1e300}, {"b_hat": 1.0000001e7},
+                                    # 2 c_hat^2 would overflow or underflow
+                                    {"c_hat": 1e200}, {"c_hat": 1e-200}])
+    def test_building_model_rejects_out_of_range_at_construction(self, kw):
+        with pytest.raises(ValueError, match="mplm building parameters out of range"):
+            BuildingModel(**kw)
+
+    def test_building_model_accepts_its_bounds(self):
+        BuildingModel(a_hat=0.1, b_hat=1e7, c_hat=1e3)
+        BuildingModel(c_hat=1e-3)
 
 
 def los_probability_by_rows(z, h_uav, h_ue, bm, variant):

@@ -145,6 +145,26 @@ def test_physical_config_invariants():
         PhysicalConfig(p_mbs_dbm=float("inf"))
 
 
+@pytest.mark.parametrize("kw", [{"p_mbs_dbm": 1e300}, {"p_mbs_dbm": 4000.0},
+                                {"p_mbs_dbm": -4000.0}, {"p_uav_dbm": -1e300},
+                                {"p_uav_dbm": 70.5}, {"h_uav": 1e300, "h_bs": 1e299},
+                                {"h_uav": 1e150}, {"h_uav": 20_000.5}])
+def test_physical_config_bounds_powers_and_heights(kw):
+    with pytest.raises(ValueError, match="dBm|ceiling"):
+        PhysicalConfig(**kw)
+
+
+def test_physical_config_accepts_its_bounds():
+    PhysicalConfig(p_mbs_dbm=70.0, p_uav_dbm=-30.0, h_uav=20_000.0)
+    PhysicalConfig(p_mbs_dbm=-30.0, p_uav_dbm=70.0)
+
+
+def test_rejects_an_area_that_rounds_to_zero():
+    # the extent is positive, but (1e-200 m)^2 is 0 km^2
+    with pytest.raises(ValueError, match="positive extent and area"):
+        Mission(area_ue=(0.0, 0.0, 1e-200, 1e-200))
+
+
 def test_json_round_trip(tmp_path):
     scn = generate_scenario(PhysicalConfig(), Mission(), 77)
     path = tmp_path / "scenario.json"
