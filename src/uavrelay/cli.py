@@ -13,7 +13,6 @@ unparsable input.
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import importlib.resources
 import json
 import math
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, output, pathloss, radio
+from . import __version__, metrics, output, pathloss, radio
 from .antenna import CrossedDipole, radiation_gain
 from .config import ConfigError, RunConfig, from_json_dict, load_config
 # unused here: perfbench/spans.py wraps cli.solve_dp and cli.generate_scenario by name
@@ -31,13 +30,6 @@ from .planner import solve_dp
 from .scenario import generate_scenario
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
-
-
-def package_version() -> str:
-    try:
-        return importlib.metadata.version("uavrelay")
-    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
-        return "unknown"
 
 
 def load_preset(name: str) -> RunConfig:
@@ -68,12 +60,17 @@ class _OutputTracker:
         return self.out_dir / name
 
 
+def _rejected(cfg: RunConfig) -> bool:
+    """Print cfg's validation diagnostics to stderr; True if there are any."""
+    diagnostics = cfg.validate()
+    for d in diagnostics:
+        print(f"config error: {d}", file=sys.stderr)
+    return bool(diagnostics)
+
+
 def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
     """Validate cfg, then call write(cfg, tracker); on failure remove what it wrote."""
-    diagnostics = cfg.validate()
-    if diagnostics:
-        for d in diagnostics:
-            print(f"config error: {d}", file=sys.stderr)
+    if _rejected(cfg):
         return 1
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -113,7 +110,7 @@ def cmd_run(args) -> int:
         _write_showcase(cfg, out)
         manifest = {
             "package": "uavrelay",
-            "version": package_version(),
+            "version": __version__,
             "master_seed": cfg.master_seed,
             "config": cfg.to_json_dict(),
             "outputs": sorted(out.names),
@@ -136,6 +133,8 @@ def cmd_validate(args) -> int:
 
 def cmd_pathloss_table(args) -> int:
     cfg = _resolve_config(args) if (args.config or args.preset) else RunConfig()
+    if _rejected(cfg):
+        return 1
     phys = cfg.physical
     distances = np.arange(50.0, 1501.0, 25.0)
     dh = phys.h_uav - phys.h_ue

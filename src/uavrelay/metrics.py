@@ -16,7 +16,6 @@ realization 0 planned at the showcase duration.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -236,6 +235,8 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
 
     tasks = [(cfg, n_mbs, j) for n_mbs in cfg.sweep_n_mbs for j in range(cfg.realizations)]
     if jobs > 1:
+        # imported here: the process pool costs serial runs import time and nothing else
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_realization_task, tasks))
     else:

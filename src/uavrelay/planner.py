@@ -10,7 +10,6 @@ used to verify the recursion on small instances.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,27 +134,28 @@ class StateGrid:
         return 0 <= ix < self.nx and 0 <= iy < self.ny
 
 
+_COMPASS = {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)} - {(0, 0)}
+
+
+def _stage_count(actions: ActionSet, dx, dy):
+    """Fewest stages over the cell offset (dx, dy): one compass move per stage, max(|dx|, |dy|)."""
+    moves = {(a.dx, a.dy) for a in actions if not a.is_hover}
+    if moves != _COMPASS:
+        raise ValueError(f"stage counts need the eight unit compass moves, got {sorted(moves)}")
+    return np.maximum(np.abs(dx), np.abs(dy))
+
+
 def min_stages_between(grid: StateGrid, actions: ActionSet,
                        source: tuple[int, int]) -> np.ndarray:
-    """BFS stage counts from `source` to every cell under the action set."""
-    dist = np.full((grid.ny, grid.nx), -1, dtype=int)
-    dist[source[1], source[0]] = 0
-    queue = deque([source])
-    moves = [(a.dx, a.dy) for a in actions if not a.is_hover]
-    while queue:
-        ix, iy = queue.popleft()
-        for dx, dy in moves:
-            jx, jy = ix + dx, iy + dy
-            if grid.in_bounds(jx, jy) and dist[jy, jx] < 0:
-                dist[jy, jx] = dist[iy, ix] + 1
-                queue.append((jx, jy))
-    return dist
+    """(ny, nx) stage counts from `source` to every cell under the action set."""
+    iy, ix = np.ogrid[:grid.ny, :grid.nx]
+    return _stage_count(actions, ix - source[0], iy - source[1])
 
 
 def min_stages(grid: StateGrid, actions: ActionSet) -> int:
-    """Fewest stages from the start cell to the finish cell; -1 if unreachable."""
-    dist = min_stages_between(grid, actions, grid.finish_cell)
-    return int(dist[grid.start_cell[1], grid.start_cell[0]])
+    """Fewest stages from the start cell to the finish cell, in O(1)."""
+    (sx, sy), (fx, fy) = grid.start_cell, grid.finish_cell
+    return int(_stage_count(actions, sx - fx, sy - fy))
 
 
 @dataclass(eq=False)
@@ -278,8 +278,7 @@ def enumerate_paths(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
     cells_buf: list[tuple[int, int]] = [grid.start_cell]
 
     def rec(cell: tuple[int, int], stage: int) -> None:
-        d = dist[cell[1], cell[0]]
-        if d < 0 or d > n - stage:
+        if dist[cell[1], cell[0]] > n - stage:
             return
         if stage == n:
             total = 0.0

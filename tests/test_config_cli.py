@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,10 @@ INVALID_VALUES = [
     ({"models": {"mplm": {"c_hat": 1e200}}}, "mplm building parameters"),
     ({"models": {"mplm": {"variant": "bogus"}}}, "mplm.variant 'bogus' must be one of"),
     ({"models": {"mplm": {"reference": "bogus"}}}, "mplm.reference=bogus must be finite"),
+    # the stage count is a closed form, so a fine lattice is refused at once
+    ({"run": {"cell_m": 0.5}}, "the grid path from start to finish needs 2000"),
+    ({"run": {"cell_m": 0.01}}, "the grid path from start to finish needs 100000"),
+    ({"run": {"cell_m": 0.001}}, "the grid path from start to finish needs 1000000"),
 ]
 
 BARE_STRINGS = [
@@ -516,6 +521,15 @@ class TestCli:
         models = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert models == {"ohplm_mbs", "ohplm_uav", "fspl", "mplm"}
 
+    @pytest.mark.parametrize("mplm,where", [({"b_hat": 1e300}, "mplm building parameters"),
+                                            ({"variant": "bogus"}, "mplm.variant 'bogus'")])
+    def test_pathloss_table_validates_its_config(self, tmp_path, capsys, mplm, where):
+        path = self.write_config(tmp_path, {**MINIMAL, "models": {"mplm": mplm}})
+        out = tmp_path / "pl.csv"
+        assert cli.main(["pathloss-table", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: {where}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_antenna_pattern(self, tmp_path):
         out = tmp_path / "ant.csv"
         assert cli.main(["antenna-pattern", "--out", str(out)]) == 0
@@ -618,3 +632,8 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_version_is_the_pyproject_version():
+    with (Path(__file__).parents[1] / "pyproject.toml").open("rb") as f:
+        assert uavrelay.__version__ == tomllib.load(f)["project"]["version"]

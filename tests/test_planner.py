@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,17 @@ class TestFeasibility:
         mission = Mission(finish=(0.0, 0.0), duration_t=240.0)
         grid = StateGrid.from_mission(mission)
         assert min_stages(grid, ACTIONS) == 0
+
+    def test_million_cell_wide_lattice_counts_at_once(self):
+        grid = toy_grid(10**6, 2, (0, 1), (10**6 - 1, 0), 30)
+        t0 = time.perf_counter()
+        assert min_stages(grid, ACTIONS) == 10**6 - 1
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_cardinal_moves_alone_are_refused(self):
+        cardinal = ActionSet(tuple(a for a in ACTIONS if a.dx == 0 or a.dy == 0))
+        with pytest.raises(ValueError, match="eight unit compass moves"):
+            min_stages(toy_grid(3, 3, (0, 0), (2, 2), 4), cardinal)
 
     def test_bfs_matches_chebyshev_on_open_grid(self):
         grid = toy_grid(13, 13, (1, 1), (11, 11), 30)
