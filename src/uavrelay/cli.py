@@ -87,7 +87,7 @@ def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
 
 def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
     """Trajectories, smoothed curves and heat maps of sweep realization 0 at the showcase point."""
-    scn = metrics.scenario_for(cfg, cfg.showcase_n_mbs, 0, cfg.showcase_t)
+    scn = metrics.scenario_for(cfg, cfg.showcase_n_mbs, 0)
     max_sir_maps = {}  # the SIR probe depends on the links and antennas, not the mode
     for (model_name, antenna_name, mode, models, ants), grid, maps, runs in (
             metrics.plan_combinations(cfg, scn, (cfg.showcase_t,))):

@@ -16,8 +16,7 @@ from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
-from .scenario import (_MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig,
-                       area_km2, t_min)
+from .scenario import _MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2
 
 SCHEMA_VERSION = 1
 
@@ -29,6 +28,12 @@ MPLM_REFERENCES = ("unit", "friis_1m")
 # and all redraws) falls below min_mbs with a larger chance: the run would
 # fail on that realization after computing everything before it.
 MBS_SHORTFALL_CHANCE = 1e-12
+# Byte budget of each lattice-sized array of a run: the DP policy of one duration
+# (an int8 per cell and stage) and the grid association's tx->UE directions (three
+# float64 per cell and node). A one-realization run of the default mission at cell_m
+# 10 and 5 peaked at about 37 MiB plus 2.5 times the association's bytes, so a run
+# within the budget stays below about 0.7 GiB per process.
+LATTICE_BYTES = 256 * 2**20
 
 
 class ConfigError(ValueError):
@@ -161,6 +166,8 @@ class RunConfig:
                                        ("antenna mode", self.antenna_modes, ANTENNA_MODES),
                                        ("sweep T", self.sweep_t, None),
                                        ("sweep n_mbs", self.sweep_n_mbs, None)):
+            if not values:
+                out.append(f"no {label} is listed")
             out += [f"{label} {v!r} must be one of {allowed}" for v in values
                     if allowed and v not in allowed]
             # a repeated value would add its samples to the same sweep point again
@@ -183,6 +190,10 @@ class RunConfig:
         for name in ANTENNA_MODES:
             _built(out, self.antenna_setup, name)
 
+        if self.physical.lambda_mbs != PhysicalConfig.lambda_mbs:
+            out.append(f"physical.lambda_mbs={self.physical.lambda_mbs} is not read: "
+                       f"sweep.n_mbs_values and showcase.n_mbs set the MBS density")
+
         uses_ohplm = self.mbs_ue_model == "ohplm" or "ohplm" in self.uav_ue_models
         lo, hi = OHPLM_FC_RANGE
         if uses_ohplm and not (lo <= self.physical.f_c_mhz <= hi):
@@ -193,19 +204,22 @@ class RunConfig:
                          self.physical.v_max)
         # fewest grid stages from start to finish, whatever T is
         need_stages = 0 if grid is None or actions is None else min_stages(grid, actions)
-        need = t_min(self.mission.start, self.mission.finish, self.physical.v_max)
+        cells = 0 if grid is None else grid.nx * grid.ny
         for t in dict.fromkeys(tuple(self.sweep_t) + (self.showcase_t,)):
             mission = _built(out, self.mission_for, t, prefix=f"duration T={t}: ")
             if mission is None:
                 continue
-            if t < need:
-                out.append(f"T={t}s is below T_min={need:.3f}s")
-            elif mission.n_stages < need_stages:
-                # grid moves are slower than v_max along most headings
+            # the action set caps the diagonal speed at v_max, so this rule also
+            # keeps T above the straight-line time at v_max
+            if mission.n_stages < need_stages:
                 out.append(f"T={t}s gives {mission.n_stages} stages of {mission.stage_dt}s, "
                            f"but the grid path from start to finish needs {need_stages}")
+            elif cells * mission.n_stages > LATTICE_BYTES:
+                out.append(f"T={t}s: the DP policy over {grid.nx}x{grid.ny} cells and "
+                           f"{mission.n_stages} stages {_over_budget(cells * mission.n_stages)}")
         # expected node counts, computed as generate_scenario computes them
         area = area_km2(self.mission.area_ue)
+        nodes = self.min_mbs  # largest expected count of one node class; a draw has min_mbs
         for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]
                              + [("showcase_n_mbs", self.showcase_n_mbs)]):
             if not n_mbs > 0:
@@ -216,13 +230,21 @@ class RunConfig:
             if not mean <= MAX_POISSON_MEAN:
                 out.append(f"{label}={n_mbs} exceeds the largest expected node "
                            f"count {MAX_POISSON_MEAN:g}")
-            elif _log_shortfall_chance(mean, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
+                continue
+            nodes = max(nodes, mean)
+            if _log_shortfall_chance(mean, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
                 out.append(f"{label}={n_mbs} is too small: all {_MAX_MBS_REDRAWS + 1} draws "
                            f"of a scenario fall below min_mbs={self.min_mbs} with a chance "
                            f"above {MBS_SHORTFALL_CHANCE:g}")
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
             out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
+        else:
+            nodes = max(nodes, self.physical.lambda_ue * area)
+        association = cells * nodes * 24  # three float64 per cell and node
+        if association > LATTICE_BYTES:
+            out.append(f"run.cell_m={self.cell_m}: the grid association over {grid.nx}x"
+                       f"{grid.ny} cells and {nodes:g} expected nodes {_over_budget(association)}")
         return out
 
     def to_json_dict(self) -> dict:
@@ -261,6 +283,11 @@ def _built(out: list[str], build, *args, prefix: str = ""):
         return build(*args)
     except ValueError as exc:
         out.append(f"{prefix}{exc}")
+
+
+def _over_budget(size: float) -> str:
+    return (f"takes {size / 2**20:.0f} MiB, above the lattice budget of "
+            f"{LATTICE_BYTES / 2**20:g} MiB")
 
 
 def _log_shortfall_chance(mean: float, min_mbs: int) -> float:

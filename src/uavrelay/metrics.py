@@ -141,9 +141,9 @@ def realization_seed(master_seed: int, j: int) -> int:
     return master_seed + j
 
 
-def scenario_for(cfg: RunConfig, n_mbs: float, j: int, duration_t: float) -> Scenario:
-    """Realization j at n_mbs; the duration only sets the T_min check, not the nodes."""
-    return generate_scenario(cfg.physical_for(n_mbs), cfg.mission_for(duration_t),
+def scenario_for(cfg: RunConfig, n_mbs: float, j: int) -> Scenario:
+    """Realization j at n_mbs; its nodes serve every mission duration."""
+    return generate_scenario(cfg.physical_for(n_mbs), cfg.mission,
                              realization_seed(cfg.master_seed, j), min_mbs=cfg.min_mbs)
 
 
@@ -181,8 +181,7 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     maps each sweep point (T, n_mbs, ComboKey, evaluation) to this
     realization's (mean capacity, outage).
     """
-    t_values = tuple(t_values)
-    scn = scenario_for(cfg, n_mbs, j, max(t_values))
+    scn = scenario_for(cfg, n_mbs, j)
     samples: dict[tuple, tuple[float, float]] = {}
     violations = 0
     for (model_name, antenna_name, mode, models, ants), _, maps, runs in plan_combinations(

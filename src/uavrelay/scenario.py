@@ -126,15 +126,6 @@ class Mission:
         return round(self.duration_t / self.stage_dt)
 
 
-def t_min(start, finish, v_max: float) -> float:
-    """Minimum mission time: straight-line distance at top speed."""
-    if v_max <= 0:
-        raise ValueError("v_max must be positive")
-    dx = finish[0] - start[0]
-    dy = finish[1] - start[1]
-    return math.hypot(dx, dy) / v_max
-
-
 @dataclass(eq=False)
 class Scenario:
     """One frozen network realization. Treated as immutable once built."""
@@ -229,15 +220,11 @@ def generate_scenario(config: PhysicalConfig, mission: Mission, seed: int,
     min_mbs MBSs leaves the interference-limited model undefined and is
     redrawn (count recorded in mbs_rejections); relay pipelines need
     min_mbs=2 so the backhaul keeps an interferer. A zero-UE draw is kept.
+    The draw reads only the densities, the node area and the seed, so one
+    realization serves every mission duration.
     """
     if min_mbs < 1:
         raise ValueError("min_mbs must be >= 1")
-    need = t_min(mission.start, mission.finish, config.v_max)
-    if mission.duration_t < need:
-        raise ValueError(
-            f"duration_t={mission.duration_t:.3f}s is below the minimum "
-            f"{need:.3f}s required at v_max={config.v_max} m/s"
-        )
 
     root = np.random.PCG64(seed)
     rng_mbs_count = np.random.Generator(root)

@@ -15,7 +15,7 @@ from uavrelay import cli, radio
 from uavrelay.config import (ANTENNA_MODES, MPLM_REFERENCES, UE_LINK_MODELS, ConfigError,
                              DipoleSettings, MplmSettings, RunConfig, from_json_dict,
                              load_config)
-from uavrelay.planner import ActionSet, StateGrid, solve_dp
+from uavrelay.planner import ActionSet, StateGrid, min_stages, solve_dp
 from uavrelay.radio import CRITERIA, MODES, RELAY_RULES
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
 from uavrelay.smoothing import smooth
@@ -119,9 +119,9 @@ def test_json_round_trip(cfg):
 
 @st.composite
 def one_point_documents(draw):
-    """run_configs as JSON at one realization, T and density; some with a tiny
-    expected MBS count, a NaN physical constant, a power, height or building
-    density of +-1e300, or a node area that rounds to 0 km^2."""
+    """run_configs as JSON at one realization, T and density; some with an empty
+    list, a tiny expected MBS count, a NaN physical constant, a power, height or
+    building density of +-1e300, or a node area that rounds to 0 km^2."""
     doc = draw(run_configs(h_uav_max=500.0)).to_json_dict()
     # repeated names are rejected by a check of their own; drop them for more runs
     doc["models"]["uav_ue"] = list(dict.fromkeys(doc["models"]["uav_ue"]))
@@ -130,6 +130,12 @@ def one_point_documents(draw):
     doc["run"]["realizations"] = 1
     doc["sweep"] = {"t_values": doc["sweep"]["t_values"][:1],
                     "n_mbs_values": doc["sweep"]["n_mbs_values"][:1]}
+    empty = draw(st.none() | st.sampled_from([("models", "uav_ue"), ("run", "criteria"),
+                                              ("run", "modes"), ("run", "antenna_modes"),
+                                              ("sweep", "t_values"),
+                                              ("sweep", "n_mbs_values")]))
+    if empty is not None:
+        doc[empty[0]][empty[1]] = []
     tiny = draw(st.none() | st.sampled_from([1e-6, 0.003]))
     if tiny is not None:
         if draw(st.booleans()):
@@ -161,6 +167,36 @@ def test_validate_accepts_exactly_what_runs(doc):
         ran = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert validated in (0, 1)
     assert ran == validated
+
+
+@st.composite
+def lattice_missions(draw):
+    """A Mission with lattice endpoints, a cell size and an action set that fits v_max."""
+    cell_m = draw(st.sampled_from([25.0, 50.0, 100.0, 150.0, 200.0, 300.0]))
+    stage_dt = draw(st.sampled_from([2.0, 4.0, 8.0, 10.0, 12.5]))
+    n = round(1200.0 / cell_m)
+    corner = st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        lambda ij: (-100.0 + ij[0] * cell_m, -100.0 + ij[1] * cell_m))
+    v_diag = cell_m * 2 ** 0.5 / stage_dt
+    # v_max at the diagonal speed is where the straight-line time is tightest
+    v_max = draw(st.just(v_diag) | _finite(v_diag, 4 * v_diag))
+    mission = Mission(start=draw(corner), finish=draw(corner),
+                      duration_t=draw(st.integers(1, 3 * n)) * stage_dt, stage_dt=stage_dt)
+    return mission, cell_m, v_max
+
+
+@given(drawn=lattice_missions())
+@settings(max_examples=300, deadline=None)
+def test_duration_rejected_exactly_below_the_stage_budget(drawn):
+    mission, cell_m, v_max = drawn
+    t = mission.duration_t
+    cfg = RunConfig(physical=PhysicalConfig(v_max=v_max), mission=mission,
+                    sweep_t=(t,), showcase_t=t, cell_m=cell_m)
+    need = min_stages(StateGrid.from_mission(mission, cell_m),
+                      ActionSet.standard(cell_m, mission.stage_dt, v_max))
+    short = [f"T={t}s gives {mission.n_stages} stages of {mission.stage_dt}s, "
+             f"but the grid path from start to finish needs {need}"]
+    assert cfg.validate() == (short if mission.n_stages < need else [])
 
 
 BAD_VALUES = [
@@ -230,12 +266,12 @@ INVALID_VALUES = [
     ({"run": {"dipole": {"mbs_spin": "left"}}}, "dipole spins"),
     ({"sweep": {"t_values": [float("nan")]}}, "duration T=nan"),
     ({"showcase": {"t": float("inf")}}, "duration T=inf"),
-    # 64 s beats the straight-line T_min, but cardinal grid moves need 10 stages
+    # 64 s beats the straight line at v_max, but cardinal grid moves need 10 stages
     ({"mission": {"finish": [1000, 0]}, "sweep": {"t_values": [64]}},
      "T=64.0s gives 8 stages of 8.0s, but the grid path from start to finish needs 10"),
     ({"mission": {"finish": [1000, 0]}, "showcase": {"t": 64}},
      "T=64.0s gives 8 stages"),
-    # with start == finish T_min is 0, so only the sign check catches T=0
+    # with start == finish no stage is needed, so only the sign check catches T=0
     ({"mission": {"finish": [0, 0]}, "sweep": {"t_values": [0]}}, "duration T=0.0"),
     # a repeated list value would count the same realizations twice
     ({"sweep": {"t_values": [160, 160], "n_mbs_values": [4, 4]}},
@@ -268,6 +304,24 @@ INVALID_VALUES = [
     ({"run": {"cell_m": 0.5}}, "the grid path from start to finish needs 2000"),
     ({"run": {"cell_m": 0.01}}, "the grid path from start to finish needs 100000"),
     ({"run": {"cell_m": 0.001}}, "the grid path from start to finish needs 1000000"),
+    # an empty list would run nothing, or die mid-run
+    ({"sweep": {"t_values": []}}, "no sweep T is listed"),
+    ({"sweep": {"n_mbs_values": []}}, "no sweep n_mbs is listed"),
+    ({"run": {"criteria": []}}, "no criterion is listed"),
+    ({"run": {"modes": []}}, "no mode is listed"),
+    ({"run": {"antenna_modes": []}}, "no antenna mode is listed"),
+    ({"models": {"uav_ue": []}}, "no uav_ue_model is listed"),
+    # a lattice the grid path fits, but too fine for the memory of one run
+    ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
+     "T=8000.0s: the DP policy over 1201x1201 cells and 1000 stages takes 1376 MiB"),
+    ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
+     "the grid association over 1201x1201 cells and 100 expected nodes takes 3301 MiB"),
+    ({"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
+      "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}},
+     "run.cell_m=5.0: the grid association over 241x241 cells and 300 expected nodes"),
+    # the sweep and showcase MBS counts set the density; lambda_mbs is never read
+    ({"physical": {"lambda_mbs": 40}}, "physical.lambda_mbs=40 is not read: "
+     "sweep.n_mbs_values and showcase.n_mbs set the MBS density"),
 ]
 
 BARE_STRINGS = [
@@ -326,14 +380,14 @@ class TestBadInputs:
 class TestValidation:
     def test_t_below_minimum(self):
         doc = small_run_doc(sweep={"t_values": [72], "n_mbs_values": [4]})
-        diags = from_json_dict(doc).validate()
-        assert any("T_min" in d for d in diags)
+        assert from_json_dict(doc).validate() == [
+            "T=72.0s gives 9 stages of 8.0s, but the grid path from start to finish needs 10"]
 
     def test_each_duration_checked_once_in_order(self):
         doc = small_run_doc(sweep={"t_values": [72, 64, 72], "n_mbs_values": [4]},
                             showcase={"t": 72, "n_mbs": 4})
-        diags = [d for d in from_json_dict(doc).validate() if "T_min" in d]
-        assert [d.split(" is")[0] for d in diags] == ["T=72.0s", "T=64.0s"]
+        diags = [d for d in from_json_dict(doc).validate() if "grid path" in d]
+        assert [d.split(" gives")[0] for d in diags] == ["T=72.0s", "T=64.0s"]
 
     def test_relay_without_backhaul(self):
         doc = small_run_doc(run={"criteria": ["pf"], "modes": ["standalone", "relay"]})
@@ -381,6 +435,14 @@ class TestValidation:
 
     def test_default_config_is_clean(self):
         assert RunConfig().validate() == []
+        # the echoed default lambda_mbs reads back as the default
+        assert from_json_dict(RunConfig().to_json_dict()).validate() == []
+
+    def test_five_metre_cells_fit_the_lattice_budget(self):
+        # about 360 MiB peak RSS for one realization
+        doc = {**MINIMAL, "run": {"cell_m": 5}, "sweep": {"t_values": [1600]},
+               "showcase": {"t": 1600}}
+        assert from_json_dict(doc).validate() == []
 
 
 class TestPresets:
@@ -436,7 +498,7 @@ class TestCli:
         path = self.write_config(tmp_path, doc)
         assert cli.main(["validate", "--config", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "bogus" in out and "backhaul" in out and "T_min" in out
+        assert "bogus" in out and "backhaul" in out and "grid path" in out
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"schema_version": 1})

@@ -65,13 +65,13 @@ def test_realization_seed_split():
     assert realization_seed(100, 7) == 107
 
 
-def test_scenario_for_draws_the_same_nodes_at_any_duration():
+def test_scenario_for_draws_realization_j_on_the_config_mission():
     cfg = replace(SMALL, modes=("standalone", "relay"), backhaul_model="uma_av")
-    short, long = (scenario_for(cfg, 4.0, 2, t) for t in (160.0, 320.0))
-    assert short.mission.duration_t == 160.0 and long.mission.duration_t == 320.0
-    assert np.array_equal(short.mbs_xy, long.mbs_xy)
-    assert np.array_equal(short.ue_xy, long.ue_xy)
-    assert short.seed == long.seed == realization_seed(cfg.master_seed, 2)
+    scn = scenario_for(cfg, 4.0, 2)
+    assert scn.mission == cfg.mission
+    assert scn.config == cfg.physical_for(4.0)
+    assert scn.seed == realization_seed(cfg.master_seed, 2)
+    assert scn.n_mbs >= cfg.min_mbs == 2
 
 
 class TestSweep:

@@ -5,32 +5,7 @@ import pytest
 from scipy import stats
 
 from uavrelay.scenario import (Mission, PhysicalConfig, Scenario, area_km2,
-                               generate_scenario, t_min)
-
-
-def test_t_min_diagonal_kilometer():
-    # straight-line 1414.21 m at 17.7 m/s
-    assert t_min((0.0, 0.0), (1000.0, 1000.0), 17.7) == pytest.approx(
-        math.hypot(1000.0, 1000.0) / 17.7, rel=1e-12)
-    assert t_min((0.0, 0.0), (1000.0, 1000.0), 17.7) == pytest.approx(79.9, abs=0.05)
-
-
-def test_t_min_degenerate_and_straight():
-    assert t_min((5.0, 5.0), (5.0, 5.0), 17.7) == 0.0
-    assert t_min((0.0, 0.0), (1000.0, 0.0), 12.5) == pytest.approx(80.0, rel=1e-12)
-
-
-def test_t_min_symmetry_and_triangle():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-500, 1500, size=(30, 3, 2))
-    for a, b, c in pts:
-        assert t_min(a, b, 17.7) == pytest.approx(t_min(b, a, 17.7), rel=1e-12)
-        assert t_min(a, c, 17.7) <= t_min(a, b, 17.7) + t_min(b, c, 17.7) + 1e-9
-
-
-def test_t_min_rejects_bad_speed():
-    with pytest.raises(ValueError):
-        t_min((0, 0), (1, 1), 0.0)
+                               generate_scenario)
 
 
 def test_generate_scenario_deterministic():
@@ -119,11 +94,15 @@ def test_min_mbs_rejection_recorded():
     assert seen
 
 
-def test_rejects_too_short_mission():
+def test_draw_ignores_the_mission_duration():
+    # 8 s is far below the 80 s the diagonal kilometre takes at v_max: the draw
+    # does not check feasibility, the planner's stage budget does
     cfg = PhysicalConfig()
-    mission = Mission(duration_t=72.0, stage_dt=8.0)  # below ~79.9 s minimum
-    with pytest.raises(ValueError, match="minimum"):
-        generate_scenario(cfg, mission, 1)
+    a = generate_scenario(cfg, Mission(), 5, min_mbs=2)
+    b = generate_scenario(cfg, Mission(duration_t=8.0), 5, min_mbs=2)
+    assert np.array_equal(a.mbs_xy, b.mbs_xy)
+    assert np.array_equal(a.ue_xy, b.ue_xy)
+    assert a.mbs_rejections == b.mbs_rejections
 
 
 def test_rejects_degenerate_area():
