@@ -69,9 +69,12 @@ def _rejected(cfg: RunConfig) -> bool:
 
 
 def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
-    """Validate cfg, then call write(cfg, tracker); on failure remove what it wrote."""
+    """Validate cfg and print its OHPLM notes, then call write(cfg, tracker); on
+    failure remove what it wrote."""
     if _rejected(cfg):
         return 1
+    for note in cfg.ohplm_notes():
+        print(note, file=sys.stderr)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = _OutputTracker(out_dir)
@@ -104,7 +107,6 @@ def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
 
 def cmd_run(args) -> int:
     def write(cfg: RunConfig, out: _OutputTracker) -> None:
-        pathloss.reset_validity_warnings()
         result = metrics.monte_carlo_sweep(cfg, jobs=args.jobs)
         result.write(out.path("sweep.csv"), out.path("sweep.json"))
         _write_showcase(cfg, out)
@@ -151,6 +153,11 @@ def cmd_pathloss_table(args) -> int:
     if problem:  # only relay mode uses the backhaul, so a standalone config may be here
         print(f"skipping backhaul_uma_av: {problem}", file=sys.stderr)
         del models["backhaul_uma_av"]
+    # the two OHPLM rows are written whatever models the config runs
+    notes = [note for h_tx in (phys.h_bs, phys.h_uav) for note in pathloss.ohplm_range_problems(
+        phys.f_c_mhz, h_tx, phys.h_ue, distances[0], distances[-1])]
+    for note in dict.fromkeys(notes):
+        print(note, file=sys.stderr)
     # a slant range cannot be shorter than the height gap
     rows = ((name, d, float(fn(d))) for name, fn in models.items() for d in distances
             if name != "mplm" or d > dh)

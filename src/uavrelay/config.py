@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl,
-                       uma_av_altitude_problem)
+                       ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
 from .scenario import _MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2
@@ -34,6 +34,10 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # 10 and 5 peaked at about 37 MiB plus 2.5 times the association's bytes, so a run
 # within the budget stays below about 0.7 GiB per process.
 LATTICE_BYTES = 256 * 2**20
+# Bezier smoothing of N stages (de Casteljau) holds an (N, N+1, 2) float64 block. One-
+# realization runs of the default mission at 1000 and 2000 stages peaked 46 and 235 MiB
+# above the 30-stage run, 3.0 and 3.8 times that block, so it counts four times.
+BEZIER_BLOCK_FACTOR = 4
 
 
 class ConfigError(ValueError):
@@ -146,6 +150,25 @@ class RunConfig:
                 for mode in self.modes:
                     yield model_name, antenna_name, mode, models, ants
 
+    def ohplm_notes(self) -> list[str]:
+        """Where the links this config runs on Okumura-Hata leave its validity box.
+
+        MBS->UE links transmit from h_bs, UAV->UE links from h_uav. A link's 3D
+        distance runs from the height gap (a UE right below the transmitter) to
+        the diagonal of the box around both areas, combined with the gap.
+        """
+        phys, areas = self.physical, (self.mission.area_ue, self.mission.area_uav)
+        diagonal = math.hypot(max(a[2] for a in areas) - min(a[0] for a in areas),
+                              max(a[3] for a in areas) - min(a[1] for a in areas))
+        notes = []
+        for h_tx, uses in ((phys.h_bs, self.mbs_ue_model == "ohplm"),
+                           (phys.h_uav, "ohplm" in self.uav_ue_models)):
+            if uses:
+                gap = h_tx - phys.h_ue
+                notes += ohplm_range_problems(phys.f_c_mhz, h_tx, phys.h_ue, gap,
+                                              math.hypot(diagonal, gap))
+        return list(dict.fromkeys(notes))
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -217,6 +240,10 @@ class RunConfig:
             elif cells * mission.n_stages > LATTICE_BYTES:
                 out.append(f"T={t}s: the DP policy over {grid.nx}x{grid.ny} cells and "
                            f"{mission.n_stages} stages {_over_budget(cells * mission.n_stages)}")
+            smoothing = BEZIER_BLOCK_FACTOR * 16 * mission.n_stages * (mission.n_stages + 1)
+            if smoothing > LATTICE_BYTES:
+                out.append(f"T={t}s: the Bezier smoothing of {mission.n_stages} stages "
+                           f"{_over_budget(smoothing)}")
         # expected node counts, computed as generate_scenario computes them
         area = area_km2(self.mission.area_ue)
         nodes = self.min_mbs  # largest expected count of one node class; a draw has min_mbs

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from itertools import repeat
 
 import numpy as np
 
-from . import output, pathloss, radio, smoothing
+from . import output, radio, smoothing
 from .config import RunConfig
 from .planner import ActionSet, StateGrid, check_trajectory, solve_dp
 from .scenario import Scenario, generate_scenario
@@ -205,21 +206,12 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     return samples, violations, scn.mbs_rejections
 
 
-def _realization_task(args):
-    """One realization; its path-loss validity warnings are returned, not logged."""
-    cfg, n_mbs, j = args
-    with pathloss.gather_validity_warnings() as warnings:
-        out = run_realization(cfg, cfg.sweep_t, n_mbs, j)
-    return out, warnings
-
-
 def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
     """Run the configured sweep; deterministic for a fixed master seed.
 
     Points are created in output order (T, n_mbs, combination, criterion,
     evaluation) and samples appended in (n_mbs, realization) task order,
-    which `pool.map` keeps, so outputs are byte-stable for any `jobs`. The
-    path-loss validity warnings are logged in that order too, once per run.
+    which `pool.map` keeps, so outputs are byte-stable for any `jobs`.
     """
     if cfg.realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -232,20 +224,21 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
             for evaluation in EVALUATIONS]
     points = {key: SweepPoint(*key, capacity_samples=[], outage_samples=[]) for key in keys}
 
-    tasks = [(cfg, n_mbs, j) for n_mbs in cfg.sweep_n_mbs for j in range(cfg.realizations)]
+    # run_realization's positional arguments, one column each, in task order
+    tasks = (repeat(cfg), repeat(cfg.sweep_t),
+             [n_mbs for n_mbs in cfg.sweep_n_mbs for _ in range(cfg.realizations)],
+             [j for _ in cfg.sweep_n_mbs for j in range(cfg.realizations)])
     if jobs > 1:
         # imported here: the process pool costs serial runs import time and nothing else
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_realization_task, tasks))
+            raw = list(pool.map(run_realization, *tasks))
     else:
-        raw = list(map(_realization_task, tasks))
+        raw = list(map(run_realization, *tasks))
 
     violations = 0
     rejections = 0
-    for (samples, viol, rej), warnings in raw:
-        for key, message in warnings.items():
-            pathloss.warn_once(key, message)
+    for samples, viol, rej in raw:
         violations += viol
         rejections += rej
         for key, (capacity, outage) in samples.items():

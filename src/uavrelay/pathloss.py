@@ -6,18 +6,14 @@ Every function accepts scalars or numpy arrays.
 """
 from __future__ import annotations
 
-import contextlib
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 # Okumura-Hata empirical validity box. The simulation routinely uses the
 # model below 1 km (distances here top out around 1.4 km), so violations are
-# reported once per run instead of rejected.
+# noted once per command (see ohplm_range_problems) instead of rejected.
 OHPLM_FC_RANGE = (150.0, 1500.0)
 OHPLM_HBS_RANGE = (30.0, 200.0)
 OHPLM_HUE_RANGE = (1.0, 10.0)
@@ -28,34 +24,6 @@ LOS_VARIANTS = ("corrected", "as_written")
 
 # 3GPP UMa aerial-vehicle LoS model validity (receiver altitude, meters).
 UMA_AV_ALTITUDE_RANGE = (22.5, 300.0)
-
-_warned: set[str] = set()
-_gathered: dict[str, str] | None = None  # see gather_validity_warnings
-
-
-def reset_validity_warnings() -> None:
-    """Re-arm the once-per-run Okumura-Hata validity warnings."""
-    _warned.clear()
-
-
-@contextlib.contextmanager
-def gather_validity_warnings():
-    """Yield a key -> message dict of the warnings raised in the block, unlogged."""
-    global _gathered
-    outer, _gathered = _gathered, {}
-    try:
-        yield _gathered
-    finally:
-        _gathered = outer
-
-
-def warn_once(key: str, message: str) -> None:
-    """Log a validity warning once per run; inside a gather block, collect it."""
-    if _gathered is not None:
-        _gathered.setdefault(key, message)
-    elif key not in _warned:
-        _warned.add(key)
-        log.warning(message)
 
 
 @dataclass(frozen=True)
@@ -93,14 +61,6 @@ def hata_path_loss(d, f_c_mhz: float, h_tx: float, h_ue: float):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("hata_path_loss requires d > 0")
-    if not (OHPLM_FC_RANGE[0] <= f_c_mhz <= OHPLM_FC_RANGE[1]):
-        warn_once("fc", f"OHPLM carrier {f_c_mhz} MHz outside {OHPLM_FC_RANGE}")
-    if not (OHPLM_HBS_RANGE[0] <= h_tx <= OHPLM_HBS_RANGE[1]):
-        warn_once("hbs", f"OHPLM tx height {h_tx} m outside {OHPLM_HBS_RANGE}")
-    if not (OHPLM_HUE_RANGE[0] <= h_ue <= OHPLM_HUE_RANGE[1]):
-        warn_once("hue", f"OHPLM UE height {h_ue} m outside {OHPLM_HUE_RANGE}")
-    if np.any(d < OHPLM_D_RANGE[0]) or np.any(d > OHPLM_D_RANGE[1]):
-        warn_once("d", "OHPLM applied outside its 1-10 km distance range")
     co = hata_coefficients(f_c_mhz, h_tx, h_ue)
     out = co.a_coef + co.b_coef * np.log10(d / 1000.0) + co.c_coef
     return out if out.ndim else float(out)
@@ -196,6 +156,21 @@ def fspl(d, f_c_mhz: float):
         raise ValueError("fspl requires d > 0")
     out = 20.0 * np.log10(d) + 20.0 * math.log10(f_c_mhz) - 27.55
     return out if out.ndim else float(out)
+
+
+def ohplm_range_problems(f_c_mhz: float, h_tx: float, h_ue: float,
+                         d_min: float, d_max: float) -> list[str]:
+    """Where an Okumura-Hata link over 3D distances [d_min, d_max] leaves the validity box."""
+    out = []
+    if not (OHPLM_FC_RANGE[0] <= f_c_mhz <= OHPLM_FC_RANGE[1]):
+        out.append(f"OHPLM carrier {f_c_mhz} MHz outside {OHPLM_FC_RANGE}")
+    if not (OHPLM_HBS_RANGE[0] <= h_tx <= OHPLM_HBS_RANGE[1]):
+        out.append(f"OHPLM tx height {h_tx} m outside {OHPLM_HBS_RANGE}")
+    if not (OHPLM_HUE_RANGE[0] <= h_ue <= OHPLM_HUE_RANGE[1]):
+        out.append(f"OHPLM UE height {h_ue} m outside {OHPLM_HUE_RANGE}")
+    if d_min < OHPLM_D_RANGE[0] or d_max > OHPLM_D_RANGE[1]:
+        out.append("OHPLM applied outside its 1-10 km distance range")
+    return out
 
 
 def uma_av_altitude_problem(h_uav: float) -> str | None:

@@ -15,6 +15,7 @@ from uavrelay import cli, radio
 from uavrelay.config import (ANTENNA_MODES, MPLM_REFERENCES, UE_LINK_MODELS, ConfigError,
                              DipoleSettings, MplmSettings, RunConfig, from_json_dict,
                              load_config)
+from uavrelay.pathloss import OHPLM_FC_RANGE
 from uavrelay.planner import ActionSet, StateGrid, min_stages, solve_dp
 from uavrelay.radio import CRITERIA, MODES, RELAY_RULES
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
@@ -117,41 +118,59 @@ def test_json_round_trip(cfg):
     assert again.validate() == cfg.validate()
 
 
+PERTURBATIONS = ("empty", "tiny", "nan", "extreme", "area", "carrier", "duration",
+                 "backhaul")
+
+
 @st.composite
 def one_point_documents(draw):
-    """run_configs as JSON at one realization, T and density; some with an empty
-    list, a tiny expected MBS count, a NaN physical constant, a power, height or
-    building density of +-1e300, or a node area that rounds to 0 km^2."""
+    """run_configs as JSON at one realization, T and density, mostly kept to what
+    validate accepts: an OHPLM carrier inside its range, T at or above the stage
+    budget and a backhaul for relay. Just under half the draws carry exactly one
+    perturbation: an empty list, a tiny expected MBS count, a NaN physical
+    constant, a power, height or building density of +-1e300, a node area that
+    rounds to 0 km^2, or one of those three repairs left out."""
     doc = draw(run_configs(h_uav_max=500.0)).to_json_dict()
+    models, mission = doc["models"], doc["mission"]
     # repeated names are rejected by a check of their own; drop them for more runs
-    doc["models"]["uav_ue"] = list(dict.fromkeys(doc["models"]["uav_ue"]))
+    models["uav_ue"] = list(dict.fromkeys(models["uav_ue"]))
     for key in ("criteria", "modes", "antenna_modes"):
         doc["run"][key] = list(dict.fromkeys(doc["run"][key]))
     doc["run"]["realizations"] = 1
     doc["sweep"] = {"t_values": doc["sweep"]["t_values"][:1],
                     "n_mbs_values": doc["sweep"]["n_mbs_values"][:1]}
-    empty = draw(st.none() | st.sampled_from([("models", "uav_ue"), ("run", "criteria"),
-                                              ("run", "modes"), ("run", "antenna_modes"),
-                                              ("sweep", "t_values"),
-                                              ("sweep", "n_mbs_values")]))
-    if empty is not None:
-        doc[empty[0]][empty[1]] = []
-    tiny = draw(st.none() | st.sampled_from([1e-6, 0.003]))
-    if tiny is not None:
+    kind = draw(st.sampled_from(PERTURBATIONS)) if draw(st.integers(0, 2)) == 0 else None
+    if kind != "carrier" and "ohplm" in (models["mbs_ue"], *models["uav_ue"]):
+        doc["physical"]["f_c_mhz"] = draw(_finite(*OHPLM_FC_RANGE))
+    if kind != "duration":
+        # the stage budget is the Chebyshev distance in cells
+        least = mission["stage_dt"] * max(abs(s - f) for s, f in zip(
+            mission["start"], mission["finish"])) / doc["run"]["cell_m"]
+        doc["sweep"]["t_values"] = [max(t, least) for t in doc["sweep"]["t_values"]]
+        doc["showcase"]["t"] = max(doc["showcase"]["t"], least)
+    if kind != "backhaul" and "relay" in doc["run"]["modes"]:
+        models["backhaul"] = "uma_av"
+    if kind == "empty":
+        section, key = draw(st.sampled_from([("models", "uav_ue"), ("run", "criteria"),
+                                             ("run", "modes"), ("run", "antenna_modes"),
+                                             ("sweep", "t_values"),
+                                             ("sweep", "n_mbs_values")]))
+        doc[section][key] = []
+    elif kind == "tiny":
+        tiny = draw(st.sampled_from([1e-6, 0.003]))
         if draw(st.booleans()):
             doc["sweep"]["n_mbs_values"] = [tiny]
         else:
             doc["showcase"]["n_mbs"] = tiny
-    nan_field = draw(st.none() | st.sampled_from(list(PhysicalConfig.__dataclass_fields__)))
-    if nan_field is not None:
-        doc["physical"][nan_field] = float("nan")
-    extreme = draw(st.none() | st.sampled_from(["p_mbs_dbm", "p_uav_dbm", "h_uav", "b_hat",
-                                                "area_ue"]))
-    if extreme == "area_ue":
-        doc["mission"]["area_ue"] = [0.0, 0.0, 1e-200, 1e-200]
-    elif extreme is not None:
-        section = doc["models"]["mplm"] if extreme == "b_hat" else doc["physical"]
+    elif kind == "nan":
+        doc["physical"][draw(st.sampled_from(list(PhysicalConfig.__dataclass_fields__)))] = \
+            float("nan")
+    elif kind == "extreme":
+        extreme = draw(st.sampled_from(["p_mbs_dbm", "p_uav_dbm", "h_uav", "b_hat"]))
+        section = models["mplm"] if extreme == "b_hat" else doc["physical"]
         section[extreme] = draw(st.sampled_from([1e300, -1e300]))
+    elif kind == "area":
+        mission["area_ue"] = [0.0, 0.0, 1e-200, 1e-200]
     return doc
 
 
@@ -319,6 +338,10 @@ INVALID_VALUES = [
     ({"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
       "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}},
      "run.cell_m=5.0: the grid association over 241x241 cells and 300 expected nodes"),
+    # de Casteljau's (N, N+1, 2) block grows as the square of the stage count
+    ({"sweep": {"t_values": [40000]}},
+     "T=40000.0s: the Bezier smoothing of 5000 stages takes 1526 MiB, above the lattice "
+     "budget of 256 MiB"),
     # the sweep and showcase MBS counts set the density; lambda_mbs is never read
     ({"physical": {"lambda_mbs": 40}}, "physical.lambda_mbs=40 is not read: "
      "sweep.n_mbs_values and showcase.n_mbs set the MBS density"),
@@ -479,6 +502,45 @@ class TestPresets:
             assert ants == cfg.antenna_setup(antenna_name)
 
 
+DISTANCE_NOTE = "OHPLM applied outside its 1-10 km distance range"
+TWO_HEIGHTS = {"physical": {"h_bs": 20, "h_uav": 250}}
+TWO_HEIGHTS_NOTES = ["OHPLM tx height 20 m outside (30.0, 200.0)", DISTANCE_NOTE,
+                     "OHPLM tx height 250 m outside (30.0, 200.0)"]
+
+
+class TestOhplmNotes:
+    @pytest.mark.parametrize("name", cli.PRESETS)
+    def test_every_preset_notes_only_the_distance(self, name):
+        assert cli.load_preset(name).ohplm_notes() == [DISTANCE_NOTE]
+
+    @pytest.mark.parametrize("model", ["mplm", "fspl"])
+    def test_no_ohplm_link_no_note(self, model):
+        cfg = from_json_dict({**MINIMAL, "physical": {"f_c_mhz": 2600},
+                              "models": {"mbs_ue": model, "uav_ue": [model]}})
+        assert cfg.ohplm_notes() == []
+
+    def test_ue_height(self):
+        cfg = from_json_dict({**MINIMAL, "physical": {"h_ue": 12}})
+        assert cfg.ohplm_notes() == ["OHPLM UE height 12 m outside (1.0, 10.0)",
+                                     DISTANCE_NOTE]
+
+    def test_each_link_reports_its_own_height(self):
+        assert from_json_dict({**MINIMAL, **TWO_HEIGHTS}).ohplm_notes() == TWO_HEIGHTS_NOTES
+
+    @pytest.mark.parametrize("area_m,distance_noted", [(1000, False), (6000, False),
+                                                       (7000, True)])
+    def test_distance_spans_height_gap_to_box_diagonal(self, area_m, distance_noted):
+        # only the UAV runs OHPLM; its height gap is exactly 1 km, and the box
+        # diagonal of a 7 km area is above 10 km
+        area_uav = [-100, -100, area_m + 100, area_m + 100]
+        cfg = from_json_dict({**MINIMAL, "physical": {"h_uav": 1002.0, "h_ue": 2.0},
+                              "models": {"mbs_ue": "mplm"},
+                              "mission": {"area_ue": [0, 0, area_m, area_m],
+                                          "area_uav": area_uav}})
+        notes = ["OHPLM tx height 1002.0 m outside (30.0, 200.0)"]
+        assert cfg.ohplm_notes() == notes + [DISTANCE_NOTE] * distance_noted
+
+
 class TestCli:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "cfg.json"
@@ -631,6 +693,23 @@ class TestCli:
         assert "OHPLM applied outside its 1-10 km distance range" in warnings[1]
         assert len(set(warnings[1])) == len(warnings[1])
         assert warnings[2] == warnings[1]
+
+    def test_every_command_in_one_process_prints_its_notes(self, tmp_path, capsys):
+        for name in ("hm1", "hm2"):
+            assert cli.main(["heatmap", "--preset", "fig3", "--out", str(tmp_path / name)]) == 0
+            assert capsys.readouterr().err.splitlines() == [DISTANCE_NOTE]
+        assert cli.main(["pathloss-table", "--out", str(tmp_path / "pl.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [DISTANCE_NOTE]
+
+    def test_run_and_pathloss_table_report_both_heights(self, tmp_path, capsys):
+        doc = small_run_doc(**TWO_HEIGHTS)
+        doc["run"]["realizations"] = 1
+        path = self.write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err.splitlines() == TWO_HEIGHTS_NOTES
+        assert cli.main(["pathloss-table", "--config", str(path),
+                         "--out", str(tmp_path / "pl.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == TWO_HEIGHTS_NOTES
 
     def test_heatmap_relay_seed_with_one_mbs_draw(self, tmp_path):
         # seed 279 first draws a single MBS, which relay mode cannot use

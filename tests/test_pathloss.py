@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from uavrelay.pathloss import (BuildingModel, MplmModel, backhaul_path_loss, fspl,
                                hata_coefficients, hata_path_loss,
-                               los_probability, mixture_path_gain)
+                               los_probability, mixture_path_gain, ohplm_range_problems)
 
 
 def hand_hata(f_c, h_bs, h_ue, d_m):
@@ -54,6 +55,24 @@ class TestHata:
     def test_rejects_zero_distance(self):
         with pytest.raises(ValueError):
             hata_path_loss(0.0, 1500.0, 30.0, 2.0)
+
+    def test_outside_the_validity_box_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            for _ in range(2):
+                hata_path_loss(np.array([50.0, 20_000.0]), 2600.0, 250.0, 12.0)
+        assert caplog.records == []
+
+    def test_range_problems_in_order(self):
+        assert ohplm_range_problems(2600.0, 250.0, 12.0, 50.0, 1500.0) == [
+            "OHPLM carrier 2600.0 MHz outside (150.0, 1500.0)",
+            "OHPLM tx height 250.0 m outside (30.0, 200.0)",
+            "OHPLM UE height 12.0 m outside (1.0, 10.0)",
+            "OHPLM applied outside its 1-10 km distance range"]
+        # the box is closed: its corners are inside
+        assert ohplm_range_problems(150.0, 30.0, 1.0, 1000.0, 10_000.0) == []
+        assert ohplm_range_problems(1500.0, 200.0, 10.0, 5000.0, 5000.0) == []
+        assert ohplm_range_problems(1500.0, 30.0, 2.0, 1000.0, 10_001.0) == [
+            "OHPLM applied outside its 1-10 km distance range"]
 
 
 class TestLosProbability:
