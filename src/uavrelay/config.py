@@ -34,9 +34,10 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # 10 and 5 peaked at about 37 MiB plus 2.5 times the association's bytes, so a run
 # within the budget stays below about 0.7 GiB per process.
 LATTICE_BYTES = 256 * 2**20
-# Bezier smoothing of N stages (de Casteljau) holds an (N, N+1, 2) float64 block. One-
-# realization runs of the default mission at 1000 and 2000 stages peaked 46 and 235 MiB
-# above the 30-stage run, 3.0 and 3.8 times that block, so it counts four times.
+# Bezier smoothing of N stages (de Casteljau) holds two (N+1, 2, N+1) float64 blocks,
+# the levels and their t-scaled copies, so the estimate counts an (N, N+1, 2) block four
+# times. One-realization runs of the default mission at 1000 and 2000 stages peaked 31
+# and 123 MiB above the 30-stage run, 2.0 times that block: the factor over-counts.
 BEZIER_BLOCK_FACTOR = 4
 
 
@@ -313,7 +314,8 @@ def _built(out: list[str], build, *args, prefix: str = ""):
 
 
 def _over_budget(size: float) -> str:
-    return (f"takes {size / 2**20:.0f} MiB, above the lattice budget of "
+    # rounded up, so a refused size never prints at or below the budget
+    return (f"takes {math.ceil(size / 2**20)} MiB, above the lattice budget of "
             f"{LATTICE_BYTES / 2**20:g} MiB")
 
 

@@ -9,7 +9,8 @@ master_seed + j, so all combinations and all durations are paired on the
 same networks, as are reruns.
 
 The pipeline exists once: scenario_for draws a realization and
-plan_combinations plans it (reward maps, DP, smoothing) per combination.
+plan_combinations plans it (reward maps, DP, smoothing) per combination,
+with one backward DP pass per reward map serving every duration.
 run_realization adds the re-evaluation for the sweep; the CLI showcase is
 realization 0 planned at the showcase duration.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import output, radio, smoothing
 from .config import RunConfig
-from .planner import ActionSet, StateGrid, check_trajectory, solve_dp
+from .planner import ActionSet, StateGrid, backward_pass, check_trajectory, solve_dp
 from .scenario import Scenario, generate_scenario
 
 EVALUATIONS = ("discrete", "smoothed")
@@ -153,26 +154,35 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
 
     runs holds (T, criterion, trajectory, smoothed curve, violation count) in
     (T, criterion) order. The maps serve every duration: nodes are static and
-    the durations share the grid geometry.
+    the durations share the grid geometry. So does one backward DP pass per
+    map, to the longest duration: the value-to-go with r stages left does not
+    depend on T, and each duration backtracks from the same policy.
     """
     t_values = tuple(t_values)
     v_max = scn.config.v_max
-    actions = ActionSet.standard(cfg.cell_m, scn.mission.stage_dt, v_max)
+    stage_dt = scn.mission.stage_dt
+    actions = ActionSet.standard(cfg.cell_m, stage_dt, v_max)
     # durations share the grid geometry and differ only in their stage count
     grids = {t: StateGrid.from_mission(cfg.mission_for(t), cfg.cell_m) for t in t_values}
+    grid = grids[t_values[0]]
+    n_max = max(g.n_stages for g in grids.values())
     for combination in cfg.combinations():
         _, _, mode, models, ants = combination
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
-                                       grids[t_values[0]], cfg.relay_rule)
-        runs = []
-        for t in t_values:
-            grid = grids[t]
-            for criterion in cfg.criteria:
-                traj = solve_dp(maps[criterion], grid, actions, stage_dt=scn.mission.stage_dt)
-                violations = len(check_trajectory(traj, grid, actions, v_max))
+                                       grid, cfg.relay_rule)
+        planned = {}
+        for criterion in cfg.criteria:
+            backward = backward_pass(maps[criterion].rewards, grid, actions, n_max)
+            for t in t_values:
+                traj = solve_dp(maps[criterion], grids[t], actions, stage_dt=stage_dt,
+                                backward=backward)
+                violations = len(check_trajectory(traj, grids[t], actions, v_max))
                 sm = smoothing.smooth(traj, v_max=v_max)
-                runs.append((t, criterion, traj, sm, violations + len(sm.speed_violations)))
-        yield combination, grids[t_values[0]], maps, runs
+                planned[t, criterion] = (t, criterion, traj, sm,
+                                         violations + len(sm.speed_violations))
+            # freed before the next pass: peak memory is one longest-duration policy
+            del backward
+        yield combination, grid, maps, [planned[t, c] for t in t_values for c in cfg.criteria]
 
 
 def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):

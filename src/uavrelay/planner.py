@@ -4,8 +4,10 @@ States are grid cells held for one stage of duration stage_dt; the nine
 actions are hover plus the eight compass moves that land exactly on a
 neighboring cell. The stage reward is earned at the cell occupied during the
 interval, and the endpoint constraint is encoded as a -inf terminal value
-everywhere but the finish cell. enumerate_paths is the brute-force oracle
-used to verify the recursion on small instances.
+everywhere but the finish cell. backward_pass solves the recursion once to a
+given stage count, and solve_dp backtracks any horizon up to it.
+enumerate_paths is the brute-force oracle used to verify the recursion on
+small instances.
 """
 from __future__ import annotations
 
@@ -208,35 +210,60 @@ def _finish_trajectory(criterion, stage_dt, grid, reward, cells, acts, value) ->
                       stage_rewards=stage_rewards, value=value)
 
 
-def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
-             stage_dt: float = 8.0) -> Trajectory:
-    """Exact backward recursion J_i = reward + max_a J_{i+1}(cell + a).
+def backward_pass(rewards: np.ndarray, grid: StateGrid, actions: ActionSet,
+                  n_stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact backward recursion J_r = reward + max_a J_{r-1}(cell + a), r = 1..n_stages.
+
+    Returns (policy, start_values): policy[r-1] is the (ny, nx) int8 action
+    index with r stages left, start_values[r] the start cell's value-to-go
+    with r stages left. Neither depends on the mission duration, so one pass
+    to the longest duration serves every shorter one.
 
     The value-to-go lives inside a -inf border as wide as the longest move,
     so each action's successor values are one fixed view of it. argmax over
-    the stacked views returns the first maximum: ties resolve to the
-    smallest action index, which makes the recovered action sequence the
+    the views, in action order, returns the first maximum: ties resolve to
+    the smallest action index, which makes the recovered action sequence the
     lexicographically first optimum.
+    """
+    ny, nx = rewards.shape
+    b = max(max(abs(a.dx), abs(a.dy)) for a in actions)
+    padded = np.full((1, ny + 2 * b, nx + 2 * b), NEG_INF)
+    value = padded[0, b:b + ny, b:b + nx]
+    value[grid.finish_cell[1], grid.finish_cell[0]] = 0.0
+    # a leading axis of length 1 lets one concatenate fill the candidate buffer
+    moves = [padded[:, b + a.dy:b + a.dy + ny, b + a.dx:b + a.dx + nx] for a in actions]
+    cand = np.empty((len(moves), ny, nx))
+    best = np.empty((ny, nx))
+    policy = np.empty((n_stages, ny, nx), dtype=np.int8)
+    start_values = np.empty(n_stages + 1)
+    sx, sy = grid.start_cell
+    start_values[0] = value[sy, sx]
+    for r in range(n_stages):
+        np.concatenate(moves, out=cand)
+        cand.argmax(axis=0, out=policy[r])
+        cand.max(axis=0, out=best)
+        np.add(rewards, best, out=value)
+        start_values[r + 1] = value[sy, sx]
+    return policy, start_values
+
+
+def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
+             stage_dt: float = 8.0, backward=None) -> Trajectory:
+    """The optimal grid.n_stages-stage trajectory, backtracked from a backward pass.
+
+    `backward` is backward_pass's (policy, start_values) for this reward map
+    and grid geometry to at least grid.n_stages stages; without one, the pass
+    runs here. Stage i of the backtrack takes the action of policy[n-1-i].
     """
     n = grid.n_stages
     reward = reward_map.rewards
     if reward.shape != (grid.ny, grid.nx):
         raise ValueError("reward map shape does not match the grid")
+    if backward is None:
+        backward = backward_pass(reward, grid, actions, n)
+    policy, start_values = backward
 
-    ny, nx = reward.shape
-    b = max(max(abs(a.dx), abs(a.dy)) for a in actions)
-    padded = np.full((ny + 2 * b, nx + 2 * b), NEG_INF)
-    value = padded[b:b + ny, b:b + nx]
-    value[grid.finish_cell[1], grid.finish_cell[0]] = 0.0
-    moves = [padded[b + a.dy:b + a.dy + ny, b + a.dx:b + a.dx + nx] for a in actions]
-    policy = np.zeros((n, ny, nx), dtype=np.int8)
-
-    for i in range(n - 1, -1, -1):
-        cand = np.stack(moves)
-        policy[i] = cand.argmax(axis=0)
-        value[...] = reward + cand.max(axis=0)
-
-    start_value = float(value[grid.start_cell[1], grid.start_cell[0]])
+    start_value = float(start_values[n])
     if start_value == NEG_INF:
         need = min_stages(grid, actions)
         raise UnreachableFinishError(f"finish cell unreachable: needs {need} stages, "
@@ -246,7 +273,7 @@ def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
     acts: list[GridAction] = []
     for i in range(n):
         ix, iy = cells[-1]
-        act = actions.actions[int(policy[i, iy, ix])]
+        act = actions.actions[int(policy[n - 1 - i, iy, ix])]
         acts.append(act)
         cells.append((ix + act.dx, iy + act.dy))
     if cells[-1] != grid.finish_cell:

@@ -23,12 +23,24 @@ def bernstein(i: int, n: int, t: float) -> float:
 
 
 def de_casteljau(control: np.ndarray, t) -> np.ndarray:
-    """Curve points by repeated linear interpolation: t (...) -> points (..., 2)."""
-    t = np.asarray(t, dtype=float)[..., None]
-    pts = np.asarray(control, dtype=float).reshape((-1,) + (1,) * (t.ndim - 1) + (2,))
-    while pts.shape[0] > 1:
-        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
-    return pts[0]
+    """Curve points by repeated linear interpolation: t (...) -> points (..., 2).
+
+    The control points are broadcast into a (levels, 2, samples) block with
+    the samples on the last, contiguous axis, and each level is interpolated
+    in place as (1 - t) * p + t * q.
+    """
+    t = np.asarray(t, dtype=float)
+    samples = t.reshape(-1)
+    control = np.asarray(control, dtype=float).reshape(-1, 2)
+    pts = np.repeat(control[:, :, None], samples.size, axis=2)
+    scaled = np.empty_like(pts[1:])
+    one_minus_t = 1.0 - samples
+    for k in range(pts.shape[0] - 1, 0, -1):
+        np.multiply(samples, pts[1:k + 1], out=scaled[:k])
+        pts[:k] *= one_minus_t
+        pts[:k] += scaled[:k]
+    # a copy, so the result does not hold the whole block
+    return pts[0].T.reshape(t.shape + (2,)).copy()
 
 
 @dataclass(eq=False)

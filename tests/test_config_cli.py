@@ -334,13 +334,17 @@ INVALID_VALUES = [
     ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
      "T=8000.0s: the DP policy over 1201x1201 cells and 1000 stages takes 1376 MiB"),
     ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
-     "the grid association over 1201x1201 cells and 100 expected nodes takes 3301 MiB"),
+     "the grid association over 1201x1201 cells and 100 expected nodes takes 3302 MiB"),
     ({"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
       "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}},
      "run.cell_m=5.0: the grid association over 241x241 cells and 300 expected nodes"),
     # de Casteljau's (N, N+1, 2) block grows as the square of the stage count
     ({"sweep": {"t_values": [40000]}},
-     "T=40000.0s: the Bezier smoothing of 5000 stages takes 1526 MiB, above the lattice "
+     "T=40000.0s: the Bezier smoothing of 5000 stages takes 1527 MiB, above the lattice "
+     "budget of 256 MiB"),
+    # 256.125 MiB is rounded up, so it never prints as the budget itself
+    ({"sweep": {"t_values": [16384]}},
+     "T=16384.0s: the Bezier smoothing of 2048 stages takes 257 MiB, above the lattice "
      "budget of 256 MiB"),
     # the sweep and showcase MBS counts set the density; lambda_mbs is never read
     ({"physical": {"lambda_mbs": 40}}, "physical.lambda_mbs=40 is not read: "

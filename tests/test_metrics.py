@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavrelay import metrics
 from uavrelay.config import RunConfig
-from uavrelay.metrics import (monte_carlo_sweep, outage_probability,
+from uavrelay.metrics import (monte_carlo_sweep, outage_probability, plan_combinations,
                               realization_seed, run_realization, scenario_for,
                               time_averaged_capacity)
 
@@ -72,6 +73,25 @@ def test_scenario_for_draws_realization_j_on_the_config_mission():
     assert scn.config == cfg.physical_for(4.0)
     assert scn.seed == realization_seed(cfg.master_seed, 2)
     assert scn.n_mbs >= cfg.min_mbs == 2
+
+
+def test_one_backward_pass_per_map_serves_every_duration(monkeypatch):
+    cfg = replace(SMALL, criteria=("pf", "sum_rate"), modes=("standalone", "relay"),
+                  backhaul_model="uma_av", sweep_t=(240.0, 80.0, 160.0))
+    passes = []
+    backward_pass = metrics.backward_pass
+
+    def counted(rewards, grid, actions, n_stages):
+        passes.append(n_stages)
+        return backward_pass(rewards, grid, actions, n_stages)
+
+    monkeypatch.setattr(metrics, "backward_pass", counted)
+    plans = list(plan_combinations(cfg, scenario_for(cfg, 4.0, 0), cfg.sweep_t))
+    assert passes == [30] * 4  # 2 modes x 2 criteria, each to 240 s of 8-s stages
+    for _, _, _, runs in plans:
+        assert [(t, c) for t, c, *_ in runs] == [(t, c) for t in cfg.sweep_t
+                                                 for c in cfg.criteria]
+        assert [traj.n_stages for _, _, traj, _, _ in runs] == [30, 30, 10, 10, 20, 20]
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay.planner import (ActionSet, StateGrid, UnreachableFinishError,
-                              check_trajectory, enumerate_paths,
+                              backward_pass, check_trajectory, enumerate_paths,
                               min_stages, min_stages_between, solve_dp)
 from uavrelay.radio import RewardMap
 from uavrelay.scenario import Mission
@@ -137,6 +137,59 @@ class TestSolveDp:
         grid = toy_grid(3, 3, (0, 0), (2, 2), 2)
         with pytest.raises(RuntimeError, match="not at the finish cell"):
             solve_dp(toy_map(grid, np.full((3, 3), np.nan)), grid, ACTIONS)
+
+
+def _solve_or_error(rm, grid, backward=None):
+    try:
+        return solve_dp(rm, grid, ACTIONS, backward=backward)
+    except UnreachableFinishError as exc:
+        return str(exc)
+
+
+class TestBackwardPass:
+    def test_one_pass_serves_every_horizon(self):
+        rng = np.random.default_rng(19)
+        for _ in range(25):
+            nx, ny = (int(v) for v in rng.integers(1, 7, size=2))
+            start = (int(rng.integers(0, nx)), int(rng.integers(0, ny)))
+            finish = (int(rng.integers(0, nx)), int(rng.integers(0, ny)))
+            n_max = int(rng.integers(1, 13))
+            rewards = rng.normal(size=(ny, nx))
+            longest = toy_grid(nx, ny, start, finish, n_max)
+            rm = toy_map(longest, rewards)
+            shared = backward_pass(rewards, longest, ACTIONS, n_max)
+            for n in range(1, n_max + 1):
+                grid = toy_grid(nx, ny, start, finish, n)
+                fresh = _solve_or_error(rm, grid)
+                reused = _solve_or_error(rm, grid, backward=shared)
+                if isinstance(fresh, str):
+                    # below the Chebyshev distance: the same diagnostic either way
+                    assert n < max(abs(start[0] - finish[0]), abs(start[1] - finish[1]))
+                    assert reused == fresh
+                    continue
+                assert reused.cells == fresh.cells
+                assert [a.name for a in reused.actions] == [a.name for a in fresh.actions]
+                assert np.array_equal(reused.stage_rewards, fresh.stage_rewards)
+                assert reused.value == fresh.value
+
+    def test_start_values_equal_the_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            nx, ny = (int(v) for v in rng.integers(1, 4, size=2))
+            start = (int(rng.integers(0, nx)), int(rng.integers(0, ny)))
+            finish = (int(rng.integers(0, nx)), int(rng.integers(0, ny)))
+            rewards = rng.integers(-2, 3, size=(ny, nx)).astype(float)
+            policy, start_values = backward_pass(
+                rewards, toy_grid(nx, ny, start, finish, 5), ACTIONS, 5)
+            assert policy.shape == (5, ny, nx) and policy.dtype == np.int8
+            assert start_values.shape == (6,)
+            for n in range(6):
+                grid = toy_grid(nx, ny, start, finish, n)
+                try:
+                    value = enumerate_paths(toy_map(grid, rewards), grid, ACTIONS).value
+                except UnreachableFinishError:
+                    value = float("-inf")
+                assert start_values[n] == value
 
 
 @st.composite

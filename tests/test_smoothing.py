@@ -10,8 +10,8 @@ from uavrelay.pathloss import BackhaulUmaAvModel, LinkModels, OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import AntennaSetup
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
-from uavrelay.smoothing import (BezierCurve, bernstein, evaluate_smoothed,
-                                smooth)
+from uavrelay.smoothing import (BezierCurve, bernstein, de_casteljau,
+                                evaluate_smoothed, smooth)
 
 OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
 MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
@@ -76,6 +76,34 @@ class TestBezierCurve:
     def test_needs_two_control_points(self):
         with pytest.raises(ValueError):
             BezierCurve(np.array([[0.0, 0.0]]))
+
+
+def de_casteljau_by_levels(control, t):
+    """The (..., 2)-layout de Casteljau the in-place kernel must match bit for bit."""
+    t = np.asarray(t, dtype=float)[..., None]
+    pts = np.asarray(control, dtype=float).reshape((-1,) + (1,) * (t.ndim - 1) + (2,))
+    while pts.shape[0] > 1:
+        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
+    return pts[0]
+
+
+class TestDeCasteljau:
+    @pytest.mark.parametrize("degree", [*range(1, 61), 300])
+    def test_equals_the_level_by_level_oracle(self, degree):
+        rng = np.random.default_rng(degree)
+        control = rng.uniform(-500, 1500, size=(degree + 1, 2))
+        samples = np.arange(degree + 1) / degree
+        for t in (0.0, 1.0, float(rng.uniform()), samples,
+                  rng.uniform(size=(3, 4)), rng.uniform(size=(0,))):
+            got = de_casteljau(control, t)
+            want = de_casteljau_by_levels(control, t)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_result_owns_its_memory(self):
+        control = np.random.default_rng(4).uniform(size=(41, 2))
+        got = de_casteljau(control, np.linspace(0, 1, 41))
+        assert got.base is None and got.flags.c_contiguous
 
 
 def lattice_trajectory(cells, criterion="pf", stage_dt=8.0):
