@@ -7,8 +7,9 @@ Subcommands
     antenna-pattern  crossed-dipole gain over (theta, phi)
     heatmap          reward/SIR heat maps for the showcase scenario only
 
-Exit codes: 0 ok, 1 invalid config (diagnostics printed), 2 unreadable or
-unparsable input.
+Exit codes: 0 ok; 1 the config was read but is not a valid config (not JSON
+or not UTF-8, a bad key or value, or a failed validation; diagnostics printed);
+2 the config file cannot be read, or an output file's directory does not exist.
 """
 from __future__ import annotations
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
@@ -45,6 +46,84 @@ class ConfigError(ValueError):
     pass
 
 
+def _take(section, allowed, where: str) -> dict:
+    """A JSON object whose keys are all in `allowed`; no field is a boolean."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    for key, value in section.items():
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        if isinstance(value, bool):
+            raise ConfigError(f"{where}.{key} must not be true/false, got {value!r}")
+    return dict(section)
+
+
+def _number(kind, value, where: str):
+    """int(value) or float(value); a boolean, or a fraction for int, is a ConfigError."""
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from exc
+
+
+def _list(value, where: str, length: int | None = None) -> list:
+    """A JSON list field; a bare string is a one-element list."""
+    if isinstance(value, str):
+        value = [value]
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = f" of {length}" if length else ""
+        raise ConfigError(f"{where} must be a list{size}, got {value!r}")
+    return list(value)
+
+
+def _floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
+    return tuple(_number(float, v, where) for v in _list(value, where, length))
+
+
+def _names(value, where: str) -> tuple[str, ...]:
+    """A list of names; a bare string is a one-element list."""
+    names = tuple(_list(value, where))
+    for v in names:
+        if not isinstance(v, str):
+            raise ConfigError(f"{where} must list names as strings, got {v!r}")
+    return names
+
+
+def _section(cls, **readers):
+    """A reader that builds dataclass `cls` from a JSON object, converting the keys
+    `readers` names; an error of cls itself is a ConfigError at the object's path."""
+    def read(section, where: str):
+        kw = _take(section, cls.__dataclass_fields__, where)
+        for key, read_key in readers.items():
+            if key in kw:
+                kw[key] = read_key(kw[key], f"{where}.{key}")
+        try:
+            return cls(**kw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return read
+
+
+def _name_or_number(value, where: str):
+    return value if isinstance(value, str) else _number(float, value, where)
+
+
+def _field(path: str, default, read=None):
+    """A RunConfig field at JSON key `path`, parsed by read(value, path); a read of
+    None keeps the value as is."""
+    return field(default=default, metadata={"path": path, "read": read})
+
+
+_int = partial(_number, int)
+_float = partial(_number, float)
+_point = partial(_floats, length=2)
+_rect = partial(_floats, length=4)
+
+
 @dataclass(frozen=True)
 class MplmSettings:
     a_hat: float = 0.1
@@ -65,25 +144,30 @@ class DipoleSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    physical: PhysicalConfig = PhysicalConfig()
-    mission: Mission = Mission()
-    mbs_ue_model: str = "ohplm"
-    uav_ue_models: tuple[str, ...] = ("ohplm",)
-    mplm: MplmSettings = MplmSettings()
-    backhaul_model: str | None = None
-    relay_rule: str = "best_direct"
-    criteria: tuple[str, ...] = ("pf",)
-    modes: tuple[str, ...] = ("standalone",)
-    antenna_modes: tuple[str, ...] = ("omni",)
-    dipole: DipoleSettings = DipoleSettings()
-    sweep_t: tuple[float, ...] = (240.0,)
-    sweep_n_mbs: tuple[float, ...] = (4.0,)
-    realizations: int = 30
-    master_seed: int = 1
-    showcase_t: float = 240.0
-    showcase_n_mbs: float = 4.0
-    cell_m: float = 100.0
-    schema_version: int = SCHEMA_VERSION
+    """A run. Each field declares its JSON key path, default and reader once; the
+    parser, the echo (in field order) and the unknown-key checks loop over them."""
+
+    schema_version: int = _field("schema_version", SCHEMA_VERSION, _int)
+    master_seed: int = _field("master_seed", 1, _int)
+    physical: PhysicalConfig = _field("physical", PhysicalConfig(), _section(PhysicalConfig))
+    mission: Mission = _field("mission", Mission(), _section(
+        Mission, start=_point, finish=_point, area_ue=_rect, area_uav=_rect))
+    mbs_ue_model: str = _field("models.mbs_ue", "ohplm")
+    uav_ue_models: tuple[str, ...] = _field("models.uav_ue", ("ohplm",), _names)
+    backhaul_model: str | None = _field("models.backhaul", None)
+    mplm: MplmSettings = _field("models.mplm", MplmSettings(), _section(
+        MplmSettings, a_hat=_float, b_hat=_float, c_hat=_float, reference=_name_or_number))
+    criteria: tuple[str, ...] = _field("run.criteria", ("pf",), _names)
+    modes: tuple[str, ...] = _field("run.modes", ("standalone",), _names)
+    relay_rule: str = _field("run.relay_rule", "best_direct")
+    antenna_modes: tuple[str, ...] = _field("run.antenna_modes", ("omni",), _names)
+    dipole: DipoleSettings = _field("run.dipole", DipoleSettings(), _section(DipoleSettings))
+    realizations: int = _field("run.realizations", 30, _int)
+    cell_m: float = _field("run.cell_m", 100.0, _float)
+    sweep_t: tuple[float, ...] = _field("sweep.t_values", (240.0,), _floats)
+    sweep_n_mbs: tuple[float, ...] = _field("sweep.n_mbs_values", (4.0,), _floats)
+    showcase_t: float = _field("showcase.t", 240.0, _float)
+    showcase_n_mbs: float = _field("showcase.n_mbs", 4.0, _float)
 
     # -- derived builders ---------------------------------------------------
 
@@ -276,33 +360,16 @@ class RunConfig:
         return out
 
     def to_json_dict(self) -> dict:
-        d = {
-            "schema_version": self.schema_version,
-            "master_seed": self.master_seed,
-            "physical": asdict(self.physical),
-            "mission": asdict(self.mission),
-            "models": {
-                "mbs_ue": self.mbs_ue_model,
-                "uav_ue": list(self.uav_ue_models),
-                "backhaul": self.backhaul_model,
-                "mplm": asdict(self.mplm),
-            },
-            "run": {
-                "criteria": list(self.criteria),
-                "modes": list(self.modes),
-                "relay_rule": self.relay_rule,
-                "antenna_modes": list(self.antenna_modes),
-                "dipole": asdict(self.dipole),
-                "realizations": self.realizations,
-                "cell_m": self.cell_m,
-            },
-            "sweep": {
-                "t_values": list(self.sweep_t),
-                "n_mbs_values": list(self.sweep_n_mbs),
-            },
-            "showcase": {"t": self.showcase_t, "n_mbs": self.showcase_n_mbs},
-        }
-        return d
+        doc: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if is_dataclass(value):
+                value = asdict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            section, _, key = f.metadata["path"].rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = value
+        return doc
 
 
 def _built(out: list[str], build, *args, prefix: str = ""):
@@ -329,110 +396,32 @@ def _log_shortfall_chance(mean: float, min_mbs: int) -> float:
     return (_MAX_MBS_REDRAWS + 1) * (math.log1p(tail) - mean)
 
 
-def _take(section, allowed, where: str) -> dict:
-    """A JSON object whose keys are all in `allowed`; no field is a boolean."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    for key, value in section.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-        if isinstance(value, bool):
-            raise ConfigError(f"{where}.{key} must not be true/false, got {value!r}")
-    return dict(section)
-
-
-def _number(kind, value, where: str):
-    """int(value) or float(value); a boolean, or a fraction for int, is a ConfigError."""
-    try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {noun}, got {value!r}") from exc
-
-
-def _list(value, where: str, length: int | None = None) -> list:
-    """A JSON list field; a bare string is a one-element list."""
-    if isinstance(value, str):
-        value = [value]
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = f" of {length}" if length else ""
-        raise ConfigError(f"{where} must be a list{size}, got {value!r}")
-    return list(value)
-
-
-def _floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
-    return tuple(_number(float, v, where) for v in _list(value, where, length))
-
-
-def _names(value, where: str) -> tuple[str, ...]:
-    """A list of names; a bare string is a one-element list."""
-    names = tuple(_list(value, where))
-    for v in names:
-        if not isinstance(v, str):
-            raise ConfigError(f"{where} must list names as strings, got {v!r}")
-    return names
-
-
 def from_json_dict(doc: dict) -> RunConfig:
-    doc = _take(doc, ("schema_version", "master_seed", "physical", "mission", "models",
-                      "run", "sweep", "showcase"), "config")
+    layout: dict[str, list[str]] = {}  # the keys of each section, "" for the top level
+    for f in fields(RunConfig):
+        section, _, key = f.metadata["path"].rpartition(".")
+        layout.setdefault(section, []).append(key)
+    sections = {"": _take(doc, layout[""] + [s for s in layout if s], "config")}
     for key in ("schema_version", "master_seed"):
-        if key not in doc:
+        if key not in sections[""]:
             raise ConfigError(f"missing required key {key!r}")
 
-    try:
-        physical = PhysicalConfig(**_take(doc.get("physical", {}),
-                                          PhysicalConfig.__dataclass_fields__, "physical"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"physical: {exc}") from exc
-
-    mkw = _take(doc.get("mission", {}), Mission.__dataclass_fields__, "mission")
-    for key, length in (("start", 2), ("finish", 2), ("area_ue", 4), ("area_uav", 4)):
-        if key in mkw:
-            mkw[key] = _floats(mkw[key], f"mission.{key}", length)
-    try:
-        mission = Mission(**mkw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mission: {exc}") from exc
-
-    mo = _take(doc.get("models", {}), ("mbs_ue", "uav_ue", "backhaul", "mplm"), "models")
-    mplm_kw = _take(mo.get("mplm", {}), MplmSettings.__dataclass_fields__, "models.mplm")
-    for key in ("a_hat", "b_hat", "c_hat"):
-        if key in mplm_kw:
-            mplm_kw[key] = _number(float, mplm_kw[key], f"models.mplm.{key}")
-    if not isinstance(mplm_kw.get("reference", ""), str):
-        mplm_kw["reference"] = _number(float, mplm_kw["reference"], "models.mplm.reference")
-
-    ru = _take(doc.get("run", {}), ("criteria", "modes", "relay_rule", "antenna_modes",
-                                    "dipole", "realizations", "cell_m"), "run")
-    dipole_kw = _take(ru.get("dipole", {}), DipoleSettings.__dataclass_fields__, "run.dipole")
-    sw = _take(doc.get("sweep", {}), ("t_values", "n_mbs_values"), "sweep")
-    sc = _take(doc.get("showcase", {}), ("t", "n_mbs"), "showcase")
-
-    return RunConfig(
-        physical=physical,
-        mission=mission,
-        mbs_ue_model=mo.get("mbs_ue", "ohplm"),
-        uav_ue_models=_names(mo.get("uav_ue", ["ohplm"]), "models.uav_ue"),
-        mplm=MplmSettings(**mplm_kw),
-        backhaul_model=mo.get("backhaul"),
-        relay_rule=ru.get("relay_rule", "best_direct"),
-        criteria=_names(ru.get("criteria", ["pf"]), "run.criteria"),
-        modes=_names(ru.get("modes", ["standalone"]), "run.modes"),
-        antenna_modes=_names(ru.get("antenna_modes", ["omni"]), "run.antenna_modes"),
-        dipole=DipoleSettings(**dipole_kw),
-        sweep_t=_floats(sw.get("t_values", [mission.duration_t]), "sweep.t_values"),
-        sweep_n_mbs=_floats(sw.get("n_mbs_values", [4.0]), "sweep.n_mbs_values"),
-        realizations=_number(int, ru.get("realizations", 30), "run.realizations"),
-        master_seed=_number(int, doc["master_seed"], "master_seed"),
-        showcase_t=_number(float, sc.get("t", mission.duration_t), "showcase.t"),
-        showcase_n_mbs=_number(float, sc.get("n_mbs", 4.0), "showcase.n_mbs"),
-        cell_m=_number(float, ru.get("cell_m", 100.0), "run.cell_m"),
-        schema_version=_number(int, doc["schema_version"], "schema_version"),
-    )
+    kw = {}
+    for f in fields(RunConfig):
+        path, read = f.metadata["path"], f.metadata["read"]
+        section, _, key = path.rpartition(".")
+        if section not in sections:
+            sections[section] = _take(sections[""].get(section, {}), layout[section], section)
+        if key in sections[section]:
+            value = sections[section][key]
+            kw[f.name] = value if read is None else read(value, path)
+    # a sweep or showcase without T flies the mission's own duration
+    duration = kw.get("mission", RunConfig.mission).duration_t
+    if "sweep_t" not in kw:
+        kw["sweep_t"] = _floats([duration], "sweep.t_values")
+    if "showcase_t" not in kw:
+        kw["showcase_t"] = _float(duration, "showcase.t")
+    return RunConfig(**kw)
 
 
 def load_config(path) -> RunConfig:
@@ -441,6 +430,6 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return from_json_dict(doc)

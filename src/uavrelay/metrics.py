@@ -238,10 +238,12 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
     tasks = (repeat(cfg), repeat(cfg.sweep_t),
              [n_mbs for n_mbs in cfg.sweep_n_mbs for _ in range(cfg.realizations)],
              [j for _ in cfg.sweep_n_mbs for j in range(cfg.realizations)])
-    if jobs > 1:
+    # a worker per task at most: the pool starts all of its workers at once
+    workers = min(jobs, len(tasks[2]))
+    if workers > 1:
         # imported here: the process pool costs serial runs import time and nothing else
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(run_realization, *tasks))
     else:
         raw = list(map(run_realization, *tasks))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,9 @@ BAD_VALUES = [
     # and heights overflow the squared link distances
     ({"physical": {"h_uav": 1e300, "h_bs": 1e299}}, "m is above the 20000 m ceiling"),
     ({"physical": {"h_uav": 1e150}}, "m is above the 20000 m ceiling"),
+    # a 401-digit duration overflows the stage count's division
+    ({"mission": {"duration_t": 10 ** 400}}, "mission: int too large"),
+    ({"mission": {"stage_dt": 10 ** 400}}, "mission: int too large"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -777,6 +781,41 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"schema_version": 1}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"physical": [100]}, "physical must be a JSON object, got [100]"),
+    ({"physical": {"p_mbs": 46}}, "unknown key 'p_mbs' in physical"),
+])
+def test_section_error_names_its_path_once(patch, message):
+    with pytest.raises(ConfigError) as err:
+        from_json_dict({**MINIMAL, **patch})
+    assert str(err.value) == message
+
+
+def test_each_field_is_declared_once():
+    """Every RunConfig field has one JSON path, its echo follows the field order,
+    and a document of only the required keys parses to the field defaults."""
+    assert from_json_dict({"schema_version": 1, "master_seed": 1}) == RunConfig()
+    declared = [f.metadata["path"] for f in fields(RunConfig)]
+
+    def paths(doc, prefix=""):
+        for key, value in doc.items():
+            if isinstance(value, dict) and prefix + key not in declared:
+                yield from paths(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert list(paths(RunConfig().to_json_dict())) == declared
 
 
 def test_version_is_the_pyproject_version():

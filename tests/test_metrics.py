@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,36 @@ class TestSweep:
         b = monte_carlo_sweep(SMALL, jobs=2)
         for pa, pb in zip(a.points, b.points):
             assert pa.capacity_samples == pb.capacity_samples
+
+    @pytest.mark.parametrize("n_mbs,realizations,jobs,workers", [
+        ((2.0, 4.0), 2, 5000, [4]), ((2.0, 4.0), 2, 3, [3]), ((2.0, 4.0), 2, 1, []),
+        ((4.0,), 1, 5000, [])])
+    def test_pool_has_a_worker_per_task_at_most(self, monkeypatch, n_mbs, realizations,
+                                                jobs, workers):
+        """A task per (density, realization): --jobs above the task count starts one
+        worker per task, and a single worker means no pool at all."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = replace(SMALL, sweep_t=(160.0,), sweep_n_mbs=n_mbs, realizations=realizations)
+        got = monte_carlo_sweep(cfg, jobs=jobs)
+        assert started == workers
+        want = monte_carlo_sweep(cfg)
+        assert [p.capacity_samples for p in got.points] == [
+            p.capacity_samples for p in want.points]
 
     def test_both_evaluations_present(self):
         res = monte_carlo_sweep(SMALL)

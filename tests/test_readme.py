@@ -1,0 +1,35 @@
+"""README's code blocks stay runnable and its schema block stays complete."""
+import json
+import re
+from pathlib import Path
+
+from uavrelay.config import from_json_dict
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.M | re.S)
+
+
+def key_paths(doc: dict, prefix: str = "") -> list[str]:
+    out = []
+    for key, value in doc.items():
+        out.append(prefix + key)
+        if isinstance(value, dict):
+            out += key_paths(value, f"{prefix}{key}.")
+    return out
+
+
+def test_python_blocks_run():
+    assert blocks("python")
+    for code in blocks("python"):
+        exec(compile(code, "README.md", "exec"), {})
+
+
+def test_schema_block_names_every_key_and_validates():
+    [schema] = blocks("json")
+    doc = json.loads(schema)
+    cfg = from_json_dict(doc)
+    assert cfg.validate() == []
+    assert key_paths(cfg.to_json_dict()) == key_paths(doc)
