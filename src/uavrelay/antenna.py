@@ -15,7 +15,7 @@ Links to UEs carry one further transmitter-side factor: the UE's
 omnidirectional antenna is a vertical whip, azimuth-omni but blind along z,
 so the fraction of the incident wave it captures (elevation pattern times
 polarization alignment with the transmit Jones vector) is absorbed into
-tx_gain. The combined UE-link gain is 0.75 * ((1 - u_z^2)^2 + u_y^2 u_z^2):
+ue_link_gain. The combined UE-link gain is 0.75 * ((1 - u_z^2)^2 + u_y^2 u_z^2):
 zero for a receiver at nadir, at most 0.75 near the horizon.
 
 The sign of the quadrature feed ('spin') labels the handedness of the pair.
@@ -51,14 +51,6 @@ class CrossedDipole:
 
 
 AntennaMode = Omni | CrossedDipole
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    tx_position: tuple[float, float, float]
-    rx_position: tuple[float, float, float]
-    tx_mode: AntennaMode = Omni()
-    rx_mode: AntennaMode = Omni()
 
 
 def _unit(directions: np.ndarray) -> np.ndarray:
@@ -119,12 +111,6 @@ def polarization_loss_factor(directions, tx_mode: AntennaMode, rx_mode: AntennaM
     e_rx = polarization_jones(directions, rx_mode.spin)
     out = np.abs(np.sum(e_tx * np.conj(e_rx), axis=-1)) ** 2
     return out if out.ndim else float(out)
-
-
-def tx_gain(geom: LinkGeometry) -> float:
-    """Transmitter-side power gain for a link terminating at a UE."""
-    d = np.asarray(geom.rx_position, dtype=float) - np.asarray(geom.tx_position, dtype=float)
-    return float(ue_link_gain(d, geom.tx_mode))
 
 
 def combined_gain(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):

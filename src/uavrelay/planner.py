@@ -6,8 +6,6 @@ neighboring cell. The stage reward is earned at the cell occupied during the
 interval, and the endpoint constraint is encoded as a -inf terminal value
 everywhere but the finish cell. backward_pass solves the recursion once to a
 given stage count, and solve_dp backtracks any horizon up to it.
-enumerate_paths is the brute-force oracle used to verify the recursion on
-small instances.
 """
 from __future__ import annotations
 
@@ -132,32 +130,17 @@ class StateGrid:
     def cell_xy(self, cell: tuple[int, int]) -> tuple[float, float]:
         return (self.x0 + cell[0] * self.cell_m, self.y0 + cell[1] * self.cell_m)
 
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        return 0 <= ix < self.nx and 0 <= iy < self.ny
-
 
 _COMPASS = {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)} - {(0, 0)}
 
 
-def _stage_count(actions: ActionSet, dx, dy):
-    """Fewest stages over the cell offset (dx, dy): one compass move per stage, max(|dx|, |dy|)."""
+def min_stages(grid: StateGrid, actions: ActionSet) -> int:
+    """Fewest stages from the start cell to the finish cell, in O(1): max(|dx|, |dy|)."""
     moves = {(a.dx, a.dy) for a in actions if not a.is_hover}
     if moves != _COMPASS:
         raise ValueError(f"stage counts need the eight unit compass moves, got {sorted(moves)}")
-    return np.maximum(np.abs(dx), np.abs(dy))
-
-
-def min_stages_between(grid: StateGrid, actions: ActionSet,
-                       source: tuple[int, int]) -> np.ndarray:
-    """(ny, nx) stage counts from `source` to every cell under the action set."""
-    iy, ix = np.ogrid[:grid.ny, :grid.nx]
-    return _stage_count(actions, ix - source[0], iy - source[1])
-
-
-def min_stages(grid: StateGrid, actions: ActionSet) -> int:
-    """Fewest stages from the start cell to the finish cell, in O(1)."""
     (sx, sy), (fx, fy) = grid.start_cell, grid.finish_cell
-    return int(_stage_count(actions, sx - fx, sy - fy))
+    return max(abs(sx - fx), abs(sy - fy))
 
 
 @dataclass(eq=False)
@@ -282,57 +265,6 @@ def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
 
     return _finish_trajectory(reward_map.criterion, stage_dt, grid, reward,
                               cells, acts, start_value)
-
-
-def enumerate_paths(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
-                    max_states: int = 2_000_000, stage_dt: float = 8.0) -> Trajectory:
-    """Exhaustive search over action sequences; exact but exponential.
-
-    Prunes only on grid bounds and on reachability of the finish, never on
-    value, and applies the same first-is-best tie rule as solve_dp. Stage
-    sums are folded right-to-left so values match the recursion bit for bit.
-    """
-    n = grid.n_stages
-    if len(actions) ** n > max_states:
-        raise ValueError(
-            f"search space {len(actions)}^{n} exceeds max_states={max_states}"
-        )
-    reward = reward_map.rewards
-    dist = min_stages_between(grid, actions, grid.finish_cell)
-
-    best: dict = {"value": NEG_INF, "acts": None, "cells": None}
-    acts_buf: list[GridAction] = []
-    cells_buf: list[tuple[int, int]] = [grid.start_cell]
-
-    def rec(cell: tuple[int, int], stage: int) -> None:
-        if dist[cell[1], cell[0]] > n - stage:
-            return
-        if stage == n:
-            total = 0.0
-            for c in reversed(cells_buf[:-1]):
-                total = reward[c[1], c[0]] + total
-            if total > best["value"]:
-                best["value"] = total
-                best["acts"] = list(acts_buf)
-                best["cells"] = list(cells_buf)
-            return
-        for act in actions:
-            jx, jy = cell[0] + act.dx, cell[1] + act.dy
-            if not grid.in_bounds(jx, jy):
-                continue
-            acts_buf.append(act)
-            cells_buf.append((jx, jy))
-            rec((jx, jy), stage + 1)
-            acts_buf.pop()
-            cells_buf.pop()
-
-    rec(grid.start_cell, 0)
-    if best["acts"] is None:
-        raise UnreachableFinishError(
-            f"finish cell unreachable within {n} stages"
-        )
-    return _finish_trajectory(reward_map.criterion, stage_dt, grid, reward,
-                              best["cells"], best["acts"], best["value"])
 
 
 def check_trajectory(traj: Trajectory, grid: StateGrid, actions: ActionSet,

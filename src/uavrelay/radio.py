@@ -41,6 +41,10 @@ RELAY_RULES = ("best_direct", "backhaul_literal")
 # Rate floor applied before log10 in the PF reward; far below the outage
 # threshold so it never reorders trajectories.
 PF_RATE_FLOOR = 1e-9
+# A UE's SIR is capped here before its rate. A direct SIR p / (total - p) with
+# nonzero interference is below 2**53, because total - p is then at least one
+# ulp of p; so the cap binds only where the interference rounds to 0.
+SIR_CEILING = 2.0 ** 53
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -147,6 +151,7 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
     if relay_rule not in RELAY_RULES:
         raise ValueError(f"unknown relay rule {relay_rule!r}")
     server, sir, donor = _best_server(scn, uav_pos, mode, models, ants, relay_rule)
+    np.minimum(sir, SIR_CEILING, out=sir)
     m = scn.n_mbs
     # one scheduling unit per served UE, plus the UAV's at its donor
     units = server if donor is None else np.concatenate([server, donor[..., None]], axis=-1)
@@ -187,10 +192,12 @@ def _best_sir(powers, candidates: int | None = None):
     """(SIR, index) of the best of the first `candidates` transmitters (default all).
 
     powers is a sequence of equal-shaped received-power arrays, one per
-    transmitter; each SIR is its power over the sum of all the others.
+    transmitter; each SIR is its power over the sum of all the others, inf
+    where those round to 0.
     """
     total = _leading_sum(powers)
-    return _first_max(p / (total - p) for p in powers[:candidates])
+    with np.errstate(divide="ignore"):
+        return _first_max(p / (total - p) for p in powers[:candidates])
 
 
 def _leading_sum(terms):
@@ -315,6 +322,5 @@ def max_sir_map(scn: Scenario, models: LinkModels, ants: AntennaSetup,
     cells = _cell_centres(grid.axis_x(), grid.axis_y())
     p_mbs, p_uav = link_budget(scn, cells, models, ants, ue_xy=cells[..., None, :])
     # one MBS and a probe in the UAV dipole's nadir null: no interference, SIR inf
-    with np.errstate(divide="ignore"):
-        sir, _ = _best_sir([*np.moveaxis(p_mbs, -2, 0), p_uav])
+    sir, _ = _best_sir([*np.moveaxis(p_mbs, -2, 0), p_uav])
     return 10.0 * np.log10(sir[..., 0])

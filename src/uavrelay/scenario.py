@@ -1,13 +1,10 @@
 """Network realizations: node placement, mission geometry, physical constants."""
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import output
 
 # (xmin, ymin, xmax, ymax) in meters
 Rect = tuple[float, float, float, float]
@@ -144,44 +141,6 @@ class Scenario:
     @property
     def n_ue(self) -> int:
         return self.ue_xy.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "mission": asdict(self.mission),
-            "seed": self.seed,
-            "mbs_rejections": self.mbs_rejections,
-            "mbs_xy": self.mbs_xy.tolist(),
-            "ue_xy": self.ue_xy.tolist(),
-        }
-
-    def to_json(self, path) -> None:
-        output.write_json(path, self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Scenario":
-        mission = d["mission"]
-        mission = Mission(
-            start=tuple(mission["start"]),
-            finish=tuple(mission["finish"]),
-            duration_t=mission["duration_t"],
-            stage_dt=mission["stage_dt"],
-            area_ue=tuple(mission["area_ue"]),
-            area_uav=tuple(mission["area_uav"]),
-        )
-        return cls(
-            config=PhysicalConfig(**d["config"]),
-            mission=mission,
-            mbs_xy=np.asarray(d["mbs_xy"], dtype=float).reshape(-1, 2),
-            ue_xy=np.asarray(d["ue_xy"], dtype=float).reshape(-1, 2),
-            seed=d["seed"],
-            mbs_rejections=d.get("mbs_rejections", 0),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _uniform_in_rect(rng: np.random.Generator, rect: Rect, n: int) -> np.ndarray:

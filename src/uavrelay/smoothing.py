@@ -1,7 +1,6 @@
 """Bezier smoothing of DP waypoint paths and batched off-grid re-evaluation."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,15 +10,6 @@ from .pathloss import LinkModels
 from .radio import AntennaSetup
 from .planner import Trajectory
 from .scenario import Scenario, rect_contains
-
-
-def bernstein(i: int, n: int, t: float) -> float:
-    """Bernstein weight C(n,i) (1-t)^(n-i) t^i; closed form, small n only."""
-    if not 0 <= i <= n:
-        raise ValueError(f"index i={i} outside 0..{n}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    return math.comb(n, i) * (1.0 - t) ** (n - i) * t ** i
 
 
 def de_casteljau(control: np.ndarray, t) -> np.ndarray:
@@ -41,26 +31,6 @@ def de_casteljau(control: np.ndarray, t) -> np.ndarray:
         pts[:k] += scaled[:k]
     # a copy, so the result does not hold the whole block
     return pts[0].T.reshape(t.shape + (2,)).copy()
-
-
-@dataclass(eq=False)
-class BezierCurve:
-    control: np.ndarray  # (n+1, 2)
-
-    def __post_init__(self) -> None:
-        self.control = np.asarray(self.control, dtype=float).reshape(-1, 2)
-        if self.control.shape[0] < 2:
-            raise ValueError("a Bezier curve needs at least 2 control points")
-
-    @property
-    def degree(self) -> int:
-        return self.control.shape[0] - 1
-
-    def point(self, t: float) -> np.ndarray:
-        return de_casteljau(self.control, t)
-
-    def points(self, ts) -> np.ndarray:
-        return de_casteljau(self.control, ts)
 
 
 @dataclass(eq=False)
@@ -95,7 +65,7 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
     if waypoints.shape[0] < 2:
         raise ValueError("need at least 2 waypoints to smooth")
     n = waypoints.shape[0] - 1
-    positions = BezierCurve(waypoints).points(np.arange(n + 1) / n)
+    positions = de_casteljau(waypoints, np.arange(n + 1) / n)
     # exact endpoint interpolation regardless of rounding in de Casteljau
     positions[0] = waypoints[0]
     positions[-1] = waypoints[-1]

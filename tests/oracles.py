@@ -1,0 +1,115 @@
+"""Reference implementations the tests check the package against.
+
+No command runs these. Each is a brute-force or closed-form counterpart of a
+package kernel: exhaustive path search for the DP, the Bernstein sum for de
+Casteljau, and a point-to-point link geometry for the batched UE-link gain.
+"""
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from uavrelay.antenna import AntennaMode, Omni, ue_link_gain
+from uavrelay.planner import (NEG_INF, ActionSet, GridAction, StateGrid, Trajectory,
+                              UnreachableFinishError, _finish_trajectory)
+from uavrelay.radio import RewardMap
+from uavrelay.smoothing import de_casteljau
+
+
+def min_stages_between(grid: StateGrid, actions: ActionSet,
+                       source: tuple[int, int]) -> np.ndarray:
+    """(ny, nx) stage counts from `source` to every cell: the Chebyshev distance."""
+    iy, ix = np.ogrid[:grid.ny, :grid.nx]
+    return np.maximum(np.abs(ix - source[0]), np.abs(iy - source[1]))
+
+
+def enumerate_paths(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
+                    max_states: int = 2_000_000, stage_dt: float = 8.0) -> Trajectory:
+    """Exhaustive search over action sequences; exact but exponential.
+
+    Prunes only on grid bounds and on reachability of the finish, never on
+    value, and applies the same first-is-best tie rule as solve_dp. Stage
+    sums are folded right-to-left so values match the recursion bit for bit.
+    """
+    n = grid.n_stages
+    if len(actions) ** n > max_states:
+        raise ValueError(
+            f"search space {len(actions)}^{n} exceeds max_states={max_states}"
+        )
+    reward = reward_map.rewards
+    dist = min_stages_between(grid, actions, grid.finish_cell)
+
+    best: dict = {"value": NEG_INF, "acts": None, "cells": None}
+    acts_buf: list[GridAction] = []
+    cells_buf: list[tuple[int, int]] = [grid.start_cell]
+
+    def rec(cell: tuple[int, int], stage: int) -> None:
+        if dist[cell[1], cell[0]] > n - stage:
+            return
+        if stage == n:
+            total = 0.0
+            for c in reversed(cells_buf[:-1]):
+                total = reward[c[1], c[0]] + total
+            if total > best["value"]:
+                best["value"] = total
+                best["acts"] = list(acts_buf)
+                best["cells"] = list(cells_buf)
+            return
+        for act in actions:
+            jx, jy = cell[0] + act.dx, cell[1] + act.dy
+            if not (0 <= jx < grid.nx and 0 <= jy < grid.ny):
+                continue
+            acts_buf.append(act)
+            cells_buf.append((jx, jy))
+            rec((jx, jy), stage + 1)
+            acts_buf.pop()
+            cells_buf.pop()
+
+    rec(grid.start_cell, 0)
+    if best["acts"] is None:
+        raise UnreachableFinishError(
+            f"finish cell unreachable within {n} stages"
+        )
+    return _finish_trajectory(reward_map.criterion, stage_dt, grid, reward,
+                              best["cells"], best["acts"], best["value"])
+
+
+def bernstein(i: int, n: int, t: float) -> float:
+    """Bernstein weight C(n,i) (1-t)^(n-i) t^i; closed form, small n only."""
+    if not 0 <= i <= n:
+        raise ValueError(f"index i={i} outside 0..{n}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    return math.comb(n, i) * (1.0 - t) ** (n - i) * t ** i
+
+
+@dataclass(eq=False)
+class BezierCurve:
+    """A Bezier curve over its control points, evaluated by the package's de_casteljau."""
+
+    control: np.ndarray  # (n+1, 2)
+
+    def __post_init__(self) -> None:
+        self.control = np.asarray(self.control, dtype=float).reshape(-1, 2)
+        if self.control.shape[0] < 2:
+            raise ValueError("a Bezier curve needs at least 2 control points")
+
+    def point(self, t: float) -> np.ndarray:
+        return de_casteljau(self.control, t)
+
+    def points(self, ts) -> np.ndarray:
+        return de_casteljau(self.control, ts)
+
+
+@dataclass(frozen=True)
+class LinkGeometry:
+    tx_position: tuple[float, float, float]
+    rx_position: tuple[float, float, float]
+    tx_mode: AntennaMode = Omni()
+    rx_mode: AntennaMode = Omni()
+
+
+def tx_gain(geom: LinkGeometry) -> float:
+    """Transmitter-side power gain for one link terminating at a UE."""
+    d = np.asarray(geom.rx_position, dtype=float) - np.asarray(geom.tx_position, dtype=float)
+    return float(ue_link_gain(d, geom.tx_mode))

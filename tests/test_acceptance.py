@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from uavrelay import cli, radio
-from uavrelay.antenna import G_MAX, CrossedDipole, LinkGeometry, tx_gain
+from uavrelay.antenna import G_MAX, CrossedDipole
 from uavrelay.pathloss import (backhaul_path_loss, fspl, hata_coefficients,
                                hata_path_loss, los_probability)
-from uavrelay.planner import ActionSet, StateGrid, enumerate_paths, solve_dp
+from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import RewardMap, relay_end_to_end_sir
 from uavrelay.scenario import Mission
 
 from conftest import JOBS
+from oracles import LinkGeometry, enumerate_paths, tx_gain
 
 
 def report(cid: str, detail: str) -> None:
@@ -199,7 +200,7 @@ def test_c07_smoothing_gap(fig2_run):
         worst = max(worst, gap)
     assert worst <= 0.05
     # Bernstein partition of unity and endpoint interpolation at 1e-12
-    from uavrelay.smoothing import BezierCurve, bernstein
+    from oracles import BezierCurve, bernstein
     for t in (0.0, 0.3, 0.7, 1.0):
         assert abs(sum(bernstein(i, 24, t) for i in range(25)) - 1.0) < 1e-12
     rng = np.random.default_rng(1)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -731,6 +732,29 @@ class TestCli:
         out = tmp_path / "hm"
         assert cli.main(["heatmap", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "heatmap_pf_standalone_ohplm_omni.csv").exists()
+
+    def test_interference_free_link_runs_to_a_finite_capacity(self, tmp_path):
+        # a 70 dBm MBS over a -30 dBm UAV: near the MBS the UAV's power rounds
+        # away in the interference sum, which once made the SIR infinite
+        doc = {"schema_version": 1, "master_seed": 272,
+               "mission": {"start": [0, 0], "finish": [50, 50], "duration_t": 4,
+                           "stage_dt": 4, "area_ue": [0, 0, 100, 100],
+                           "area_uav": [0, 0, 100, 100]},
+               "physical": {"p_mbs_dbm": 70, "p_uav_dbm": -30, "f_c_mhz": 150,
+                            "h_uav": 60, "h_bs": 10, "h_ue": 1},
+               "models": {"mbs_ue": "mplm", "uav_ue": ["ohplm"], "mplm": {"reference": -44}},
+               "run": {"cell_m": 50, "realizations": 1},
+               "sweep": {"t_values": [4], "n_mbs_values": [1]},
+               "showcase": {"t": 4, "n_mbs": 1}}
+        path = self.write_config(tmp_path, doc)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        points = json.loads((out / "sweep.json").read_text())["points"]
+        assert points
+        for point in points:
+            assert math.isfinite(point["mean_capacity_bps_hz"])
+            assert point["n_realizations"] == 1
 
 
 def reference_showcase(cfg, out_dir):

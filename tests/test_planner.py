@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay.planner import (ActionSet, StateGrid, UnreachableFinishError,
-                              backward_pass, check_trajectory, enumerate_paths,
-                              min_stages, min_stages_between, solve_dp)
+                              backward_pass, check_trajectory, min_stages, solve_dp)
 from uavrelay.radio import RewardMap
 from uavrelay.scenario import Mission
+
+from oracles import enumerate_paths, min_stages_between
 
 ACTIONS = ActionSet.standard(100.0, 8.0, 17.7)
 
@@ -133,10 +134,12 @@ class TestSolveDp:
         assert set(hovers) == {(1, 2)}
 
     def test_backtrack_off_the_finish_is_an_error(self):
-        # NaN rewards defeat the -inf sentinel; the end-point check must not be an assert
+        # a policy that only hovers never leaves the start, though its start value is
+        # finite; the end-point check must not be an assert
         grid = toy_grid(3, 3, (0, 0), (2, 2), 2)
+        hover_only = (np.zeros((2, 3, 3), dtype=np.int8), np.zeros(3))
         with pytest.raises(RuntimeError, match="not at the finish cell"):
-            solve_dp(toy_map(grid, np.full((3, 3), np.nan)), grid, ACTIONS)
+            solve_dp(toy_map(grid, np.zeros((3, 3))), grid, ACTIONS, backward=hover_only)
 
 
 def _solve_or_error(rm, grid, backward=None):

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import radio
-from uavrelay.antenna import CrossedDipole, LinkGeometry, Omni, tx_gain
+from uavrelay.antenna import CrossedDipole, Omni
 from uavrelay.config import RunConfig
 from uavrelay.pathloss import LinkModels, MplmModel, OhplmModel, BackhaulUmaAvModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import (AntennaSetup, associate, criterion_reward,
                             dbm_to_mw, relay_end_to_end_sir, stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
+
+from oracles import LinkGeometry, tx_gain
 
 OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
 DIPOLE = AntennaSetup(mbs=CrossedDipole(1), uav=CrossedDipole(1))
@@ -235,6 +237,16 @@ class TestAssociate:
         scn = make_scenario([[500.0, 500.0]], [[100.0, 100.0]])
         with pytest.raises(ValueError, match="2 MBSs"):
             associate(scn, (0.0, 0.0), "relay", MODELS, OMNI)
+
+    def test_interference_that_rounds_to_zero_gets_the_sir_ceiling(self, monkeypatch):
+        # a 1e-20 interferer is below half an ulp of the serving 1 mW: total - p is 0
+        scn = make_scenario([[500.0, 500.0]], [[100.0, 100.0]])
+        monkeypatch.setattr(radio, "link_budget",
+                            lambda *args: (np.array([[1.0]]), np.array([1e-20])))
+        snap = associate(scn, (0.0, 0.0), "standalone", MODELS, OMNI)
+        assert snap.server[0] == 0
+        assert snap.sir[0] == radio.SIR_CEILING
+        assert snap.rate[0] == 53.0
 
 
 class TestCriterionReward:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from uavrelay.scenario import (Mission, PhysicalConfig, Scenario, area_km2,
-                               generate_scenario)
+from uavrelay.scenario import Mission, PhysicalConfig, area_km2, generate_scenario
 
 
 def test_generate_scenario_deterministic():
@@ -142,18 +141,6 @@ def test_rejects_an_area_that_rounds_to_zero():
     # the extent is positive, but (1e-200 m)^2 is 0 km^2
     with pytest.raises(ValueError, match="positive extent and area"):
         Mission(area_ue=(0.0, 0.0, 1e-200, 1e-200))
-
-
-def test_json_round_trip(tmp_path):
-    scn = generate_scenario(PhysicalConfig(), Mission(), 77)
-    path = tmp_path / "scenario.json"
-    scn.to_json(path)
-    back = Scenario.from_json(path)
-    assert back.seed == scn.seed
-    assert np.array_equal(back.mbs_xy, scn.mbs_xy)
-    assert np.array_equal(back.ue_xy, scn.ue_xy)
-    assert back.config == scn.config
-    assert back.mission == scn.mission
 
 
 def test_area_km2():

@@ -10,8 +10,9 @@ from uavrelay.pathloss import BackhaulUmaAvModel, LinkModels, OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import AntennaSetup
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
-from uavrelay.smoothing import (BezierCurve, bernstein, de_casteljau,
-                                evaluate_smoothed, smooth)
+from uavrelay.smoothing import de_casteljau, evaluate_smoothed, smooth
+
+from oracles import BezierCurve, bernstein
 
 OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
 MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
