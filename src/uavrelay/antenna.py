@@ -21,6 +21,12 @@ zero for a receiver at nadir, at most 0.75 near the horizon.
 The sign of the quadrature feed ('spin') labels the handedness of the pair.
 Equal spins are polarization matched in every direction; opposite spins
 mismatch, with full nulls along the x-axis.
+
+Directions come in as (..., 3) arrays, and the math is done on their x, y
+and z planes: each sum over the three components is added in the order of
+np.sum over the last axis, so it has the bits of that reduction. A single
+(3,) direction is computed as a batch of one and gets the bits it gets in
+any batch.
 """
 from __future__ import annotations
 
@@ -29,9 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 G_MAX = 1.5  # peak linear power gain of the crossed-dipole radiation pattern
-
-_Z = np.array([0.0, 0.0, 1.0])
-_Y = np.array([0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -53,46 +56,85 @@ class CrossedDipole:
 AntennaMode = Omni | CrossedDipole
 
 
-def _unit(directions: np.ndarray) -> np.ndarray:
+def _unit_components(directions):
+    """Unit-vector planes (ux, uy, uz), each (n,), of n = prod(...) directions (..., 3).
+
+    The norm adds the squares in np.sum's last-axis order, so each plane
+    has the bits of the interleaved `d / norm(d)`. A single direction is a
+    batch of one: numpy's scalar complex product rounds differently from
+    its array loop.
+    """
     d = np.asarray(directions, dtype=float)
-    # np.linalg.norm's sum of squares, without its conj() copy of a real array
-    norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
+    flat = d.reshape(-1, d.shape[-1])
+    x, y, z = flat[:, 0], flat[:, 1], flat[:, 2]
+    norm = np.sqrt(x * x + y * y + z * z)
     if np.any(norm == 0):
         raise ValueError("zero-length link direction")
-    return d / norm
+    return x / norm, y / norm, z / norm
+
+
+def _per_direction(out: np.ndarray, directions):
+    """(n,) plane results in the leading shape of `directions`; a float for one."""
+    shape = np.shape(directions)[:-1]
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _radiation(ux, mode: AntennaMode):
+    """Radiated power gain from the x plane of the unit directions; even in ux."""
+    if isinstance(mode, Omni):
+        return np.ones(ux.shape)
+    return 0.75 * (1.0 + ux ** 2)
 
 
 def radiation_gain(directions, mode: AntennaMode):
     """Radiated power gain of `mode` along `directions` (..., 3)."""
-    u = _unit(directions)
-    if isinstance(mode, Omni):
-        out = np.ones(u.shape[:-1])
-    else:
-        out = 0.75 * (1.0 + u[..., 0] ** 2)
-    return out if out.ndim else float(out)
+    ux, _, _ = _unit_components(directions)
+    return _per_direction(_radiation(ux, mode), directions)
 
 
 def ue_link_gain(directions, mode: AntennaMode):
     """Transmitter-side gain toward a UE: radiation times whip capture."""
-    u = _unit(directions)
+    _, uy, uz = _unit_components(directions)
     if isinstance(mode, Omni):
-        out = np.ones(u.shape[:-1])
+        out = np.ones(uz.shape)
     else:
-        a2 = 1.0 - u[..., 2] ** 2
-        c2 = (u[..., 1] * u[..., 2]) ** 2
+        a2 = 1.0 - uz ** 2
+        c2 = (uy * uz) ** 2
         out = 0.75 * (a2 ** 2 + c2)
-    return out if out.ndim else float(out)
+    return _per_direction(out, directions)
+
+
+def _jones(u, spin: int):
+    """Jones planes (ex, ey, ez) of the unit direction planes u.
+
+    The transverse projections of the z and y arms, pz = z - u u_z and
+    py = y - u u_y, combined in phase quadrature as pz + 1j spin py.
+    """
+    ux, uy, uz = u
+    quad = 1j * spin
+    ex = (0.0 - ux * uz) + quad * (0.0 - ux * uy)
+    ey = (0.0 - uy * uz) + quad * (1.0 - uy * uy)
+    ez = (1.0 - uz * uz) + quad * (0.0 - uz * uy)
+    # |pz|^2 + |py|^2 = 1 + u_x^2 >= 1, never degenerate
+    norm = np.sqrt(np.abs(ex) ** 2 + np.abs(ey) ** 2 + np.abs(ez) ** 2)
+    return ex / norm, ey / norm, ez / norm
 
 
 def polarization_jones(directions, spin: int) -> np.ndarray:
-    """Unit complex far-field polarization vector of the quadrature pair."""
-    u = _unit(directions)
-    pz = _Z - u * u[..., 2:3]
-    py = _Y - u * u[..., 1:2]
-    e = pz + 1j * spin * py
-    # |pz|^2 + |py|^2 = 1 + u_x^2 >= 1, never degenerate
-    norm = np.sqrt(np.sum(np.abs(e) ** 2, axis=-1, keepdims=True))
-    return e / norm
+    """Unit complex far-field polarization vector of the quadrature pair; (..., 3)."""
+    e = np.stack(_jones(_unit_components(directions), spin), axis=-1)
+    return e.reshape(np.shape(directions))
+
+
+def _polarization(u, tx_mode: AntennaMode, rx_mode: AntennaMode):
+    """|e_tx . conj(e_rx)|^2 from the unit direction planes u."""
+    if isinstance(tx_mode, Omni) or isinstance(rx_mode, Omni):
+        return np.ones(u[0].shape)
+    e_tx = _jones(u, tx_mode.spin)
+    # transverse projections are identical for +/-u, so reuse the direction
+    e_rx = e_tx if rx_mode.spin == tx_mode.spin else _jones(u, rx_mode.spin)
+    (tx, ty, tz), (rx, ry, rz) = e_tx, e_rx
+    return np.abs(tx * np.conj(rx) + ty * np.conj(ry) + tz * np.conj(rz)) ** 2
 
 
 def polarization_loss_factor(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
@@ -102,19 +144,13 @@ def polarization_loss_factor(directions, tx_mode: AntennaMode, rx_mode: AntennaM
     ((a^2-b^2)^2 + 4c^2) / (a^2+b^2)^2, which is 0 on the x-axis and 1 in
     the y-z plane. An omnidirectional end is treated as perfectly matched.
     """
-    if isinstance(tx_mode, Omni) or isinstance(rx_mode, Omni):
-        u = _unit(directions)
-        out = np.ones(u.shape[:-1])
-        return out if out.ndim else float(out)
-    e_tx = polarization_jones(directions, tx_mode.spin)
-    # transverse projections are identical for +/-u, so reuse the direction
-    e_rx = polarization_jones(directions, rx_mode.spin)
-    out = np.abs(np.sum(e_tx * np.conj(e_rx), axis=-1)) ** 2
-    return out if out.ndim else float(out)
+    return _per_direction(_polarization(_unit_components(directions), tx_mode, rx_mode),
+                          directions)
 
 
 def combined_gain(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
     """Radiation gain at both ends times the polarization loss factor, per tx->rx direction."""
-    u = np.asarray(directions, dtype=float)
-    g = radiation_gain(u, tx_mode) * radiation_gain(-u, rx_mode)
-    return g * polarization_loss_factor(u, tx_mode, rx_mode)
+    u = _unit_components(directions)
+    # the receiver radiates along -u, and the pattern is even in u_x
+    g = _radiation(u[0], tx_mode) * _radiation(u[0], rx_mode)
+    return _per_direction(g * _polarization(u, tx_mode, rx_mode), directions)

@@ -63,14 +63,20 @@ def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
                  f_c_mhz: float, gain=None) -> np.ndarray:
     """Received power (mW) of one link class, tx and rx ground points broadcast.
 
-    gain, when given, maps the (..., 3) tx->rx directions to linear gains.
+    The ground distance comes from the x and y planes of the points, with
+    the bits of the norm over their last axis. gain, when given, maps the
+    (..., 3) tx->rx directions to linear gains.
     """
-    shape = np.broadcast_shapes(np.shape(tx_xy), np.shape(rx_xy))
-    direction = np.empty(shape[:-1] + (3,))
-    np.subtract(rx_xy, tx_xy, out=direction[..., :2])
-    direction[..., 2] = h_rx - h_tx
-    g = None if gain is None else gain(direction)  # before the loss, for a lower peak
-    z = np.linalg.norm(direction[..., :2], axis=-1)
+    dx = rx_xy[..., 0] - tx_xy[..., 0]
+    dy = rx_xy[..., 1] - tx_xy[..., 1]
+    g = None
+    if gain is not None:  # before the loss, for a lower peak
+        direction = np.empty(dx.shape + (3,))
+        direction[..., 0] = dx
+        direction[..., 1] = dy
+        direction[..., 2] = h_rx - h_tx
+        g = gain(direction)
+    z = np.sqrt(dx * dx + dy * dy)
     loss = model.loss_db(np.sqrt(z ** 2 + (h_tx - h_rx) ** 2), z, f_c_mhz=f_c_mhz,
                          h_tx=h_tx, h_rx=h_rx)
     p = dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0)

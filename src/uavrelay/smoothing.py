@@ -69,7 +69,8 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
     # exact endpoint interpolation regardless of rounding in de Casteljau
     positions[0] = waypoints[0]
     positions[-1] = waypoints[-1]
-    speeds = np.linalg.norm(np.diff(positions, axis=0), axis=1) / traj.stage_dt
+    dx, dy = np.diff(positions, axis=0).T
+    speeds = np.sqrt(dx * dx + dy * dy) / traj.stage_dt
     violations = []
     if v_max is not None:
         violations = [int(j) for j in np.nonzero(speeds > v_max + 1e-9)[0]]

@@ -2,7 +2,9 @@
 
 No command runs these. Each is a brute-force or closed-form counterpart of a
 package kernel: exhaustive path search for the DP, the Bernstein sum for de
-Casteljau, and a point-to-point link geometry for the batched UE-link gain.
+Casteljau, a point-to-point link geometry for the batched UE-link gain, and
+the interleaved-axis forms of the antenna gains and the link geometry, which
+the package computes on coordinate planes with the same bits.
 """
 import math
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ import numpy as np
 from uavrelay.antenna import AntennaMode, Omni, ue_link_gain
 from uavrelay.planner import (NEG_INF, ActionSet, GridAction, StateGrid, Trajectory,
                               UnreachableFinishError, _finish_trajectory)
-from uavrelay.radio import RewardMap
+from uavrelay.radio import RewardMap, dbm_to_mw
 from uavrelay.smoothing import de_casteljau
 
 
@@ -113,3 +115,79 @@ def tx_gain(geom: LinkGeometry) -> float:
     """Transmitter-side power gain for one link terminating at a UE."""
     d = np.asarray(geom.rx_position, dtype=float) - np.asarray(geom.tx_position, dtype=float)
     return float(ue_link_gain(d, geom.tx_mode))
+
+
+# --- interleaved-axis forms: reductions over the last axis of (..., 2)/(..., 3)
+
+_Z = np.array([0.0, 0.0, 1.0])
+_Y = np.array([0.0, 1.0, 0.0])
+
+
+def _unit(directions) -> np.ndarray:
+    d = np.asarray(directions, dtype=float)
+    norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
+    if np.any(norm == 0):
+        raise ValueError("zero-length link direction")
+    return d / norm
+
+
+def interleaved_radiation_gain(directions, mode: AntennaMode):
+    u = _unit(directions)
+    if isinstance(mode, Omni):
+        out = np.ones(u.shape[:-1])
+    else:
+        out = 0.75 * (1.0 + u[..., 0] ** 2)
+    return out if out.ndim else float(out)
+
+
+def interleaved_ue_link_gain(directions, mode: AntennaMode):
+    u = _unit(directions)
+    if isinstance(mode, Omni):
+        out = np.ones(u.shape[:-1])
+    else:
+        a2 = 1.0 - u[..., 2] ** 2
+        c2 = (u[..., 1] * u[..., 2]) ** 2
+        out = 0.75 * (a2 ** 2 + c2)
+    return out if out.ndim else float(out)
+
+
+def interleaved_polarization_jones(directions, spin: int) -> np.ndarray:
+    u = _unit(directions)
+    pz = _Z - u * u[..., 2:3]
+    py = _Y - u * u[..., 1:2]
+    e = pz + 1j * spin * py
+    norm = np.sqrt(np.sum(np.abs(e) ** 2, axis=-1, keepdims=True))
+    return e / norm
+
+
+def interleaved_polarization_loss_factor(directions, tx_mode: AntennaMode,
+                                         rx_mode: AntennaMode):
+    if isinstance(tx_mode, Omni) or isinstance(rx_mode, Omni):
+        u = _unit(directions)
+        out = np.ones(u.shape[:-1])
+        return out if out.ndim else float(out)
+    e_tx = interleaved_polarization_jones(directions, tx_mode.spin)
+    e_rx = interleaved_polarization_jones(directions, rx_mode.spin)
+    out = np.abs(np.sum(e_tx * np.conj(e_rx), axis=-1)) ** 2
+    return out if out.ndim else float(out)
+
+
+def interleaved_combined_gain(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
+    u = np.asarray(directions, dtype=float)
+    g = interleaved_radiation_gain(u, tx_mode) * interleaved_radiation_gain(-u, rx_mode)
+    return g * interleaved_polarization_loss_factor(u, tx_mode, rx_mode)
+
+
+def interleaved_received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
+                            f_c_mhz: float, gain=None) -> np.ndarray:
+    """Received power (mW) with the ground distance as the norm of a (..., 2) block."""
+    shape = np.broadcast_shapes(np.shape(tx_xy), np.shape(rx_xy))
+    direction = np.empty(shape[:-1] + (3,))
+    np.subtract(rx_xy, tx_xy, out=direction[..., :2])
+    direction[..., 2] = h_rx - h_tx
+    g = None if gain is None else gain(direction)
+    z = np.linalg.norm(direction[..., :2], axis=-1)
+    loss = model.loss_db(np.sqrt(z ** 2 + (h_tx - h_rx) ** 2), z, f_c_mhz=f_c_mhz,
+                         h_tx=h_tx, h_rx=h_rx)
+    p = dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0)
+    return p if g is None else p * g

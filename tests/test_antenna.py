@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from uavrelay.antenna import (G_MAX, CrossedDipole, Omni, combined_gain,
                               polarization_jones, polarization_loss_factor,
                               radiation_gain, ue_link_gain)
 
-from oracles import LinkGeometry, tx_gain
+from oracles import (LinkGeometry, interleaved_combined_gain,
+                     interleaved_polarization_jones,
+                     interleaved_polarization_loss_factor,
+                     interleaved_radiation_gain, interleaved_ue_link_gain, tx_gain)
 
 
 def sphere_points(n=400, seed=2):
@@ -132,3 +137,99 @@ class TestBackhaulCombinedGain:
 def test_crossed_dipole_validates_spin():
     with pytest.raises(ValueError):
         CrossedDipole(spin=2)
+
+
+MODES = (Omni(), CrossedDipole(1), CrossedDipole(-1))
+
+# nadir and zenith, the y = 0 plane, both ways along x (the opposite-spin
+# null), along y, horizontal, and components many orders of magnitude apart
+SPECIAL_DIRECTIONS = np.array([
+    [0.0, 0.0, -118.0], [0.0, 0.0, 90.0], [0.0, 0.0, -1e-150],
+    [350.0, 0.0, -118.0], [-0.25, 0.0, 3.0], [1e-9, 0.0, -1.0],
+    [1.0, 0.0, 0.0], [-800.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -5.0, 0.0],
+    [300.0, -400.0, 0.0], [1.0, 1e-17, 0.0], [1e-17, 1.0, 1e-17],
+])
+
+
+def direction_batch(shape, seed):
+    """(*shape, 3) directions: the special ones, the rest normal at mixed scales."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    d = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    k = min(n, len(SPECIAL_DIRECTIONS))
+    d[rng.permutation(n)[:k]] = SPECIAL_DIRECTIONS[rng.permutation(len(SPECIAL_DIRECTIONS))[:k]]
+    return d.reshape(tuple(shape) + (3,))
+
+
+BATCH_SHAPES = [(1,), (13,), (300,), (7, 11), (5, 4, 26), (2, 3, 50)]
+
+
+class TestPlanesMatchInterleavedForms:
+    """Every gain has the bits of its (..., 3) last-axis reduction form."""
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_single_end_gains(self, shape, mode):
+        for seed in range(4):
+            d = direction_batch(shape, seed)
+            for got, want in ((radiation_gain(d, mode), interleaved_radiation_gain(d, mode)),
+                              (ue_link_gain(d, mode), interleaved_ue_link_gain(d, mode))):
+                assert got.shape == shape
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    @pytest.mark.parametrize("spin", (1, -1))
+    def test_polarization_jones(self, shape, spin):
+        for seed in range(4):
+            d = direction_batch(shape, seed)
+            got = polarization_jones(d, spin)
+            assert got.shape == shape + (3,)
+            assert np.array_equal(got, interleaved_polarization_jones(d, spin))
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    @pytest.mark.parametrize("tx_mode,rx_mode", itertools.product(MODES, MODES), ids=str)
+    def test_two_end_gains(self, shape, tx_mode, rx_mode):
+        for seed in range(4):
+            d = direction_batch(shape, seed)
+            plf = polarization_loss_factor(d, tx_mode, rx_mode)
+            assert np.array_equal(plf, interleaved_polarization_loss_factor(d, tx_mode, rx_mode))
+            g = combined_gain(d, tx_mode, rx_mode)
+            assert np.array_equal(g, interleaved_combined_gain(d, tx_mode, rx_mode))
+
+    @pytest.mark.parametrize("tx_mode,rx_mode", itertools.product(MODES, MODES), ids=str)
+    def test_a_single_direction_has_its_bits_in_a_batch(self, tx_mode, rx_mode):
+        batch = direction_batch((40,), 7)
+        whole = [radiation_gain(batch, tx_mode), ue_link_gain(batch, tx_mode),
+                 polarization_loss_factor(batch, tx_mode, rx_mode),
+                 combined_gain(batch, tx_mode, rx_mode)]
+        for i, d in enumerate(batch):
+            single = [radiation_gain(d, tx_mode), ue_link_gain(d, tx_mode),
+                      polarization_loss_factor(d, tx_mode, rx_mode),
+                      combined_gain(d, tx_mode, rx_mode)]
+            assert all(type(s) is float for s in single)
+            assert single == [w[i] for w in whole]
+            assert np.array_equal(polarization_jones(d, 1), polarization_jones(batch, 1)[i])
+
+
+ZERO_DIRECTIONS = [np.zeros(3), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])]
+MODE_CALLS = {
+    "radiation_gain": radiation_gain,
+    "ue_link_gain": ue_link_gain,
+    "polarization_loss_factor": lambda d, m: polarization_loss_factor(d, m, m),
+    "combined_gain": lambda d, m: combined_gain(d, m, m),
+}
+
+
+@pytest.mark.parametrize("directions", ZERO_DIRECTIONS, ids=("single", "batch"))
+@pytest.mark.parametrize("mode", (Omni(), CrossedDipole(1)), ids=str)
+@pytest.mark.parametrize("name", MODE_CALLS)
+def test_zero_length_direction_rejected_everywhere(name, mode, directions):
+    with pytest.raises(ValueError, match="zero-length"):
+        MODE_CALLS[name](directions, mode)
+
+
+@pytest.mark.parametrize("directions", ZERO_DIRECTIONS, ids=("single", "batch"))
+@pytest.mark.parametrize("spin", (1, -1))
+def test_zero_length_direction_has_no_jones_vector(spin, directions):
+    with pytest.raises(ValueError, match="zero-length"):
+        polarization_jones(directions, spin)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import radio
-from uavrelay.antenna import CrossedDipole, Omni
+from uavrelay.antenna import CrossedDipole, Omni, combined_gain, ue_link_gain
 from uavrelay.config import RunConfig
 from uavrelay.pathloss import LinkModels, MplmModel, OhplmModel, BackhaulUmaAvModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
@@ -14,7 +14,8 @@ from uavrelay.radio import (AntennaSetup, associate, criterion_reward,
                             dbm_to_mw, relay_end_to_end_sir, stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
 
-from oracles import LinkGeometry, tx_gain
+from oracles import (LinkGeometry, interleaved_combined_gain, interleaved_received_mw,
+                     interleaved_ue_link_gain, tx_gain)
 
 OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
 DIPOLE = AntennaSetup(mbs=CrossedDipole(1), uav=CrossedDipole(1))
@@ -571,6 +572,68 @@ def test_leading_sum_matches_numpy_last_axis_sum():
                 and np.array_equal(radio._leading_sum(x.T), np.sum(x, axis=-1))):
             differ.append(n)
     assert differ == []
+
+
+def ground_points(rng, shape, anchors):
+    """(*shape, 2) points: random ones, anchor copies, and anchors moved along x or y only."""
+    n = math.prod(shape)
+    pts = rng.uniform(0.0, 2000.0, size=(n, 2))
+    rows = rng.permutation(n)
+    for i, row in enumerate(rows[:min(n, 3 * len(anchors))]):
+        pts[row] = anchors[i % len(anchors)]
+        if i // len(anchors) == 1:
+            pts[row, 0] += rng.uniform(-500.0, 500.0)  # the y = 0 plane of the link
+        elif i // len(anchors) == 2:
+            pts[row, 1] += rng.uniform(-500.0, 500.0)
+    return pts.reshape(tuple(shape) + (2,))
+
+
+class TestReceivedPowerOnPlanes:
+    """_received_mw has the bits of its form with a (..., 2) norm and a (..., 3) direction block."""
+
+    CFG = PhysicalConfig()
+    DIPOLES = (CrossedDipole(1), CrossedDipole(-1))
+
+    @pytest.mark.parametrize("shape", [(1,), (9,), (4, 6), (2, 3, 5)])
+    @pytest.mark.parametrize("model", [OhplmModel(), MplmModel()], ids=("ohplm", "mplm"))
+    @pytest.mark.parametrize("mode", (Omni(),) + DIPOLES, ids=str)
+    def test_ue_links(self, shape, model, mode):
+        cfg = self.CFG
+        rng = np.random.default_rng(len(shape))
+        mbs = rng.uniform(0.0, 2000.0, size=(6, 2))
+        ue = ground_points(rng, (40,), mbs)
+        uav = ground_points(rng, shape, ue)
+        probes = ground_points(rng, shape + (3,), mbs)
+        gains = (None, None) if isinstance(mode, Omni) else (
+            lambda u: ue_link_gain(u, mode), lambda u: interleaved_ue_link_gain(u, mode))
+        links = [  # MBS->UE with scenario UEs and per-position probes, UAV->UE
+            (mbs[:, None, :], cfg.h_bs, ue[..., None, :, :], cfg.p_mbs_dbm),
+            (mbs[:, None, :], cfg.h_bs, probes[..., None, :, :], cfg.p_mbs_dbm),
+            (uav[..., None, :], cfg.h_uav, ue, cfg.p_uav_dbm),
+        ]
+        for tx, h_tx, rx, p_dbm in links:
+            got = radio._received_mw(tx, h_tx, rx, cfg.h_ue, p_dbm, model, cfg.f_c_mhz, gains[0])
+            want = interleaved_received_mw(tx, h_tx, rx, cfg.h_ue, p_dbm, model, cfg.f_c_mhz,
+                                           gains[1])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1,), (9,), (4, 6), (2, 3, 5)])
+    @pytest.mark.parametrize("mbs_mode", (Omni(),) + DIPOLES, ids=str)
+    @pytest.mark.parametrize("uav_mode", (Omni(),) + DIPOLES, ids=str)
+    def test_backhaul(self, shape, mbs_mode, uav_mode):
+        cfg = self.CFG
+        rng = np.random.default_rng(len(shape))
+        mbs = rng.uniform(0.0, 2000.0, size=(6, 2))
+        uav = ground_points(rng, shape, mbs)
+        got = radio._received_mw(mbs, cfg.h_bs, uav[..., None, :], cfg.h_uav, cfg.p_mbs_dbm,
+                                 BackhaulUmaAvModel(), cfg.f_c_mhz,
+                                 lambda u: combined_gain(u, mbs_mode, uav_mode))
+        want = interleaved_received_mw(
+            mbs, cfg.h_bs, uav[..., None, :], cfg.h_uav, cfg.p_mbs_dbm, BackhaulUmaAvModel(),
+            cfg.f_c_mhz, lambda u: interleaved_combined_gain(u, mbs_mode, uav_mode))
+        assert got.shape == shape + (6,)
+        assert np.array_equal(got, want)
 
 
 class TestTransmitterMajorKernel:
