@@ -22,11 +22,11 @@ The sign of the quadrature feed ('spin') labels the handedness of the pair.
 Equal spins are polarization matched in every direction; opposite spins
 mismatch, with full nulls along the x-axis.
 
-Directions come in as (..., 3) arrays, and the math is done on their x, y
-and z planes: each sum over the three components is added in the order of
-np.sum over the last axis, so it has the bits of that reduction. A single
-(3,) direction is computed as a batch of one and gets the bits it gets in
-any batch.
+Directions come in as broadcastable x, y and z planes (dx, dy, dz), such
+as a link batch's ground offsets and its one height difference. Each sum
+over the three components is added in the order of np.sum over the last
+axis of a (..., 3) block, so it has the bits of that reduction. A single
+direction (three scalars) is a batch of one, with the bits it has in any batch.
 """
 from __future__ import annotations
 
@@ -56,27 +56,24 @@ class CrossedDipole:
 AntennaMode = Omni | CrossedDipole
 
 
-def _unit_components(directions):
-    """Unit-vector planes (ux, uy, uz), each (n,), of n = prod(...) directions (..., 3).
+def _unit_components(dx, dy, dz):
+    """Unit-vector planes (ux, uy, uz) of broadcastable direction planes, at least 1-d.
 
     The norm adds the squares in np.sum's last-axis order, so each plane
     has the bits of the interleaved `d / norm(d)`. A single direction is a
     batch of one: numpy's scalar complex product rounds differently from
     its array loop.
     """
-    d = np.asarray(directions, dtype=float)
-    flat = d.reshape(-1, d.shape[-1])
-    x, y, z = flat[:, 0], flat[:, 1], flat[:, 2]
+    x, y, z = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (dx, dy, dz))
     norm = np.sqrt(x * x + y * y + z * z)
     if np.any(norm == 0):
         raise ValueError("zero-length link direction")
     return x / norm, y / norm, z / norm
 
 
-def _per_direction(out: np.ndarray, directions):
-    """(n,) plane results in the leading shape of `directions`; a float for one."""
-    shape = np.shape(directions)[:-1]
-    return out.reshape(shape) if shape else float(out[0])
+def _per_direction(out: np.ndarray, dx, dy, dz):
+    """Plane results as they are, or a float when (dx, dy, dz) are scalars: one direction."""
+    return out if np.ndim(dx) or np.ndim(dy) or np.ndim(dz) else float(out[0])
 
 
 def _radiation(ux, mode: AntennaMode):
@@ -86,22 +83,22 @@ def _radiation(ux, mode: AntennaMode):
     return 0.75 * (1.0 + ux ** 2)
 
 
-def radiation_gain(directions, mode: AntennaMode):
-    """Radiated power gain of `mode` along `directions` (..., 3)."""
-    ux, _, _ = _unit_components(directions)
-    return _per_direction(_radiation(ux, mode), directions)
+def radiation_gain(dx, dy, dz, mode: AntennaMode):
+    """Radiated power gain of `mode` along the directions (dx, dy, dz)."""
+    ux, _, _ = _unit_components(dx, dy, dz)
+    return _per_direction(_radiation(ux, mode), dx, dy, dz)
 
 
-def ue_link_gain(directions, mode: AntennaMode):
+def ue_link_gain(dx, dy, dz, mode: AntennaMode):
     """Transmitter-side gain toward a UE: radiation times whip capture."""
-    _, uy, uz = _unit_components(directions)
+    _, uy, uz = _unit_components(dx, dy, dz)
     if isinstance(mode, Omni):
         out = np.ones(uz.shape)
     else:
         a2 = 1.0 - uz ** 2
         c2 = (uy * uz) ** 2
         out = 0.75 * (a2 ** 2 + c2)
-    return _per_direction(out, directions)
+    return _per_direction(out, dx, dy, dz)
 
 
 def _jones(u, spin: int):
@@ -120,10 +117,10 @@ def _jones(u, spin: int):
     return ex / norm, ey / norm, ez / norm
 
 
-def polarization_jones(directions, spin: int) -> np.ndarray:
+def polarization_jones(dx, dy, dz, spin: int) -> np.ndarray:
     """Unit complex far-field polarization vector of the quadrature pair; (..., 3)."""
-    e = np.stack(_jones(_unit_components(directions), spin), axis=-1)
-    return e.reshape(np.shape(directions))
+    e = np.stack(_jones(_unit_components(dx, dy, dz), spin), axis=-1)
+    return e if np.ndim(dx) or np.ndim(dy) or np.ndim(dz) else e[0]
 
 
 def _polarization(u, tx_mode: AntennaMode, rx_mode: AntennaMode):
@@ -137,20 +134,20 @@ def _polarization(u, tx_mode: AntennaMode, rx_mode: AntennaMode):
     return np.abs(tx * np.conj(rx) + ty * np.conj(ry) + tz * np.conj(rz)) ** 2
 
 
-def polarization_loss_factor(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
-    """|e_tx . conj(e_rx)|^2 for a link along `directions` (tx towards rx).
+def polarization_loss_factor(dx, dy, dz, tx_mode: AntennaMode, rx_mode: AntennaMode):
+    """|e_tx . conj(e_rx)|^2 for a link along the directions (dx, dy, dz), tx towards rx.
 
     Equal spins give 1 in every direction; opposite spins give
     ((a^2-b^2)^2 + 4c^2) / (a^2+b^2)^2, which is 0 on the x-axis and 1 in
     the y-z plane. An omnidirectional end is treated as perfectly matched.
     """
-    return _per_direction(_polarization(_unit_components(directions), tx_mode, rx_mode),
-                          directions)
+    return _per_direction(_polarization(_unit_components(dx, dy, dz), tx_mode, rx_mode),
+                          dx, dy, dz)
 
 
-def combined_gain(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
+def combined_gain(dx, dy, dz, tx_mode: AntennaMode, rx_mode: AntennaMode):
     """Radiation gain at both ends times the polarization loss factor, per tx->rx direction."""
-    u = _unit_components(directions)
+    u = _unit_components(dx, dy, dz)
     # the receiver radiates along -u, and the pattern is even in u_x
     g = _radiation(u[0], tx_mode) * _radiation(u[0], rx_mode)
-    return _per_direction(g * _polarization(u, tx_mode, rx_mode), directions)
+    return _per_direction(g * _polarization(u, tx_mode, rx_mode), dx, dy, dz)

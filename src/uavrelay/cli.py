@@ -9,7 +9,8 @@ Subcommands
 
 Exit codes: 0 ok; 1 the config was read but is not a valid config (not JSON
 or not UTF-8, a bad key or value, or a failed validation; diagnostics printed);
-2 the config file cannot be read, or an output file's directory does not exist.
+2 the config file cannot be read, an output file's directory does not exist, or
+the command line is malformed (argparse's usage error, e.g. --jobs below 1).
 """
 from __future__ import annotations
 
@@ -168,23 +169,28 @@ def cmd_pathloss_table(args) -> int:
 
 
 def cmd_antenna_pattern(args) -> int:
-    mode = CrossedDipole(spin=args.spin)
-
-    def rows():
-        for theta in range(0, 181, 5):
-            for phi in range(0, 360, 5):
-                th, ph = math.radians(theta), math.radians(phi)
-                d = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
-                g = float(radiation_gain(np.array(d), mode))
-                yield theta, phi, g, 10.0 * math.log10(g)
-
-    output.write_csv(args.out, ["theta_deg", "phi_deg", "gain_linear", "gain_db"], rows())
+    angles = [(theta, phi) for theta in range(0, 181, 5) for phi in range(0, 360, 5)]
+    radians = ((math.radians(theta), math.radians(phi)) for theta, phi in angles)
+    dx, dy, dz = zip(*((math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+                       for t, p in radians))
+    # the pattern 0.75 (1 + u_x^2) has no handedness, so the spin does not matter
+    gains = radiation_gain(dx, dy, dz, CrossedDipole()).tolist()
+    output.write_csv(args.out, ["theta_deg", "phi_deg", "gain_linear", "gain_db"],
+                     ((theta, phi, g, 10.0 * math.log10(g))
+                      for (theta, phi), g in zip(angles, gains)))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_heatmap(args) -> int:
     return _write_outputs(_resolve_config(args), args.out, _write_showcase)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_config_args(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a configured experiment")
     _add_config_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=positive_int, default=1, help="parallel workers (at least 1)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("validate", help="validate a config without running")
@@ -216,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antenna-pattern", help="dump crossed-dipole gain CSV")
     p.add_argument("--out", required=True, help="output CSV file")
-    p.add_argument("--spin", type=int, default=1, choices=(-1, 1))
     p.set_defaults(fn=cmd_antenna_pattern)
 
     p = sub.add_parser("heatmap", help="dump showcase heat maps and trajectories")

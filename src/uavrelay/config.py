@@ -17,7 +17,8 @@ from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
                        ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
-from .scenario import _MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2
+from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
+                       log_mbs_shortfall_chance)
 
 SCHEMA_VERSION = 1
 
@@ -344,8 +345,8 @@ class RunConfig:
                            f"count {MAX_POISSON_MEAN:g}")
                 continue
             nodes = max(nodes, mean)
-            if _log_shortfall_chance(mean, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
-                out.append(f"{label}={n_mbs} is too small: all {_MAX_MBS_REDRAWS + 1} draws "
+            if log_mbs_shortfall_chance(mean, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
+                out.append(f"{label}={n_mbs} is too small: all {MAX_MBS_REDRAWS + 1} draws "
                            f"of a scenario fall below min_mbs={self.min_mbs} with a chance "
                            f"above {MBS_SHORTFALL_CHANCE:g}")
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
@@ -384,16 +385,6 @@ def _over_budget(size: float) -> str:
     # rounded up, so a refused size never prints at or below the budget
     return (f"takes {math.ceil(size / 2**20)} MiB, above the lattice budget of "
             f"{LATTICE_BYTES / 2**20:g} MiB")
-
-
-def _log_shortfall_chance(mean: float, min_mbs: int) -> float:
-    """log of the chance that all _MAX_MBS_REDRAWS + 1 Poisson(mean) draws are < min_mbs.
-
-    The log CDF at min_mbs - 1, -mean + log(sum of mean**k / k! for k < min_mbs),
-    keeps its digits for tiny means, where the CDF itself rounds to 1.
-    """
-    tail = sum(mean ** k / math.factorial(k) for k in range(1, min_mbs))
-    return (_MAX_MBS_REDRAWS + 1) * (math.log1p(tail) - mean)
 
 
 def from_json_dict(doc: dict) -> RunConfig:

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import output
-from .radio import RewardMap
 from .scenario import Mission
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .radio import RewardMap
 
 NEG_INF = float("-inf")
 

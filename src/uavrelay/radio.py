@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import output
-from .antenna import AntennaMode, Omni, combined_gain, ue_link_gain
+from .antenna import AntennaMode, CrossedDipole, Omni, combined_gain, ue_link_gain
 from .pathloss import LinkModels
 from .scenario import Scenario
 
@@ -60,22 +60,18 @@ class AntennaSetup:
 
 
 def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
-                 f_c_mhz: float, gain=None) -> np.ndarray:
+                 f_c_mhz: float, gain=None, *modes: AntennaMode) -> np.ndarray:
     """Received power (mW) of one link class, tx and rx ground points broadcast.
 
     The ground distance comes from the x and y planes of the points, with
-    the bits of the norm over their last axis. gain, when given, maps the
-    (..., 3) tx->rx directions to linear gains.
+    the bits of the norm over their last axis. The antenna gain(dx, dy, dz,
+    *modes) of the tx->rx direction planes runs only where an end is a dipole.
     """
     dx = rx_xy[..., 0] - tx_xy[..., 0]
     dy = rx_xy[..., 1] - tx_xy[..., 1]
     g = None
-    if gain is not None:  # before the loss, for a lower peak
-        direction = np.empty(dx.shape + (3,))
-        direction[..., 0] = dx
-        direction[..., 1] = dy
-        direction[..., 2] = h_rx - h_tx
-        g = gain(direction)
+    if any(isinstance(m, CrossedDipole) for m in modes):  # before the loss, for a lower peak
+        g = gain(dx, dy, h_rx - h_tx, *modes)
     z = np.sqrt(dx * dx + dy * dy)
     loss = model.loss_db(np.sqrt(z ** 2 + (h_tx - h_rx) ** 2), z, f_c_mhz=f_c_mhz,
                          h_tx=h_tx, h_rx=h_rx)
@@ -97,13 +93,9 @@ def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
     uav_xy = np.asarray(uav_pos, dtype=float)
     ue_xy = scn.ue_xy if ue_xy is None else np.asarray(ue_xy, dtype=float)
     p_mbs = _received_mw(scn.mbs_xy[:, None, :], cfg.h_bs, ue_xy[..., None, :, :], cfg.h_ue,
-                         cfg.p_mbs_dbm, models.mbs_ue, cfg.f_c_mhz,
-                         None if isinstance(ants.mbs, Omni)
-                         else lambda u: ue_link_gain(u, ants.mbs))
+                         cfg.p_mbs_dbm, models.mbs_ue, cfg.f_c_mhz, ue_link_gain, ants.mbs)
     p_uav = _received_mw(uav_xy[..., None, :], cfg.h_uav, ue_xy, cfg.h_ue,
-                         cfg.p_uav_dbm, models.uav_ue, cfg.f_c_mhz,
-                         None if isinstance(ants.uav, Omni)
-                         else lambda u: ue_link_gain(u, ants.uav))
+                         cfg.p_uav_dbm, models.uav_ue, cfg.f_c_mhz, ue_link_gain, ants.uav)
     return p_mbs, p_uav
 
 
@@ -116,7 +108,7 @@ def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
     uav_xy = np.asarray(uav_pos, dtype=float)
     return _received_mw(scn.mbs_xy, cfg.h_bs, uav_xy[..., None, :], cfg.h_uav,
                         cfg.p_mbs_dbm, models.backhaul, cfg.f_c_mhz,
-                        lambda u: combined_gain(u, ants.mbs, ants.uav))
+                        combined_gain, ants.mbs, ants.uav)
 
 
 def relay_end_to_end_sir(gamma_backhaul, gamma_access):

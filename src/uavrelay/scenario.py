@@ -11,7 +11,7 @@ Rect = tuple[float, float, float, float]
 
 # Rejection-resample guard for the zero-MBS case; at the default densities a
 # single redraw is already rare.
-_MAX_MBS_REDRAWS = 100_000
+MAX_MBS_REDRAWS = 100_000
 # largest Poisson mean whose exp(-mean) start term stays a normal double
 MAX_POISSON_MEAN = 700.0
 # Transmit powers from 1 uW to 10 kW. Far outside this range (beyond about +-3000 dBm)
@@ -164,6 +164,16 @@ def _poisson_icdf(mean: float, u: float) -> int:
     return k
 
 
+def log_mbs_shortfall_chance(mean: float, min_mbs: int) -> float:
+    """log of the chance that all MAX_MBS_REDRAWS + 1 Poisson(mean) draws are < min_mbs.
+
+    The log CDF at min_mbs - 1, -mean + log(sum of mean**k / k! for k < min_mbs),
+    keeps its digits for tiny means, where the CDF itself rounds to 1.
+    """
+    tail = sum(mean ** k / math.factorial(k) for k in range(1, min_mbs))
+    return (MAX_MBS_REDRAWS + 1) * (math.log1p(tail) - mean)
+
+
 def generate_scenario(config: PhysicalConfig, mission: Mission, seed: int,
                       min_mbs: int = 1) -> Scenario:
     """Draw one homogeneous-PPP realization of MBS and UE positions.
@@ -196,7 +206,7 @@ def generate_scenario(config: PhysicalConfig, mission: Mission, seed: int,
     n_mbs = _poisson_icdf(config.lambda_mbs * area, rng_mbs_count.random())
     while n_mbs < min_mbs:
         rejections += 1
-        if rejections > _MAX_MBS_REDRAWS:
+        if rejections > MAX_MBS_REDRAWS:
             raise RuntimeError("could not draw an acceptable MBS realization")
         n_mbs = _poisson_icdf(config.lambda_mbs * area, rng_mbs_count.random())
     mbs_xy = _uniform_in_rect(rng_mbs_pos, mission.area_ue, n_mbs)

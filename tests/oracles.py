@@ -114,7 +114,12 @@ class LinkGeometry:
 def tx_gain(geom: LinkGeometry) -> float:
     """Transmitter-side power gain for one link terminating at a UE."""
     d = np.asarray(geom.rx_position, dtype=float) - np.asarray(geom.tx_position, dtype=float)
-    return float(ue_link_gain(d, geom.tx_mode))
+    return float(ue_link_gain(*d, geom.tx_mode))
+
+
+def on_planes(gain):
+    """`gain` of the package, which takes direction planes, called on (..., 3) directions."""
+    return lambda directions, *modes: gain(*np.moveaxis(np.asarray(directions), -1, 0), *modes)
 
 
 # --- interleaved-axis forms: reductions over the last axis of (..., 2)/(..., 3)

@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from uavrelay.antenna import (G_MAX, CrossedDipole, Omni, combined_gain,
-                              polarization_jones, polarization_loss_factor,
-                              radiation_gain, ue_link_gain)
+from uavrelay import antenna
+from uavrelay.antenna import G_MAX, CrossedDipole, Omni
 
 from oracles import (LinkGeometry, interleaved_combined_gain,
                      interleaved_polarization_jones,
                      interleaved_polarization_loss_factor,
-                     interleaved_radiation_gain, interleaved_ue_link_gain, tx_gain)
+                     interleaved_radiation_gain, interleaved_ue_link_gain, on_planes, tx_gain)
+
+# the package's gains take direction planes; these take (..., 3) directions
+radiation_gain, ue_link_gain, combined_gain, polarization_jones, polarization_loss_factor = map(
+    on_planes, (antenna.radiation_gain, antenna.ue_link_gain, antenna.combined_gain,
+                antenna.polarization_jones, antenna.polarization_loss_factor))
 
 
 def sphere_points(n=400, seed=2):

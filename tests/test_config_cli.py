@@ -670,6 +670,19 @@ class TestCli:
         assert lines[0] == "theta_deg,phi_deg,gain_linear,gain_db"
         assert len(lines) == 1 + 37 * 72
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--preset", "fig2", "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_antenna_pattern_has_no_spin(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["antenna-pattern", "--out", str(tmp_path / "ant.csv"), "--spin", "1"])
+        assert exc.value.code == 2
+
     def test_run_byte_identical_across_jobs(self, tmp_path):
         doc = cli.load_preset("fig7").to_json_dict()
         doc["run"]["realizations"] = 3

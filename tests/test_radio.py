@@ -604,17 +604,17 @@ class TestReceivedPowerOnPlanes:
         ue = ground_points(rng, (40,), mbs)
         uav = ground_points(rng, shape, ue)
         probes = ground_points(rng, shape + (3,), mbs)
-        gains = (None, None) if isinstance(mode, Omni) else (
-            lambda u: ue_link_gain(u, mode), lambda u: interleaved_ue_link_gain(u, mode))
+        want_gain = None if isinstance(mode, Omni) else lambda u: interleaved_ue_link_gain(u, mode)
         links = [  # MBS->UE with scenario UEs and per-position probes, UAV->UE
             (mbs[:, None, :], cfg.h_bs, ue[..., None, :, :], cfg.p_mbs_dbm),
             (mbs[:, None, :], cfg.h_bs, probes[..., None, :, :], cfg.p_mbs_dbm),
             (uav[..., None, :], cfg.h_uav, ue, cfg.p_uav_dbm),
         ]
         for tx, h_tx, rx, p_dbm in links:
-            got = radio._received_mw(tx, h_tx, rx, cfg.h_ue, p_dbm, model, cfg.f_c_mhz, gains[0])
+            got = radio._received_mw(tx, h_tx, rx, cfg.h_ue, p_dbm, model, cfg.f_c_mhz,
+                                     ue_link_gain, mode)
             want = interleaved_received_mw(tx, h_tx, rx, cfg.h_ue, p_dbm, model, cfg.f_c_mhz,
-                                           gains[1])
+                                           want_gain)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -628,7 +628,7 @@ class TestReceivedPowerOnPlanes:
         uav = ground_points(rng, shape, mbs)
         got = radio._received_mw(mbs, cfg.h_bs, uav[..., None, :], cfg.h_uav, cfg.p_mbs_dbm,
                                  BackhaulUmaAvModel(), cfg.f_c_mhz,
-                                 lambda u: combined_gain(u, mbs_mode, uav_mode))
+                                 combined_gain, mbs_mode, uav_mode)
         want = interleaved_received_mw(
             mbs, cfg.h_bs, uav[..., None, :], cfg.h_uav, cfg.p_mbs_dbm, BackhaulUmaAvModel(),
             cfg.f_c_mhz, lambda u: interleaved_combined_gain(u, mbs_mode, uav_mode))
@@ -724,3 +724,21 @@ def test_every_power_computation_goes_through_link_budget(monkeypatch, ants):
             assert_same_association(got, want)
         else:
             assert np.array_equal(got, want)
+
+
+def test_omni_only_links_never_reach_the_antenna_layer(monkeypatch):
+    """An all-omni association calls no gain, and its backhaul is the gain-free power."""
+    scn = SCENARIOS["dense"]()
+    cfg = scn.config
+
+    def refuse(*args):
+        raise AssertionError("an omni-only link called an antenna gain")
+
+    monkeypatch.setattr(radio, "ue_link_gain", refuse)
+    monkeypatch.setattr(radio, "combined_gain", refuse)
+    for mode in radio.MODES:
+        associate(scn, POSITION_GRID, mode, MODELS, OMNI)
+    got = radio.backhaul_budget(scn, POSITION_GRID, MODELS, OMNI)
+    want = radio._received_mw(scn.mbs_xy, cfg.h_bs, POSITION_GRID[..., None, :], cfg.h_uav,
+                              cfg.p_mbs_dbm, MODELS.backhaul, cfg.f_c_mhz)
+    assert np.array_equal(got, want)

@@ -1,8 +1,12 @@
 """README's code blocks stay runnable and its schema block stays complete."""
 import json
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from uavrelay.cli import build_parser
 from uavrelay.config import from_json_dict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -33,3 +37,14 @@ def test_schema_block_names_every_key_and_validates():
     cfg = from_json_dict(doc)
     assert cfg.validate() == []
     assert key_paths(cfg.to_json_dict()) == key_paths(doc)
+
+
+def test_command_lines_parse():
+    commands = [shlex.split(line, comments=True) for code in blocks("sh")
+                for line in code.splitlines() if line.startswith("uavrelay ")]
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
