@@ -141,15 +141,13 @@ def cmd_pathloss_table(args) -> int:
         return 1
     phys = cfg.physical
     distances = np.arange(50.0, 1501.0, 25.0)
-    dh = phys.h_uav - phys.h_ue
-    mplm = cfg.ue_model("mplm")
+    # name -> (model, h_tx, h_rx): each row is priced as a run prices that link
     models = {
-        "ohplm_mbs": lambda d: pathloss.hata_path_loss(d, phys.f_c_mhz, phys.h_bs, phys.h_ue),
-        "ohplm_uav": lambda d: pathloss.hata_path_loss(d, phys.f_c_mhz, phys.h_uav, phys.h_ue),
-        "fspl": lambda d: pathloss.fspl(d, phys.f_c_mhz),
-        "backhaul_uma_av": lambda d: pathloss.backhaul_path_loss(d, phys.f_c_mhz, phys.h_uav),
-        "mplm": lambda d: mplm.loss_db(d, math.sqrt(d * d - dh * dh), f_c_mhz=phys.f_c_mhz,
-                                       h_tx=phys.h_uav, h_rx=phys.h_ue),
+        "ohplm_mbs": (cfg.ue_model("ohplm"), phys.h_bs, phys.h_ue),
+        "ohplm_uav": (cfg.ue_model("ohplm"), phys.h_uav, phys.h_ue),
+        "fspl": (cfg.ue_model("fspl"), phys.h_uav, phys.h_ue),
+        "backhaul_uma_av": (pathloss.BackhaulUmaAvModel(), phys.h_bs, phys.h_uav),
+        "mplm": (cfg.ue_model("mplm"), phys.h_uav, phys.h_ue),
     }
     problem = pathloss.uma_av_altitude_problem(phys.h_uav)
     if problem:  # only relay mode uses the backhaul, so a standalone config may be here
@@ -160,9 +158,14 @@ def cmd_pathloss_table(args) -> int:
         phys.f_c_mhz, h_tx, phys.h_ue, distances[0], distances[-1])]
     for note in dict.fromkeys(notes):
         print(note, file=sys.stderr)
-    # a slant range cannot be shorter than the height gap
-    rows = ((name, d, float(fn(d))) for name, fn in models.items() for d in distances
-            if name != "mplm" or d > dh)
+    rows = []
+    for name, (model, h_tx, h_rx) in models.items():
+        gap = h_tx - h_rx
+        # a slant range cannot be shorter than the height gap; only MPLM reads z
+        d = distances[distances > gap] if name == "mplm" else distances
+        z = np.sqrt(np.maximum(d * d - gap * gap, 0.0))
+        loss = model.loss_db(d, z, f_c_mhz=phys.f_c_mhz, h_tx=h_tx, h_rx=h_rx)
+        rows += [(name, *row) for row in zip(d, loss)]
     output.write_csv(args.out, ["model", "d_m", "loss_db"], rows)
     print(f"wrote {args.out}")
     return 0

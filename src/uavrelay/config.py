@@ -30,11 +30,11 @@ MPLM_REFERENCES = ("unit", "friis_1m")
 # and all redraws) falls below min_mbs with a larger chance: the run would
 # fail on that realization after computing everything before it.
 MBS_SHORTFALL_CHANCE = 1e-12
-# Byte budget of each lattice-sized array of a run: the DP policy of one duration
-# (an int8 per cell and stage) and the grid association's tx->UE directions (three
-# float64 per cell and node). A one-realization run of the default mission at cell_m
-# 10 and 5 peaked at about 37 MiB plus 2.5 times the association's bytes, so a run
-# within the budget stays below about 0.7 GiB per process.
+# Byte budget of each lattice-sized array of a run: the DP policy of one duration (an int8
+# per cell and stage) and the grid association, at a calibrated 24 bytes per cell and node.
+# build_reward_maps on 121x121 cells, 100 UEs and 4 MBSs (fig2, fig5 and fig7 models) peaked
+# at 2.4-2.7 times that under tracemalloc. A one-realization run of the default mission at
+# cell_m 10 and 5 peaked at about 37 MiB plus 2.5 times it: below 0.7 GiB within the budget.
 LATTICE_BYTES = 256 * 2**20
 # Bezier smoothing of N stages (de Casteljau) holds two (N+1, 2, N+1) float64 blocks,
 # the levels and their t-scaled copies, so the estimate counts an (N, N+1, 2) block four
@@ -354,7 +354,7 @@ class RunConfig:
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
         else:
             nodes = max(nodes, self.physical.lambda_ue * area)
-        association = cells * nodes * 24  # three float64 per cell and node
+        association = cells * nodes * 24  # the calibrated unit of LATTICE_BYTES
         if association > LATTICE_BYTES:
             out.append(f"run.cell_m={self.cell_m}: the grid association over {grid.nx}x"
                        f"{grid.ny} cells and {nodes:g} expected nodes {_over_budget(association)}")

@@ -225,6 +225,8 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
     """
     if cfg.realizations < 1:
         raise ValueError("realizations must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     keys = [(float(t), float(n_mbs), ComboKey(criterion, mode, model_name, antenna_name),
              evaluation)
             for t in cfg.sweep_t

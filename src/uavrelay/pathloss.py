@@ -1,8 +1,8 @@
 """Closed-form path-loss models for every link class.
 
-All functions return loss in dB as pure, power-independent gains; transmit
-power is applied by the radio layer. Distances are meters, frequencies MHz.
-Every function accepts scalars or numpy arrays.
+All functions take scalars or numpy arrays and return loss in dB as pure,
+power-independent gains (meters, MHz); the radio layer applies transmit power.
+The MPLM LoS probability is a product over the building rows a ray crosses.
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ class HataCoefficients:
     c_coef: float
 
 
-def hata_ue_correction(f_c_mhz: float, h_ue: float) -> float:
-    return (1.1 * math.log10(f_c_mhz) - 0.7) * h_ue - 1.56 * math.log10(f_c_mhz) - 0.8
-
-
 def hata_coefficients(f_c_mhz: float, h_bs: float, h_ue: float) -> HataCoefficients:
     """A, B and C for a suburban environment.
 
@@ -46,8 +42,8 @@ def hata_coefficients(f_c_mhz: float, h_bs: float, h_ue: float) -> HataCoefficie
     B = 44.9 - 6.55 log10(h_bs)
     C = -2 (log10(f/28))^2 - 5.4
     """
-    corr = hata_ue_correction(f_c_mhz, h_ue)
-    a = 69.55 + 26.16 * math.log10(f_c_mhz) - 13.82 * math.log10(h_bs) - corr
+    a_ue = (1.1 * math.log10(f_c_mhz) - 0.7) * h_ue - 1.56 * math.log10(f_c_mhz) - 0.8
+    a = 69.55 + 26.16 * math.log10(f_c_mhz) - 13.82 * math.log10(h_bs) - a_ue
     b = 44.9 - 6.55 * math.log10(h_bs)
     c = -2.0 * math.log10(f_c_mhz / 28.0) ** 2 - 5.4
     return HataCoefficients(a_coef=a, b_coef=b, c_coef=c)
@@ -75,9 +71,9 @@ class BuildingModel:
     c_hat: float = 10.0   # Rayleigh parameter of building heights, m
 
     def __post_init__(self) -> None:
-        # los_probability loops over the building rows a ray crosses: at most one row
-        # per metre keeps that loop short. Height scales from 1 mm to 1 km keep
-        # 2 c_hat^2 a normal, finite double.
+        # los_probability tabulates a factor per building row a ray crosses and per
+        # row count: at most one row per metre keeps that table small. Height scales
+        # from 1 mm to 1 km keep 2 c_hat^2 a normal, finite double.
         if not (0 < self.a_hat < 1 and 0 < self.b_hat and 1e-3 <= self.c_hat <= 1e3
                 and math.sqrt(self.a_hat * self.b_hat) <= 1000.0):
             raise ValueError("mplm building parameters out of range: need 0 < a_hat < 1, "
@@ -90,7 +86,8 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
     """Probability of a line-of-sight air-to-ground link at horizontal range z.
 
     The ray crosses m+1 building rows, m = floor(z*sqrt(a_hat*b_hat)/1000 - 1);
-    each row is cleared independently by a Rayleigh-height building. The
+    each row is cleared independently by a Rayleigh-height building, and tau
+    is the product of the m+1 row factors in a (row, m) factor table. The
     'corrected' variant uses the standard grid-building clearance exponent
     -(h_ray)^2 / (2 c_hat^2) with the ray height interpolated across the m+1
     rows; 'as_written' keeps the unsquared, uninterpolated exponent (factors
@@ -109,11 +106,11 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
     # tau depends on z only through m >= -1: tabulate it once per m, then gather
     ms = np.arange(-1, (int(m.max()) if m.size else -1) + 1)
     rows = np.maximum(ms, 0) + 1  # avoids 0 division where the product is empty
-    table = np.ones(ms.shape)
     dh = h_uav - h_ue
     two_c2 = 2.0 * bm.c_hat ** 2
-    for n in range(0, int(ms[-1]) + 1):
-        active = ms >= n
+    table = np.ones(ms.shape)
+    # blocks of about 2^20 (row n, m) factors bound the memory; rows multiply in turn
+    for n in np.array_split(np.arange(ms[-1] + 1)[:, None], 1 + ms.size ** 2 // 2 ** 20):
         if variant == "corrected":
             h_ray = h_uav - (n + 0.5) * dh / rows
             factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
@@ -122,8 +119,8 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
             # a ray below the rooftops overflows exp to inf; the clip maps that factor to 0
             with np.errstate(over="ignore"):
                 factor = 1.0 - np.exp(-h_ray / two_c2)
-        factor = np.clip(factor, 0.0, 1.0)
-        table = np.where(active, table * factor, table)
+        factor = np.where(n <= ms, np.clip(factor, 0.0, 1.0), 1.0)  # row n > m: not crossed
+        table = np.prod(np.vstack([table, factor]), axis=0)
     tau = table[m + 1]
     return tau if tau.ndim else float(tau)
 

@@ -58,17 +58,14 @@ class SmoothedTrajectory:
 def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
     """Fit one Bezier with the DP waypoints as control points and resample.
 
-    Endpoints interpolate the mission start/finish exactly; interior samples
-    live in the convex hull of the waypoints.
+    De Casteljau's (1 - t) p + t q returns the start/finish exactly at t = 0
+    and 1; interior samples live in the convex hull of the waypoints.
     """
     waypoints = np.asarray(traj.positions, dtype=float)
     if waypoints.shape[0] < 2:
         raise ValueError("need at least 2 waypoints to smooth")
     n = waypoints.shape[0] - 1
     positions = de_casteljau(waypoints, np.arange(n + 1) / n)
-    # exact endpoint interpolation regardless of rounding in de Casteljau
-    positions[0] = waypoints[0]
-    positions[-1] = waypoints[-1]
     dx, dy = np.diff(positions, axis=0).T
     speeds = np.sqrt(dx * dx + dy * dy) / traj.stage_dt
     violations = []

@@ -2,9 +2,10 @@
 
 No command runs these. Each is a brute-force or closed-form counterpart of a
 package kernel: exhaustive path search for the DP, the Bernstein sum for de
-Casteljau, a point-to-point link geometry for the batched UE-link gain, and
-the interleaved-axis forms of the antenna gains and the link geometry, which
-the package computes on coordinate planes with the same bits.
+Casteljau, a point-to-point link geometry for the batched UE-link gain, the
+row-by-row loop for the LoS probability's building-row product, and the
+interleaved-axis forms of the antenna gains and the link geometry, which the
+package computes on coordinate planes with the same bits.
 """
 import math
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavrelay.antenna import AntennaMode, Omni, ue_link_gain
+from uavrelay.pathloss import LOS_VARIANTS, BuildingModel
 from uavrelay.planner import (NEG_INF, ActionSet, GridAction, StateGrid, Trajectory,
                               UnreachableFinishError, _finish_trajectory)
 from uavrelay.radio import RewardMap, dbm_to_mw
@@ -83,6 +85,39 @@ def bernstein(i: int, n: int, t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     return math.comb(n, i) * (1.0 - t) ** (n - i) * t ** i
+
+
+def loop_los_probability(z, h_uav: float, h_ue: float,
+                         building: BuildingModel | None = None, variant: str = "corrected"):
+    """los_probability with the building-row product taken one row at a time."""
+    if variant not in LOS_VARIANTS:
+        raise ValueError(f"unknown LoS formula variant {variant!r}")
+    if h_uav <= 0 or h_ue <= 0 or h_uav <= h_ue:
+        raise ValueError("heights must satisfy h_uav > h_ue > 0")
+    bm = building or BuildingModel()
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("horizontal distance must be non-negative")
+
+    m = np.floor(z * math.sqrt(bm.a_hat * bm.b_hat) / 1000.0 - 1.0).astype(int)
+    ms = np.arange(-1, (int(m.max()) if m.size else -1) + 1)
+    rows = np.maximum(ms, 0) + 1
+    table = np.ones(ms.shape)
+    dh = h_uav - h_ue
+    two_c2 = 2.0 * bm.c_hat ** 2
+    for n in range(0, int(ms[-1]) + 1):
+        active = ms >= n
+        if variant == "corrected":
+            h_ray = h_uav - (n + 0.5) * dh / rows
+            factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
+        else:
+            h_ray = h_uav - (n + 0.5) * dh
+            with np.errstate(over="ignore"):
+                factor = 1.0 - np.exp(-h_ray / two_c2)
+        factor = np.clip(factor, 0.0, 1.0)
+        table = np.where(active, table * factor, table)
+    tau = table[m + 1]
+    return tau if tau.ndim else float(tau)
 
 
 @dataclass(eq=False)

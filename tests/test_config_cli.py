@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uavrelay
-from uavrelay import cli, radio
+from uavrelay import cli, pathloss, radio
 from uavrelay.config import (ANTENNA_MODES, MPLM_REFERENCES, UE_LINK_MODELS, ConfigError,
                              DipoleSettings, MplmSettings, RunConfig, from_json_dict,
                              load_config)
@@ -653,6 +653,36 @@ class TestCli:
         assert "UMa-AV backhaul model requires altitude in" in capsys.readouterr().err
         models = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert models == {"ohplm_mbs", "ohplm_uav", "fspl", "mplm"}
+
+    @pytest.mark.parametrize("h_uav,rows", [
+        (120, ["ohplm_mbs", "ohplm_uav", "fspl", "backhaul_uma_av", "mplm"]),
+        (400, ["ohplm_mbs", "ohplm_uav", "fspl", "mplm"])], ids=["all_rows", "no_backhaul"])
+    def test_pathloss_table_prices_each_row_with_one_call_of_the_run_model(
+            self, tmp_path, monkeypatch, h_uav, rows):
+        calls = []
+
+        class Counted:
+            def __init__(self, model):
+                self.model = model
+
+            def loss_db(self, d3d, z, **link):
+                calls.append(self.model.name)
+                return self.model.loss_db(d3d, z, **link)
+
+        ue_model = RunConfig.ue_model
+        monkeypatch.setattr(RunConfig, "ue_model",
+                            lambda cfg, name: Counted(ue_model(cfg, name)))
+        backhaul = pathloss.BackhaulUmaAvModel
+        monkeypatch.setattr(pathloss, "BackhaulUmaAvModel", lambda: Counted(backhaul()))
+        doc = cli.load_preset("fig7").to_json_dict()
+        doc["run"]["modes"] = ["standalone"]  # validates at any altitude
+        doc["physical"]["h_uav"] = h_uav
+        path = self.write_config(tmp_path, doc)
+        out = tmp_path / "pl.csv"
+        assert cli.main(["pathloss-table", "--config", str(path), "--out", str(out)]) == 0
+        assert len(calls) == len(rows)
+        names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert list(dict.fromkeys(names)) == rows
 
     @pytest.mark.parametrize("mplm,where", [({"b_hat": 1e300}, "mplm building parameters"),
                                             ({"variant": "bogus"}, "mplm.variant 'bogus'")])

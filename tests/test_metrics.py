@@ -151,6 +151,16 @@ class TestSweep:
         assert [p.capacity_samples for p in got.points] == [
             p.capacity_samples for p in want.points]
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_rejected_before_any_work(self, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(metrics, "run_realization", refuse)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            monte_carlo_sweep(SMALL, jobs=jobs)
+
     def test_both_evaluations_present(self):
         res = monte_carlo_sweep(SMALL)
         evals = {p.evaluation for p in res.points}

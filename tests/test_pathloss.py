@@ -11,6 +11,8 @@ from uavrelay.pathloss import (BuildingModel, MplmModel, backhaul_path_loss, fsp
                                hata_coefficients, hata_path_loss,
                                los_probability, mixture_path_gain, ohplm_range_problems)
 
+from oracles import loop_los_probability
+
 
 def hand_hata(f_c, h_bs, h_ue, d_m):
     # independent straight-line evaluation of the suburban closed forms
@@ -176,6 +178,26 @@ def test_los_table_equals_the_row_loop(a_hat, b_hat, c_hat, h_ue, h_gap, variant
         if z.size:
             assert los_probability(float(z.flat[0]), h_ue + h_gap, h_ue, bm,
                                    variant) == want.flat[0]
+
+
+@pytest.mark.parametrize("variant", ["corrected", "as_written"])
+def test_los_row_product_equals_the_loop_oracle(variant):
+    rng = np.random.default_rng(19 if variant == "corrected" else 20)
+    cases = [(BuildingModel(a_hat, 10 ** rng.uniform(0.0, 5.0), 10 ** rng.uniform(-1.0, 2.0)),
+              h_ue, h_ue + 10 ** rng.uniform(-1.0, 2.5))
+             for a_hat, h_ue in zip(rng.uniform(0.01, 0.9, 60), rng.uniform(0.5, 10.0, 60))]
+    # about one row per metre, the densest grid: 3 km spans several blocks of rows, and
+    # low buildings under a high UAV keep tau well above 0 there
+    cases.append((BuildingModel(0.5, 1.98e6, 1.0), 1.5, 300.0))
+    for bm, h_ue, h_uav in cases:
+        row_m = 1000.0 / math.sqrt(bm.a_hat * bm.b_hat)  # z of the first crossed row
+        for z in (rng.uniform(0.0, 3000.0, rng.integers(1, 40)), np.zeros(3), np.zeros(0),
+                  rng.uniform(0.0, row_m, 5),  # every m is -1
+                  rng.uniform(0.0, 3000.0, (4, 6)), 0.0, float(rng.uniform(0.0, 3000.0))):
+            got = los_probability(z, h_uav, h_ue, bm, variant)
+            want = loop_los_probability(z, h_uav, h_ue, bm, variant)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
 
 
 class TestMixture:

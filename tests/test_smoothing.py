@@ -101,6 +101,15 @@ class TestDeCasteljau:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
+    def test_ends_are_the_end_control_points_exactly(self):
+        rng = np.random.default_rng(19)
+        steps = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+        for _ in range(200):
+            start = rng.integers(0, 13, 2)
+            cells = start + np.cumsum(steps[rng.integers(0, 9, rng.integers(1, 60))], axis=0)
+            control = 100.0 * np.vstack([start, cells]) + 50.0
+            assert np.array_equal(de_casteljau(control, [0.0, 1.0]), control[[0, -1]])
+
     def test_result_owns_its_memory(self):
         control = np.random.default_rng(4).uniform(size=(41, 2))
         got = de_casteljau(control, np.linspace(0, 1, 41))
