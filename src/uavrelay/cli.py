@@ -9,8 +9,8 @@ Subcommands
 
 Exit codes: 0 ok; 1 the config was read but is not a valid config (not JSON
 or not UTF-8, a bad key or value, or a failed validation; diagnostics printed);
-2 the config file cannot be read, an output file's directory does not exist, or
-the command line is malformed (argparse's usage error, e.g. --jobs below 1).
+2 the config file cannot be read, an output path cannot be written, or the
+command line is malformed (argparse's usage error, e.g. --jobs below 1).
 """
 from __future__ import annotations
 
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -60,10 +60,11 @@ def _take(section, allowed, where: str) -> dict:
 
 
 def _number(kind, value, where: str):
-    """int(value) or float(value); a boolean, or a fraction for int, is a ConfigError."""
+    """int(value) or float(value) of a JSON number; a string, a boolean, or a fraction
+    for int, is a ConfigError."""
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
+                                              and not value.is_integer()):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -72,9 +73,7 @@ def _number(kind, value, where: str):
 
 
 def _list(value, where: str, length: int | None = None) -> list:
-    """A JSON list field; a bare string is a one-element list."""
-    if isinstance(value, str):
-        value = [value]
+    """A JSON list field."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         size = f" of {length}" if length else ""
         raise ConfigError(f"{where} must be a list{size}, got {value!r}")
@@ -87,7 +86,7 @@ def _floats(value, where: str, length: int | None = None) -> tuple[float, ...]:
 
 def _names(value, where: str) -> tuple[str, ...]:
     """A list of names; a bare string is a one-element list."""
-    names = tuple(_list(value, where))
+    names = tuple(_list([value] if isinstance(value, str) else value, where))
     for v in names:
         if not isinstance(v, str):
             raise ConfigError(f"{where} must list names as strings, got {v!r}")

@@ -17,7 +17,7 @@ realization 0 planned at the showcase duration.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -47,20 +47,15 @@ def outage_probability(capacities, threshold: float) -> float:
     return float(np.count_nonzero(caps < threshold) / caps.size)
 
 
-@dataclass(frozen=True)
-class ComboKey:
-    # field order is the sweep.csv column order
+@dataclass(eq=False)
+class SweepPoint:
+    # the sweep key: the leading sweep.csv columns, in their order
+    t_s: float
+    n_mbs: float
     criterion: str
     mode: str
     uav_ue_model: str
     antenna: str
-
-
-@dataclass(eq=False)
-class SweepPoint:
-    t_s: float
-    n_mbs: float
-    combo: ComboKey
     evaluation: str
     capacity_samples: list[float]
     outage_samples: list[float]
@@ -89,6 +84,7 @@ CSV_COLUMNS = [
     "mean_capacity_bps_hz", "stderr_capacity", "mean_outage", "stderr_outage",
     "n_realizations",
 ]
+KEY_COLUMNS = CSV_COLUMNS[:7]
 
 
 @dataclass(eq=False)
@@ -98,18 +94,13 @@ class SweepResult:
     trajectory_violations: int = 0
     mbs_rejections: int = 0
 
-    def find(self, t_s=None, n_mbs=None, criterion=None, mode=None,
-             uav_ue_model=None, antenna=None, evaluation=None) -> SweepPoint:
-        hits = [
-            p for p in self.points
-            if (t_s is None or p.t_s == t_s)
-            and (n_mbs is None or p.n_mbs == n_mbs)
-            and (criterion is None or p.combo.criterion == criterion)
-            and (mode is None or p.combo.mode == mode)
-            and (uav_ue_model is None or p.combo.uav_ue_model == uav_ue_model)
-            and (antenna is None or p.combo.antenna == antenna)
-            and (evaluation is None or p.evaluation == evaluation)
-        ]
+    def find(self, **tags) -> SweepPoint:
+        """The one point whose key columns equal the given tags; None matches any value."""
+        unknown = tags.keys() - KEY_COLUMNS
+        if unknown:
+            raise TypeError(f"find() got unknown tags {sorted(unknown)}")
+        hits = [p for p in self.points
+                if all(v is None or getattr(p, k) == v for k, v in tags.items())]
         if len(hits) != 1:
             raise KeyError(f"{len(hits)} sweep points match the given tags")
         return hits[0]
@@ -126,8 +117,7 @@ class SweepResult:
         for p in self.points:
             cap, cap_se, n = p.capacity
             out, out_se, _ = p.outage
-            cells = (p.t_s, p.n_mbs, *astuple(p.combo), p.evaluation,
-                     cap, cap_se, out, out_se, n)
+            cells = [getattr(p, c) for c in KEY_COLUMNS] + [cap, cap_se, out, out_se, n]
             rows.append({**dict(zip(CSV_COLUMNS, cells, strict=True)),
                          "capacity_samples": p.capacity_samples,
                          "outage_samples": p.outage_samples})
@@ -189,7 +179,7 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     """Full pipeline for one network realization at one MBS density.
 
     Returns (samples, trajectory_violations, mbs_rejections), where samples
-    maps each sweep point (T, n_mbs, ComboKey, evaluation) to this
+    maps each sweep point's key (its KEY_COLUMNS values) to this
     realization's (mean capacity, outage).
     """
     scn = scenario_for(cfg, n_mbs, j)
@@ -202,7 +192,6 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
                                                models, ants, cfg.relay_rule)
         for (t, criterion, traj, _, viol), smoothed_rates in zip(runs, sm_rates, strict=True):
             violations += viol
-            combo = ComboKey(criterion, mode, model_name, antenna_name)
             # trajectory positions are cell centres: gather the map's rates
             disc_rates = maps[criterion].rates_at(traj.cells[:-1])
             for evaluation, rates in (("discrete", disc_rates), ("smoothed", smoothed_rates)):
@@ -212,7 +201,8 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
                               outage_probability(caps, scn.config.outage_threshold))
                 else:
                     sample = (float("nan"), float("nan"))
-                samples[t, n_mbs, combo, evaluation] = sample
+                samples[t, n_mbs, criterion, mode, model_name, antenna_name,
+                        evaluation] = sample
     return samples, violations, scn.mbs_rejections
 
 
@@ -227,8 +217,7 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
         raise ValueError("realizations must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    keys = [(float(t), float(n_mbs), ComboKey(criterion, mode, model_name, antenna_name),
-             evaluation)
+    keys = [(float(t), float(n_mbs), criterion, mode, model_name, antenna_name, evaluation)
             for t in cfg.sweep_t
             for n_mbs in cfg.sweep_n_mbs
             for model_name, antenna_name, mode, _, _ in cfg.combinations()

@@ -277,6 +277,15 @@ BAD_VALUES = [
     # a 401-digit duration overflows the stage count's division
     ({"mission": {"duration_t": 10 ** 400}}, "mission: int too large"),
     ({"mission": {"stage_dt": 10 ** 400}}, "mission: int too large"),
+    # numbers are JSON numbers, not strings that parse as one
+    ({"master_seed": "2_72"}, "master_seed"),
+    ({"run": {"realizations": " 2 "}}, "run.realizations"),
+    ({"run": {"cell_m": "1e2"}}, "run.cell_m"),
+    ({"sweep": {"t_values": "240"}}, "sweep.t_values"),
+    ({"sweep": {"n_mbs_values": ["4"]}}, "sweep.n_mbs_values"),
+    ({"showcase": {"t": "240"}}, "showcase.t"),
+    ({"mission": {"start": ["0", "0"]}}, "mission.start"),
+    ({"models": {"mplm": {"a_hat": "0.1"}}}, "models.mplm.a_hat"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -578,6 +587,22 @@ class TestCli:
 
     def test_unreadable_file_distinct_exit(self, tmp_path, capsys):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command,target", [
+        ("run", "file"), ("run", "file/sub"), ("heatmap", "file"), ("heatmap", "file/sub"),
+        ("pathloss-table", "dir"), ("antenna-pattern", "dir")])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, command, target):
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "dir").mkdir()
+        argv = [command, "--out", str(tmp_path / target)]
+        if command in ("run", "heatmap"):
+            argv += ["--config", str(self.write_config(tmp_path, small_run_doc()))]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "kept"
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_requires_exactly_one_source(self, capsys):
         assert cli.main(["validate"]) == 1

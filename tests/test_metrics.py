@@ -1,14 +1,14 @@
 import concurrent.futures
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from uavrelay import metrics
 from uavrelay.config import RunConfig
-from uavrelay.metrics import (monte_carlo_sweep, outage_probability, plan_combinations,
-                              realization_seed, run_realization, scenario_for,
-                              time_averaged_capacity)
+from uavrelay.metrics import (CSV_COLUMNS, SweepPoint, monte_carlo_sweep, outage_probability,
+                              plan_combinations, realization_seed, run_realization,
+                              scenario_for, time_averaged_capacity)
 
 SMALL = RunConfig(criteria=("pf",), sweep_t=(160.0, 240.0), sweep_n_mbs=(4.0,),
                   realizations=3, master_seed=272)
@@ -105,7 +105,8 @@ class TestSweep:
         assert n == 1
         assert se == 0.0
         samples, _, _ = run_realization(cfg, (240.0,), 4.0, 0)
-        capacity, _ = samples[p.t_s, p.n_mbs, p.combo, "discrete"]
+        capacity, _ = samples[p.t_s, p.n_mbs, p.criterion, p.mode, p.uav_ue_model,
+                              p.antenna, p.evaluation]
         assert mean == capacity
 
     def test_deterministic_rerun(self):
@@ -186,6 +187,9 @@ class TestSweep:
                           "evaluation,mean_capacity_bps_hz,stderr_capacity,"
                           "mean_outage,stderr_outage,n_realizations")
 
+    def test_point_key_is_the_leading_csv_columns(self):
+        assert [f.name for f in fields(SweepPoint)][:7] == CSV_COLUMNS[:7]
+
     def test_json_contains_samples(self):
         res = monte_carlo_sweep(SMALL)
         doc = res.to_json_dict()
@@ -198,3 +202,5 @@ class TestSweep:
             res.find(criterion="pf")  # matches several t values
         p = res.find(t_s=240.0, evaluation="discrete")
         assert p.t_s == 240.0
+        with pytest.raises(TypeError):
+            res.find(density=4.0)
