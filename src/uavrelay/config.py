@@ -179,18 +179,16 @@ class RunConfig:
         """Fewest MBSs a scenario may have; the relay backhaul needs an interferer."""
         return 2 if "relay" in self.modes else 1
 
-    def physical_for(self, n_mbs: float) -> PhysicalConfig:
-        """n_mbs is the expected MBS count over the node area."""
-        lam = float(n_mbs) / area_km2(self.mission.area_ue)
-        return replace(self.physical, lambda_mbs=lam)
-
     def _mplm_ref_db(self) -> float:
         ref = self.mplm.reference
         if ref == "unit":
             return 0.0
         if ref == "friis_1m":
             return fspl(1.0, self.physical.f_c_mhz)
-        if isinstance(ref, str) or not math.isfinite(ref):
+        if isinstance(ref, str):
+            raise ConfigError(f"mplm.reference={ref!r} is an unknown anchor name: give a "
+                              f"number or one of {MPLM_REFERENCES}")
+        if not math.isfinite(ref):
             raise ConfigError(f"mplm.reference={ref} must be finite or one of "
                               f"{MPLM_REFERENCES}")
         return float(ref)
@@ -298,10 +296,6 @@ class RunConfig:
         for name in ANTENNA_MODES:
             _built(out, self.antenna_setup, name)
 
-        if self.physical.lambda_mbs != PhysicalConfig.lambda_mbs:
-            out.append(f"physical.lambda_mbs={self.physical.lambda_mbs} is not read: "
-                       f"sweep.n_mbs_values and showcase.n_mbs set the MBS density")
-
         uses_ohplm = self.mbs_ue_model == "ohplm" or "ohplm" in self.uav_ue_models
         lo, hi = OHPLM_FC_RANGE
         if uses_ohplm and not (lo <= self.physical.f_c_mhz <= hi):
@@ -329,7 +323,7 @@ class RunConfig:
             if smoothing > LATTICE_BYTES:
                 out.append(f"T={t}s: the Bezier smoothing of {mission.n_stages} stages "
                            f"{_over_budget(smoothing)}")
-        # expected node counts, computed as generate_scenario computes them
+        # expected node counts: the Poisson means that generate_scenario draws from
         area = area_km2(self.mission.area_ue)
         nodes = self.min_mbs  # largest expected count of one node class; a draw has min_mbs
         for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]
@@ -337,14 +331,12 @@ class RunConfig:
             if not n_mbs > 0:
                 out.append(f"{label}={n_mbs} must be positive")
                 continue
-            # physical_for(n_mbs).lambda_mbs * area, without its finite-density check
-            mean = n_mbs / area * area
-            if not mean <= MAX_POISSON_MEAN:
+            if not n_mbs <= MAX_POISSON_MEAN:
                 out.append(f"{label}={n_mbs} exceeds the largest expected node "
                            f"count {MAX_POISSON_MEAN:g}")
                 continue
-            nodes = max(nodes, mean)
-            if log_mbs_shortfall_chance(mean, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
+            nodes = max(nodes, n_mbs)
+            if log_mbs_shortfall_chance(n_mbs, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
                 out.append(f"{label}={n_mbs} is too small: all {MAX_MBS_REDRAWS + 1} draws "
                            f"of a scenario fall below min_mbs={self.min_mbs} with a chance "
                            f"above {MBS_SHORTFALL_CHANCE:g}")
@@ -418,8 +410,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return from_json_dict(doc)

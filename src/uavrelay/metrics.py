@@ -135,8 +135,8 @@ def realization_seed(master_seed: int, j: int) -> int:
 
 def scenario_for(cfg: RunConfig, n_mbs: float, j: int) -> Scenario:
     """Realization j at n_mbs; its nodes serve every mission duration."""
-    return generate_scenario(cfg.physical_for(n_mbs), cfg.mission,
-                             realization_seed(cfg.master_seed, j), min_mbs=cfg.min_mbs)
+    return generate_scenario(cfg.physical, cfg.mission, realization_seed(cfg.master_seed, j),
+                             n_mbs=n_mbs, min_mbs=cfg.min_mbs)
 
 
 def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):

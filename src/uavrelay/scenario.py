@@ -49,7 +49,8 @@ def _check_rect(rect: Rect, name: str) -> None:
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Transmit powers, geometry heights and densities (downlink defaults)."""
+    """Transmit powers, geometry heights and the UE density (downlink defaults);
+    generate_scenario takes the expected MBS count of each draw as an argument."""
 
     p_mbs_dbm: float = 46.0
     p_uav_dbm: float = 30.0
@@ -60,7 +61,6 @@ class PhysicalConfig:
     f_c_mhz: float = 1500.0
     alpha_los: float = 2.09
     alpha_nlos: float = 3.75
-    lambda_mbs: float = 4.0      # nodes per km^2
     lambda_ue: float = 100.0     # nodes per km^2
     outage_threshold: float = 0.05  # bps/Hz
 
@@ -80,8 +80,8 @@ class PhysicalConfig:
             raise ValueError(f"h_uav={self.h_uav} m is above the {MAX_HEIGHT_M:g} m ceiling")
         if self.f_c_mhz <= 0:
             raise ValueError("f_c_mhz must be positive")
-        if self.lambda_mbs <= 0 or self.lambda_ue < 0:
-            raise ValueError("densities must be positive (lambda_ue may be 0)")
+        if self.lambda_ue < 0:
+            raise ValueError("lambda_ue must be >= 0")
         if self.alpha_los <= 0 or self.alpha_nlos <= 0:
             raise ValueError("path-loss exponents must be positive")
         if self.outage_threshold <= 0:
@@ -175,25 +175,28 @@ def log_mbs_shortfall_chance(mean: float, min_mbs: int) -> float:
 
 
 def generate_scenario(config: PhysicalConfig, mission: Mission, seed: int,
-                      min_mbs: int = 1) -> Scenario:
+                      n_mbs: float = 4.0, min_mbs: int = 1) -> Scenario:
     """Draw one homogeneous-PPP realization of MBS and UE positions.
 
-    Counts are Poisson with mean density * area (drawn by inverse-CDF from
-    one uniform each), positions are uniform given the count. Randomness
-    comes from four documented jumped() substreams of numpy's PCG64 keyed by
-    the 64-bit seed (MBS count, MBS positions, UE count, UE positions), so a
-    given seed reproduces the realization bit for bit on any platform, and
-    two scenarios with the same seed but different densities are coupled:
-    the sparser node set is a prefix of the denser one and the UE layout is
-    shared, which keeps density comparisons paired. A draw with fewer than
-    min_mbs MBSs leaves the interference-limited model undefined and is
-    redrawn (count recorded in mbs_rejections); relay pipelines need
-    min_mbs=2 so the backhaul keeps an interferer. A zero-UE draw is kept.
-    The draw reads only the densities, the node area and the seed, so one
-    realization serves every mission duration.
+    Counts are Poisson with means n_mbs (the expected MBS count over the node
+    area) and lambda_ue * area (drawn by inverse-CDF from one uniform each),
+    positions are uniform given the count. Randomness comes from four
+    documented jumped() substreams of numpy's PCG64 keyed by the 64-bit seed
+    (MBS count, MBS positions, UE count, UE positions), so a given seed
+    reproduces the realization bit for bit on any platform, and two scenarios
+    with the same seed but different n_mbs are coupled: the sparser MBS set
+    is a prefix of the denser one and the UE layout is shared, which keeps
+    density comparisons paired. A draw with fewer than min_mbs MBSs leaves the
+    interference-limited model undefined and is redrawn (count recorded in
+    mbs_rejections); relay pipelines need min_mbs=2 so the backhaul keeps an
+    interferer. A zero-UE draw is kept. The draw reads only n_mbs, lambda_ue,
+    the node area and the seed, so one realization serves every duration.
     """
     if min_mbs < 1:
         raise ValueError("min_mbs must be >= 1")
+    # a mean of 0 would spend every redraw before it fails
+    if not n_mbs > 0:
+        raise ValueError(f"n_mbs={n_mbs} must be positive")
 
     root = np.random.PCG64(seed)
     rng_mbs_count = np.random.Generator(root)
@@ -203,13 +206,13 @@ def generate_scenario(config: PhysicalConfig, mission: Mission, seed: int,
     area = area_km2(mission.area_ue)
 
     rejections = 0
-    n_mbs = _poisson_icdf(config.lambda_mbs * area, rng_mbs_count.random())
-    while n_mbs < min_mbs:
+    count = _poisson_icdf(n_mbs, rng_mbs_count.random())
+    while count < min_mbs:
         rejections += 1
         if rejections > MAX_MBS_REDRAWS:
             raise RuntimeError("could not draw an acceptable MBS realization")
-        n_mbs = _poisson_icdf(config.lambda_mbs * area, rng_mbs_count.random())
-    mbs_xy = _uniform_in_rect(rng_mbs_pos, mission.area_ue, n_mbs)
+        count = _poisson_icdf(n_mbs, rng_mbs_count.random())
+    mbs_xy = _uniform_in_rect(rng_mbs_pos, mission.area_ue, count)
 
     n_ue = _poisson_icdf(config.lambda_ue * area, rng_ue_count.random())
     ue_xy = _uniform_in_rect(rng_ue_pos, mission.area_ue, n_ue)

@@ -286,6 +286,8 @@ BAD_VALUES = [
     ({"showcase": {"t": "240"}}, "showcase.t"),
     ({"mission": {"start": ["0", "0"]}}, "mission.start"),
     ({"models": {"mplm": {"a_hat": "0.1"}}}, "models.mplm.a_hat"),
+    # the sweep and showcase MBS counts are the only MBS density of a run
+    ({"physical": {"lambda_mbs": 40}}, "unknown key 'lambda_mbs' in physical"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -332,7 +334,11 @@ INVALID_VALUES = [
     ({"models": {"uav_ue": ["mplm"], "mplm": {"b_hat": 1e300}}}, "mplm building parameters"),
     ({"models": {"mplm": {"c_hat": 1e200}}}, "mplm building parameters"),
     ({"models": {"mplm": {"variant": "bogus"}}}, "mplm.variant 'bogus' must be one of"),
-    ({"models": {"mplm": {"reference": "bogus"}}}, "mplm.reference=bogus must be finite"),
+    # a JSON string is an anchor name, even when it reads as a number
+    ({"models": {"mplm": {"reference": "bogus"}}},
+     "mplm.reference='bogus' is an unknown anchor name: give a number or one of"),
+    ({"models": {"mplm": {"reference": "3"}}},
+     "mplm.reference='3' is an unknown anchor name: give a number or one of"),
     # the stage count is a closed form, so a fine lattice is refused at once
     ({"run": {"cell_m": 0.5}}, "the grid path from start to finish needs 2000"),
     ({"run": {"cell_m": 0.01}}, "the grid path from start to finish needs 100000"),
@@ -360,9 +366,6 @@ INVALID_VALUES = [
     ({"sweep": {"t_values": [16384]}},
      "T=16384.0s: the Bezier smoothing of 2048 stages takes 257 MiB, above the lattice "
      "budget of 256 MiB"),
-    # the sweep and showcase MBS counts set the density; lambda_mbs is never read
-    ({"physical": {"lambda_mbs": 40}}, "physical.lambda_mbs=40 is not read: "
-     "sweep.n_mbs_values and showcase.n_mbs set the MBS density"),
 ]
 
 BARE_STRINGS = [
@@ -404,7 +407,7 @@ class TestBadInputs:
         cfg = from_json_dict({**MINIMAL, "physical": {"lambda_ue": 700},
                               "sweep": {"n_mbs_values": [700]}})
         assert cfg.validate() == []
-        scn = generate_scenario(cfg.physical_for(700), cfg.mission, cfg.master_seed)
+        scn = generate_scenario(cfg.physical, cfg.mission, cfg.master_seed, n_mbs=700)
         assert scn.n_ue > 0 and scn.n_mbs > 0
 
     def test_negative_master_seed_rejected(self):
@@ -476,7 +479,6 @@ class TestValidation:
 
     def test_default_config_is_clean(self):
         assert RunConfig().validate() == []
-        # the echoed default lambda_mbs reads back as the default
         assert from_json_dict(RunConfig().to_json_dict()).validate() == []
 
     def test_five_metre_cells_fit_the_lattice_budget(self):
@@ -587,6 +589,13 @@ class TestCli:
 
     def test_unreadable_file_distinct_exit(self, tmp_path, capsys):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_directory_as_config_keeps_its_error_type(self, tmp_path, capsys):
+        with pytest.raises(IsADirectoryError):
+            load_config(tmp_path)
+        assert cli.main(["validate", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("command,target", [
         ("run", "file"), ("run", "file/sub"), ("heatmap", "file"), ("heatmap", "file/sub"),
@@ -827,9 +836,10 @@ class TestCli:
 
 def reference_showcase(cfg, out_dir):
     """The showcase's own scenario, grid and planning loop, kept as an oracle."""
-    physical = cfg.physical_for(cfg.showcase_n_mbs)
+    physical = cfg.physical
     mission = cfg.mission_for(cfg.showcase_t)
-    scn = generate_scenario(physical, mission, cfg.master_seed, min_mbs=cfg.min_mbs)
+    scn = generate_scenario(physical, mission, cfg.master_seed, n_mbs=cfg.showcase_n_mbs,
+                            min_mbs=cfg.min_mbs)
     grid = StateGrid.from_mission(mission, cfg.cell_m)
     actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
     for model_name, antenna_name, mode, models, ants in cfg.combinations():

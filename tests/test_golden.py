@@ -1,8 +1,9 @@
 """Every preset's outputs are byte-identical to the recorded golden digests.
 
 The fig4-fig7 sweeps come from the session fixture, which runs with
-jobs=JOBS while the digests were recorded serially, so this also checks
-byte identity across --jobs.
+jobs=JOBS, and lattice61 runs with --jobs 2 (two realizations, so two pool
+tasks), while the digests were recorded serially, so this also checks byte
+identity across --jobs.
 """
 import json
 
@@ -15,7 +16,7 @@ def test_outputs_match_golden_digests(preset_sweeps, tmp_path):
     assert versions() == recorded, (
         f"{GOLDEN.name} was recorded under {recorded}, this is {versions()}: "
         f"re-record with `{RECORD_COMMAND}` and check the diff")
-    write_outputs(tmp_path, preset_sweeps)
+    write_outputs(tmp_path, preset_sweeps, jobs=2)
     got = digests(tmp_path)
     for section in ("csv", "json"):
         changed = sorted(name for name in golden[section].keys() | got[section].keys()

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from uavrelay import metrics
+from uavrelay import config, metrics, scenario
 from uavrelay.config import RunConfig
 from uavrelay.metrics import (CSV_COLUMNS, SweepPoint, monte_carlo_sweep, outage_probability,
                               plan_combinations, realization_seed, run_realization,
@@ -71,9 +71,26 @@ def test_scenario_for_draws_realization_j_on_the_config_mission():
     cfg = replace(SMALL, modes=("standalone", "relay"), backhaul_model="uma_av")
     scn = scenario_for(cfg, 4.0, 2)
     assert scn.mission == cfg.mission
-    assert scn.config == cfg.physical_for(4.0)
+    assert scn.config == cfg.physical
     assert scn.seed == realization_seed(cfg.master_seed, 2)
     assert scn.n_mbs >= cfg.min_mbs == 2
+
+
+def test_draw_and_validate_share_the_mbs_mean(monkeypatch):
+    # a 140 m x 150 m node area: 3 / 0.021 * 0.021 is not 3, so a count-to-density
+    # round trip would show in both means
+    cfg = replace(SMALL, mission=replace(SMALL.mission, area_ue=(0.0, 0.0, 140.0, 150.0)),
+                  sweep_n_mbs=(3.0,), showcase_n_mbs=3.0)
+    checked, drawn = [], []
+    shortfall, icdf = config.log_mbs_shortfall_chance, scenario._poisson_icdf
+    monkeypatch.setattr(config, "log_mbs_shortfall_chance",
+                        lambda mean, min_mbs: checked.append(mean) or shortfall(mean, min_mbs))
+    monkeypatch.setattr(scenario, "_poisson_icdf",
+                        lambda mean, u: drawn.append(mean) or icdf(mean, u))
+    assert cfg.validate() == []
+    scenario_for(cfg, 3.0, 0)
+    assert checked == [3.0, 3.0]  # the sweep count, then the showcase count
+    assert len(drawn) >= 2 and set(drawn[:-1]) == {3.0}  # MBS draws, then the UE draw
 
 
 def test_one_backward_pass_per_map_serves_every_duration(monkeypatch):

@@ -68,9 +68,9 @@ def direct_sir(ue_index: int, server_index: int, powers) -> float:
     return float(row[server_index] / interf)
 
 
-def make_scenario(mbs, ue, lambda_mbs=4.0):
+def make_scenario(mbs, ue):
     return Scenario(
-        config=PhysicalConfig(lambda_mbs=lambda_mbs),
+        config=PhysicalConfig(),
         mission=Mission(),
         mbs_xy=np.asarray(mbs, dtype=float).reshape(-1, 2),
         ue_xy=np.asarray(ue, dtype=float).reshape(-1, 2),
@@ -158,8 +158,7 @@ class TestRelaySir:
 
 class TestAssociate:
     def test_matches_exhaustive_oracle(self):
-        scn = generate_scenario(PhysicalConfig(lambda_mbs=2.0, lambda_ue=5.0),
-                                Mission(), 42)
+        scn = generate_scenario(PhysicalConfig(lambda_ue=5.0), Mission(), 42, n_mbs=2.0)
         snap = associate(scn, (300.0, 700.0), "standalone", MODELS, OMNI)
         budget = link_budget(scn, (300.0, 700.0), MODELS, OMNI)
         k, t = budget.shape
@@ -359,8 +358,7 @@ def test_antenna_changes_sir_map_with_fixed_nodes():
 def dense_scenario():
     """Nine MBSs: sums run over >= 9 terms and take numpy's pairwise path."""
     rng = np.random.default_rng(7)
-    return make_scenario(rng.uniform(0.0, 1000.0, (9, 2)), rng.uniform(0.0, 1000.0, (15, 2)),
-                         lambda_mbs=9.0)
+    return make_scenario(rng.uniform(0.0, 1000.0, (9, 2)), rng.uniform(0.0, 1000.0, (15, 2)))
 
 
 SCENARIOS = {
@@ -484,7 +482,7 @@ class TestBatchedEngine:
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32),
-       lambda_mbs=st.sampled_from([2.0, 4.0, 9.0]),
+       n_mbs=st.sampled_from([2.0, 4.0, 9.0]),
        lambda_ue=st.sampled_from([3.0, 20.0]),
        positions=st.lists(st.tuples(st.floats(-100.0, 1100.0), st.floats(-100.0, 1100.0)),
                           min_size=1, max_size=6),
@@ -492,11 +490,11 @@ class TestBatchedEngine:
                                   ("relay", "backhaul_literal")]),
        ants=st.sampled_from([OMNI, DIPOLE]),
        models=st.sampled_from([MODELS, MPLM_MODELS]))
-def test_associate_properties(seed, lambda_mbs, lambda_ue, positions, mode_rule, ants, models):
+def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode_rule, ants, models):
     """Batched association equals per-position calls; SIRs, rates and loads are sane."""
     mode, rule = mode_rule
-    scn = generate_scenario(PhysicalConfig(lambda_mbs=lambda_mbs, lambda_ue=lambda_ue),
-                            Mission(), seed, min_mbs=2)
+    scn = generate_scenario(PhysicalConfig(lambda_ue=lambda_ue), Mission(), seed,
+                            n_mbs=n_mbs, min_mbs=2)
     pos = np.array(positions, dtype=float)
     snap = associate(scn, pos, mode, models, ants, rule)
     assert np.all(snap.sir > 0)
@@ -641,8 +639,8 @@ class TestTransmitterMajorKernel:
 
     @pytest.mark.parametrize("mode,rule", MODE_RULES)
     def test_generated_relay_dipole_scenario(self, mode, rule):
-        scn = generate_scenario(PhysicalConfig(lambda_mbs=10.0, lambda_ue=15.0), Mission(),
-                                4, min_mbs=2)
+        scn = generate_scenario(PhysicalConfig(lambda_ue=15.0), Mission(), 4,
+                                n_mbs=10.0, min_mbs=2)
         assert scn.n_mbs + 1 >= 8
         got = associate(scn, POSITION_GRID, mode, MODELS, DIPOLE, rule)
         assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, MODELS,
@@ -654,7 +652,7 @@ class TestTransmitterMajorKernel:
     def test_hand_built_mbs_counts(self, n_mbs, mode, rule, models):
         rng = np.random.default_rng(n_mbs)
         scn = make_scenario(rng.uniform(0.0, 1000.0, (n_mbs, 2)),
-                            rng.uniform(0.0, 1000.0, (11, 2)), lambda_mbs=float(n_mbs))
+                            rng.uniform(0.0, 1000.0, (11, 2)))
         got = associate(scn, POSITION_GRID, mode, models, DIPOLE, rule)
         assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, models,
                                                          DIPOLE, rule))
@@ -665,8 +663,8 @@ class TestTransmitterMajorKernel:
     @pytest.mark.parametrize("mode", radio.MODES)
     @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
     def test_whole_grid_reward_maps_equal_the_row_loop(self, mode, ants):
-        scn = generate_scenario(PhysicalConfig(lambda_mbs=8.0, lambda_ue=20.0), Mission(), 13,
-                                min_mbs=2)
+        scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 13,
+                                n_mbs=8.0, min_mbs=2)
         grid = StateGrid.from_mission(Mission())
         maps = radio.build_reward_maps(scn, radio.CRITERIA, mode, MPLM_MODELS, ants, grid)
         xs, ys = grid.axis_x(), grid.axis_y()
@@ -689,7 +687,7 @@ class TestTransmitterMajorKernel:
 
     def test_max_sir_map_without_interference_is_inf(self):
         # one MBS, and the UAV dipole's nadir null hides the UAV from the probe below it
-        scn = make_scenario([[130.0, 270.0]], [[500.0, 500.0]], lambda_mbs=1.0)
+        scn = make_scenario([[130.0, 270.0]], [[500.0, 500.0]])
         max_sir = radio.max_sir_map(scn, MODELS, DIPOLE, StateGrid.from_mission(Mission()))
         assert np.all(np.isposinf(max_sir))
 

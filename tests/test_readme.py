@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from uavrelay.cli import build_parser
-from uavrelay.config import from_json_dict
+from uavrelay.config import RunConfig, from_json_dict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -37,6 +37,17 @@ def test_schema_block_names_every_key_and_validates():
     cfg = from_json_dict(doc)
     assert cfg.validate() == []
     assert key_paths(cfg.to_json_dict()) == key_paths(doc)
+
+
+def test_prose_names_only_real_config_keys():
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    paths = [s for s in spans
+             if re.fullmatch(r"(physical|mission|models|run|sweep|showcase)(\.\w+)+", s)
+             and not re.search(r"\.(csv|json|py|md)$", s)]  # file names such as sweep.csv
+    assert "run.criteria" in paths
+    known = set(key_paths(RunConfig().to_json_dict()))
+    assert [p for p in paths if p not in known] == []
 
 
 def test_command_lines_parse():

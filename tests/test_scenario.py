@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from uavrelay import scenario
 from uavrelay.scenario import Mission, PhysicalConfig, area_km2, generate_scenario
 
 
@@ -38,12 +39,12 @@ def test_ue_count_empirical_mean():
 
 
 def test_mbs_count_poisson_chi_square():
-    # lambda_mbs = 4 over 1 km^2. Zero-MBS draws are rejected by contract, so
+    # 4 expected MBSs. Zero-MBS draws are rejected by contract, so
     # the delivered counts follow the zero-truncated Poisson(4) pmf; the GOF
     # test must use that reference distribution or it would reject at bin 0.
-    cfg = PhysicalConfig(lambda_mbs=4.0)
+    cfg = PhysicalConfig()
     mission = Mission()
-    counts = np.array([generate_scenario(cfg, mission, seed).n_mbs
+    counts = np.array([generate_scenario(cfg, mission, seed, n_mbs=4.0).n_mbs
                        for seed in range(10_000)])
     kmax = 12
     edges = list(range(1, kmax)) + [1000]
@@ -75,22 +76,30 @@ def test_count_distribution_invariant_under_area_scaling():
 def test_density_coupling_is_nested():
     # same seed, higher density: MBS set extends the sparser one, UEs shared
     mission = Mission()
-    lo = generate_scenario(PhysicalConfig(lambda_mbs=2.0), mission, 9)
-    hi = generate_scenario(PhysicalConfig(lambda_mbs=4.0), mission, 9)
+    lo = generate_scenario(PhysicalConfig(), mission, 9, n_mbs=2.0)
+    hi = generate_scenario(PhysicalConfig(), mission, 9, n_mbs=4.0)
     assert hi.n_mbs >= lo.n_mbs
     assert np.array_equal(hi.mbs_xy[:lo.n_mbs], lo.mbs_xy)
     assert np.array_equal(lo.ue_xy, hi.ue_xy)
 
 
 def test_min_mbs_rejection_recorded():
-    cfg = PhysicalConfig(lambda_mbs=0.5)
+    cfg = PhysicalConfig()
     mission = Mission()
     seen = False
     for seed in range(40):
-        scn = generate_scenario(cfg, mission, seed, min_mbs=2)
+        scn = generate_scenario(cfg, mission, seed, n_mbs=0.5, min_mbs=2)
         assert scn.n_mbs >= 2
         seen = seen or scn.mbs_rejections > 0
     assert seen
+
+
+@pytest.mark.parametrize("n_mbs", [0.0, -1.0, math.nan])
+def test_rejects_a_mean_mbs_count_that_is_not_positive(monkeypatch, n_mbs):
+    # refused before the first draw: a mean of 0 would spend every redraw
+    monkeypatch.setattr(scenario, "_poisson_icdf", pytest.fail)
+    with pytest.raises(ValueError, match="n_mbs=.* must be positive"):
+        generate_scenario(PhysicalConfig(), Mission(), 1, n_mbs=n_mbs)
 
 
 def test_draw_ignores_the_mission_duration():
