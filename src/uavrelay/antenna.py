@@ -39,14 +39,12 @@ G_MAX = 1.5  # peak linear power gain of the crossed-dipole radiation pattern
 
 @dataclass(frozen=True)
 class Omni:
-    name = "omni"
+    """Unit gain in every direction."""
 
 
 @dataclass(frozen=True)
 class CrossedDipole:
     spin: int = 1  # handedness: sign of the quadrature feed on the y arm
-
-    name = "dipole"
 
     def __post_init__(self) -> None:
         if self.spin not in (-1, 1):

@@ -1,10 +1,11 @@
 """Time-averaged capacity, outage, and seeded Monte Carlo sweeps.
 
-A sweep point is one (mission duration, expected MBS count) pair; for each
-of the `realizations` seeds it runs the full pipeline (scenario, reward map,
-DP, Bezier smoothing, per-UE capacities) for every configured combination of
-criterion, mode, UAV-UE path-loss model and antenna setup, evaluating both
-the discrete and the smoothed trajectory. Realization j uses seed
+A sweep point is one value of the seven key columns of sweep.csv: mission
+duration, expected MBS count, criterion, mode, UAV-UE path-loss model,
+antenna setup and evaluation (discrete or smoothed trajectory). For each of
+the `realizations` seeds at each expected MBS count, the full pipeline
+(scenario, reward map, DP, Bezier smoothing, per-UE capacities) runs once
+and adds one sample to every point at that count. Realization j uses seed
 master_seed + j, so all combinations and all durations are paired on the
 same networks, as are reruns.
 
@@ -143,36 +144,35 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     """Yield (combination, grid, reward maps, runs) per cfg.combinations() item.
 
     runs holds (T, criterion, trajectory, smoothed curve, violation count) in
-    (T, criterion) order. The maps serve every duration: nodes are static and
-    the durations share the grid geometry. So does one backward DP pass per
-    map, to the longest duration: the value-to-go with r stages left does not
-    depend on T, and each duration backtracks from the same policy.
+    solve order: criterion first, then T. The maps serve every duration: nodes
+    are static and the durations share the grid geometry. So does one backward
+    DP pass per map, to the longest duration: the value-to-go with r stages
+    left does not depend on T, and each duration backtracks from the same policy.
     """
     t_values = tuple(t_values)
     v_max = scn.config.v_max
     stage_dt = scn.mission.stage_dt
     actions = ActionSet.standard(cfg.cell_m, stage_dt, v_max)
     # durations share the grid geometry and differ only in their stage count
-    grids = {t: StateGrid.from_mission(cfg.mission_for(t), cfg.cell_m) for t in t_values}
-    grid = grids[t_values[0]]
-    n_max = max(g.n_stages for g in grids.values())
+    grids = [StateGrid.from_mission(cfg.mission_for(t), cfg.cell_m) for t in t_values]
+    grid = grids[0]
+    n_max = max(g.n_stages for g in grids)
     for combination in cfg.combinations():
         _, _, mode, models, ants = combination
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
                                        grid, cfg.relay_rule)
-        planned = {}
+        runs = []
         for criterion in cfg.criteria:
             backward = backward_pass(maps[criterion].rewards, grid, actions, n_max)
-            for t in t_values:
-                traj = solve_dp(maps[criterion], grids[t], actions, stage_dt=stage_dt,
+            for t, grid_t in zip(t_values, grids):
+                traj = solve_dp(maps[criterion], grid_t, actions, stage_dt=stage_dt,
                                 backward=backward)
-                violations = len(check_trajectory(traj, grids[t], actions, v_max))
+                violations = len(check_trajectory(traj, grid_t, actions, v_max))
                 sm = smoothing.smooth(traj, v_max=v_max)
-                planned[t, criterion] = (t, criterion, traj, sm,
-                                         violations + len(sm.speed_violations))
+                runs.append((t, criterion, traj, sm, violations + len(sm.speed_violations)))
             # freed before the next pass: peak memory is one longest-duration policy
             del backward
-        yield combination, grid, maps, [planned[t, c] for t in t_values for c in cfg.criteria]
+        yield combination, grid, maps, runs
 
 
 def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import output
-from .scenario import Mission
+from .scenario import Mission, whole_steps
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radio import RewardMap
@@ -41,17 +41,8 @@ class GridAction:
         return self.dx == 0 and self.dy == 0
 
 
-@dataclass(frozen=True)
-class ActionSet:
+class ActionSet(tuple):
     """Hover plus eight 45-degree moves, in the fixed tie-break order."""
-
-    actions: tuple[GridAction, ...]
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __iter__(self):
-        return iter(self.actions)
 
     @classmethod
     def standard(cls, cell_m: float = 100.0, stage_dt: float = 8.0,
@@ -76,15 +67,13 @@ class ActionSet:
             GridAction("SW", -1, -1, v_diag, 5 * q / 2),
             GridAction("SE", 1, -1, v_diag, 7 * q / 2),
         )
-        return cls(actions=acts)
+        return cls(acts)
 
 
 def _axis_cells(lo: float, hi: float, cell_m: float, name: str) -> int:
     span = hi - lo
-    n = span / cell_m
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"{name} extent {span} m is not a multiple of {cell_m} m cells")
-    return round(n) + 1
+    return whole_steps(span / cell_m,
+                       f"{name} extent {span} m is not a multiple of {cell_m} m cells") + 1
 
 
 @dataclass(frozen=True)
@@ -117,12 +106,11 @@ class StateGrid:
     def _snap(point, x0, y0, cell_m, nx, ny, name) -> tuple[int, int]:
         fx = (point[0] - x0) / cell_m
         fy = (point[1] - y0) / cell_m
-        if abs(fx - round(fx)) > 1e-9 or abs(fy - round(fy)) > 1e-9:
-            raise ValueError(f"mission {name} {point} is not on the grid lattice")
-        ix, iy = round(fx), round(fy)
-        if not (0 <= ix < nx and 0 <= iy < ny):
+        # a point within half a cell of an in-range index goes on to the lattice test
+        if not (-0.5 < fx < nx - 0.5 and -0.5 < fy < ny - 0.5):
             raise ValueError(f"mission {name} {point} lies outside the flight area")
-        return ix, iy
+        off = f"mission {name} {point} is not on the grid lattice"
+        return whole_steps(fx, off), whole_steps(fy, off)
 
     def axis_x(self) -> np.ndarray:
         return self.x0 + self.cell_m * np.arange(self.nx)
@@ -259,7 +247,7 @@ def solve_dp(reward_map: RewardMap, grid: StateGrid, actions: ActionSet,
     acts: list[GridAction] = []
     for i in range(n):
         ix, iy = cells[-1]
-        act = actions.actions[int(policy[n - 1 - i, iy, ix])]
+        act = actions[int(policy[n - 1 - i, iy, ix])]
         acts.append(act)
         cells.append((ix + act.dx, iy + act.dy))
     if cells[-1] != grid.finish_cell:

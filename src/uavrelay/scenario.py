@@ -24,6 +24,19 @@ TX_POWER_DBM_RANGE = (-30.0, 70.0)
 MAX_HEIGHT_M = 20_000.0
 
 
+def whole_steps(ratio: float, message: str) -> int:
+    """The whole number of lattice steps in `ratio`: stages of a duration, cells on an
+    axis or the cell index of a point. ValueError(message) when ratio is more than 1e-9
+    off a whole number. Every double from 2**53 on is whole, so a ratio that is not
+    below it (or not finite) gets a message of its own."""
+    if not abs(ratio) < 2**53:
+        raise ValueError(f"{ratio:g} lattice steps are not a whole count below 2**53")
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9:
+        raise ValueError(message)
+    return n
+
+
 def area_km2(rect: Rect) -> float:
     xmin, ymin, xmax, ymax = rect
     return (xmax - xmin) * (ymax - ymin) / 1e6
@@ -109,12 +122,12 @@ class Mission:
             raise ValueError("stage_dt must be finite and positive")
         if not 0 < self.duration_t < math.inf:
             raise ValueError("duration_t must be finite and positive")
-        n = self.duration_t / self.stage_dt
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError(
-                f"duration_t={self.duration_t} is not an integer multiple of "
-                f"stage_dt={self.stage_dt}"
-            )
+        n = whole_steps(self.duration_t / self.stage_dt,
+                        f"duration_t={self.duration_t} is not an integer multiple of "
+                        f"stage_dt={self.stage_dt}")
+        if n < 1:
+            raise ValueError(f"duration_t={self.duration_t} is shorter than one "
+                             f"stage_dt={self.stage_dt}")
         _check_rect(self.area_ue, "area_ue")
         _check_rect(self.area_uav, "area_uav")
 

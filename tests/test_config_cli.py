@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -288,6 +289,8 @@ BAD_VALUES = [
     ({"models": {"mplm": {"a_hat": "0.1"}}}, "models.mplm.a_hat"),
     # the sweep and showcase MBS counts are the only MBS density of a run
     ({"physical": {"lambda_mbs": 40}}, "unknown key 'lambda_mbs' in physical"),
+    # a stage count of 2**53 or more is no whole count: every double there is whole
+    ({"mission": {"stage_dt": 1e-300}}, "lattice steps are not a whole count"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -366,6 +369,17 @@ INVALID_VALUES = [
     ({"sweep": {"t_values": [16384]}},
      "T=16384.0s: the Bezier smoothing of 2048 stages takes 257 MiB, above the lattice "
      "budget of 256 MiB"),
+    # cell and stage counts of 2**53 or more are refused before any count is used
+    ({"run": {"cell_m": 1e-320}}, "inf lattice steps are not a whole count below 2**53"),
+    ({"run": {"cell_m": 1e-300}}, "1.2e+303 lattice steps are not a whole count below 2**53"),
+    ({"sweep": {"t_values": [1e300]}}, "duration T=1e+300: 1.25e+299 lattice steps are not"),
+    ({"sweep": {"t_values": [1e308]}}, "duration T=1e+308: 1.25e+307 lattice steps are not"),
+    ({"showcase": {"t": 1e300}}, "duration T=1e+300: 1.25e+299 lattice steps are not"),
+    ({"showcase": {"t": 1e308}}, "duration T=1e+308: 1.25e+307 lattice steps are not"),
+    # with start == finish, only the stage count catches a T shorter than one stage
+    ({"mission": {"finish": [0, 0]}, "run": {"realizations": 1},
+      "sweep": {"t_values": [1e-12]}, "showcase": {"t": 1e-12}},
+     "duration T=1e-12: duration_t=1e-12 is shorter than one stage_dt=8.0"),
 ]
 
 BARE_STRINGS = [
@@ -421,6 +435,41 @@ class TestBadInputs:
         assert cfg.validate() == []
 
 
+def numeric_paths(doc, prefix=()):
+    """The key path of every number and list of numbers in a JSON config document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from numeric_paths(value, prefix + (key,))
+        elif all(isinstance(v, (int, float)) for v in
+                 (value if isinstance(value, list) else [value])):
+            yield prefix + (key,)
+
+
+def test_no_numeric_value_makes_validate_raise():
+    """Any one numeric key (every element of a list) at an extreme value is a ConfigError
+    at parse time or a list of diagnostics from validate, never another exception."""
+    default = json.loads(json.dumps(RunConfig().to_json_dict()))
+    escaped = []
+    for path, extreme in itertools.product(numeric_paths(default),
+                                           (1e-320, 1e-300, 1e300, 1e308, -1e308, 10 ** 400)):
+        doc = json.loads(json.dumps(default))
+        *sections, key = path
+        section = doc
+        for name in sections:
+            section = section[name]
+        old = section[key]
+        section[key] = [extreme] * len(old) if isinstance(old, list) else extreme
+        try:
+            cfg = from_json_dict(doc)
+        except ConfigError:
+            continue
+        try:
+            assert isinstance(cfg.validate(), list)
+        except Exception as exc:  # every escape is collected, so one run reports them all
+            escaped.append(f"{'.'.join(path)}={extreme!r}: {exc!r}")
+    assert escaped == []
+
+
 class TestValidation:
     def test_t_below_minimum(self):
         doc = small_run_doc(sweep={"t_values": [72], "n_mbs_values": [4]})
@@ -467,6 +516,9 @@ class TestValidation:
     def test_endpoint_outside_flight_area_reported_once(self):
         diags = from_json_dict(small_run_doc(mission={"start": [-500, 0]})).validate()
         assert diags == ["mission start (-500.0, 0.0) lies outside the flight area"]
+        # far outside, the cell index is no whole count, but the point is still outside
+        diags = from_json_dict(small_run_doc(mission={"start": [1e308, 0]})).validate()
+        assert diags == ["mission start (1e+308, 0.0) lies outside the flight area"]
 
     def test_each_builder_error_reported_once(self):
         doc = small_run_doc(models={"mplm": {"variant": "bogus"}},

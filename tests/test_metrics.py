@@ -107,9 +107,10 @@ def test_one_backward_pass_per_map_serves_every_duration(monkeypatch):
     plans = list(plan_combinations(cfg, scenario_for(cfg, 4.0, 0), cfg.sweep_t))
     assert passes == [30] * 4  # 2 modes x 2 criteria, each to 240 s of 8-s stages
     for _, _, _, runs in plans:
-        assert [(t, c) for t, c, *_ in runs] == [(t, c) for t in cfg.sweep_t
-                                                 for c in cfg.criteria]
-        assert [traj.n_stages for _, _, traj, _, _ in runs] == [30, 30, 10, 10, 20, 20]
+        # solve order: each criterion's pass serves every duration before the next pass
+        assert [(t, c) for t, c, *_ in runs] == [(t, c) for c in cfg.criteria
+                                                 for t in cfg.sweep_t]
+        assert [traj.n_stages for _, _, traj, _, _ in runs] == [30, 10, 20, 30, 10, 20]
 
 
 class TestSweep:
