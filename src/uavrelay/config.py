@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 from .antenna import CrossedDipole, Omni
-from .pathloss import (BackhaulUmaAvModel, BuildingModel, FsplModel, LinkModels,
-                       MplmModel, OhplmModel, OHPLM_FC_RANGE, fspl,
-                       ohplm_range_problems, uma_av_altitude_problem)
+from .pathloss import (BuildingModel, FsplModel, LinkModels, MplmModel, OhplmModel,
+                       OHPLM_FC_RANGE, fspl, ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
 from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
@@ -23,7 +22,6 @@ from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfi
 SCHEMA_VERSION = 1
 
 UE_LINK_MODELS = ("ohplm", "mplm", "fspl")
-BACKHAUL_MODELS = ("uma_av",)
 ANTENNA_MODES = ("omni", "dipole")
 MPLM_REFERENCES = ("unit", "friis_1m")
 # An expected MBS count is rejected when every draw of one scenario (the first
@@ -154,7 +152,6 @@ class RunConfig:
         Mission, start=_point, finish=_point, area_ue=_rect, area_uav=_rect))
     mbs_ue_model: str = _field("models.mbs_ue", "ohplm")
     uav_ue_models: tuple[str, ...] = _field("models.uav_ue", ("ohplm",), _names)
-    backhaul_model: str | None = _field("models.backhaul", None)
     mplm: MplmSettings = _field("models.mplm", MplmSettings(), _section(
         MplmSettings, a_hat=_float, b_hat=_float, c_hat=_float, reference=_name_or_number))
     criteria: tuple[str, ...] = _field("run.criteria", ("pf",), _names)
@@ -209,12 +206,8 @@ class RunConfig:
         raise ConfigError(f"unknown UE link model {name!r}")
 
     def link_models(self, uav_ue_model: str) -> LinkModels:
-        backhaul = BackhaulUmaAvModel() if self.backhaul_model == "uma_av" else None
-        return LinkModels(
-            mbs_ue=self.ue_model(self.mbs_ue_model),
-            uav_ue=self.ue_model(uav_ue_model),
-            backhaul=backhaul,
-        )
+        return LinkModels(mbs_ue=self.ue_model(self.mbs_ue_model),
+                          uav_ue=self.ue_model(uav_ue_model))
 
     def antenna_setup(self, name: str) -> AntennaSetup:
         if name == "omni":
@@ -281,11 +274,7 @@ class RunConfig:
                     for v in dict.fromkeys(v for v in values if values.count(v) > 1)]
         if self.relay_rule not in RELAY_RULES:
             out.append(f"relay_rule must be one of {RELAY_RULES}")
-        if self.backhaul_model is not None and self.backhaul_model not in BACKHAUL_MODELS:
-            out.append(f"backhaul_model must be one of {BACKHAUL_MODELS} or null")
-        if "relay" in self.modes and self.backhaul_model is None:
-            out.append("relay mode requires a backhaul_model")
-        if "relay" in self.modes and self.backhaul_model == "uma_av":
+        if "relay" in self.modes:
             problem = uma_av_altitude_problem(self.physical.h_uav)
             if problem:
                 out.append(problem)

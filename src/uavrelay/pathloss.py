@@ -250,8 +250,9 @@ PathLossModel = OhplmModel | MplmModel | FsplModel | BackhaulUmaAvModel
 
 @dataclass(frozen=True)
 class LinkModels:
-    """Path-loss model per link class."""
+    """Path-loss model per link class; the MBS->UAV backhaul, which only relay mode
+    reads, has the one UMa-AV law."""
 
     mbs_ue: PathLossModel = OhplmModel()
     uav_ue: PathLossModel = OhplmModel()
-    backhaul: PathLossModel | None = None
+    backhaul: PathLossModel = BackhaulUmaAvModel()

@@ -102,8 +102,6 @@ def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
 def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
                     ants: AntennaSetup) -> np.ndarray:
     """Received power (mW) at the UAV from each MBS, gains included; (..., M)."""
-    if models.backhaul is None:
-        raise ValueError("relay mode requires a backhaul path-loss model")
     cfg = scn.config
     uav_xy = np.asarray(uav_pos, dtype=float)
     return _received_mw(scn.mbs_xy, cfg.h_bs, uav_xy[..., None, :], cfg.h_uav,

@@ -28,9 +28,9 @@ def whole_steps(ratio: float, message: str) -> int:
     """The whole number of lattice steps in `ratio`: stages of a duration, cells on an
     axis or the cell index of a point. ValueError(message) when ratio is more than 1e-9
     off a whole number. Every double from 2**53 on is whole, so a ratio that is not
-    below it (or not finite) gets a message of its own."""
+    below it (or not finite) fails too, and the message adds why."""
     if not abs(ratio) < 2**53:
-        raise ValueError(f"{ratio:g} lattice steps are not a whole count below 2**53")
+        raise ValueError(f"{message}: {ratio:g} lattice steps are not a whole count below 2**53")
     n = round(ratio)
     if abs(ratio - n) > 1e-9:
         raise ValueError(message)

@@ -6,8 +6,9 @@ Run from the repository root, on the commit whose outputs are the golden ones:
 
 It runs every preset at full size, and the fine-lattice case lattice61.json,
 serially and writes the sha256 of each CSV and JSON output, in separate sections, to tests/golden_digests.json,
-together with the Python and numpy versions that produced them. Re-record
-only for an intended output change, and say in CHANGES.md what changed.
+together with the Python and numpy versions that produced them, and prints each
+digest that moved against the file it replaced. Re-record only for an intended
+output change, and say in CHANGES.md what changed.
 """
 from __future__ import annotations
 
@@ -70,13 +71,29 @@ def digests(root: Path) -> dict:
     return out
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """'<section> <name> changed|added|removed' for each CSV and JSON digest of new that
+    differs from old, in section and name order."""
+    out = []
+    for section in ("csv", "json"):
+        before, after = old.get(section, {}), new[section]
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                how = ("added" if name not in before else "removed" if name not in after
+                       else "changed")
+                out.append(f"{section} {name} {how}")
+    return out
+
+
 def main() -> int:
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     sweeps = {name: metrics.monte_carlo_sweep(cli.load_preset(name), jobs=1) for name in SWEPT}
     with tempfile.TemporaryDirectory() as tmp:
         write_outputs(Path(tmp), sweeps)
         doc = {**versions(), **digests(Path(tmp))}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{GOLDEN}: {len(doc['csv'])} CSV and {len(doc['json'])} JSON digests")
+    print("\n".join(moved(old, doc)) or "no digest changed")
     return 0
 
 

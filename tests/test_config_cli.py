@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -97,7 +98,6 @@ def run_configs(draw, h_uav_max=300.0):
                           c_hat=draw(_finite(1, 50)),
                           variant=draw(st.sampled_from(["corrected", "as_written"])),
                           reference=draw(st.sampled_from(MPLM_REFERENCES) | _finite(-50, 50))),
-        backhaul_model=draw(st.sampled_from([None, "uma_av"])),
         relay_rule=draw(st.sampled_from(RELAY_RULES)),
         criteria=draw(_names(CRITERIA)),
         modes=draw(_names(MODES)),
@@ -121,18 +121,17 @@ def test_json_round_trip(cfg):
     assert again.validate() == cfg.validate()
 
 
-PERTURBATIONS = ("empty", "tiny", "nan", "extreme", "area", "carrier", "duration",
-                 "backhaul")
+PERTURBATIONS = ("empty", "tiny", "nan", "extreme", "area", "carrier", "duration")
 
 
 @st.composite
 def one_point_documents(draw):
     """run_configs as JSON at one realization, T and density, mostly kept to what
-    validate accepts: an OHPLM carrier inside its range, T at or above the stage
-    budget and a backhaul for relay. Just under half the draws carry exactly one
-    perturbation: an empty list, a tiny expected MBS count, a NaN physical
-    constant, a power, height or building density of +-1e300, a node area that
-    rounds to 0 km^2, or one of those three repairs left out."""
+    validate accepts: an OHPLM carrier inside its range and T at or above the stage
+    budget. Just under half the draws carry exactly one perturbation: an empty list,
+    a tiny expected MBS count, a NaN physical constant, a power, height or building
+    density of +-1e300, a node area that rounds to 0 km^2, or one of those two
+    repairs left out."""
     doc = draw(run_configs(h_uav_max=500.0)).to_json_dict()
     models, mission = doc["models"], doc["mission"]
     # repeated names are rejected by a check of their own; drop them for more runs
@@ -151,8 +150,6 @@ def one_point_documents(draw):
             mission["start"], mission["finish"])) / doc["run"]["cell_m"]
         doc["sweep"]["t_values"] = [max(t, least) for t in doc["sweep"]["t_values"]]
         doc["showcase"]["t"] = max(doc["showcase"]["t"], least)
-    if kind != "backhaul" and "relay" in doc["run"]["modes"]:
-        models["backhaul"] = "uma_av"
     if kind == "empty":
         section, key = draw(st.sampled_from([("models", "uav_ue"), ("run", "criteria"),
                                              ("run", "modes"), ("run", "antenna_modes"),
@@ -290,7 +287,8 @@ BAD_VALUES = [
     # the sweep and showcase MBS counts are the only MBS density of a run
     ({"physical": {"lambda_mbs": 40}}, "unknown key 'lambda_mbs' in physical"),
     # a stage count of 2**53 or more is no whole count: every double there is whole
-    ({"mission": {"stage_dt": 1e-300}}, "lattice steps are not a whole count"),
+    ({"mission": {"stage_dt": 1e-300}}, "mission: duration_t=240.0 is not an integer multiple "
+     "of stage_dt=1e-300: 2.4e+302 lattice steps are not a whole count below 2**53"),
 ]
 
 # parse fine but cannot run: validate must reject them before any compute
@@ -321,8 +319,7 @@ INVALID_VALUES = [
     ({"run": {"modes": ["standalone", "standalone"]}}, "mode 'standalone' is listed more"),
     ({"models": {"uav_ue": ["fspl", "ohplm", "fspl"]}}, "uav_ue_model 'fspl' is listed more"),
     # the UMa-AV backhaul loss is only defined up to 300 m
-    ({"physical": {"h_uav": 400}, "models": {"backhaul": "uma_av"},
-      "run": {"modes": ["standalone", "relay"]}},
+    ({"physical": {"h_uav": 400}, "run": {"modes": ["standalone", "relay"]}},
      "UMa-AV backhaul model requires altitude in [22.5, 300.0] m"),
     ({"models": {"uav_ue": ["mplm"], "mplm": {"reference": float("nan")}}},
      "mplm.reference=nan must be finite"),
@@ -331,8 +328,8 @@ INVALID_VALUES = [
     ({"sweep": {"n_mbs_values": [float("inf")]}}, "n_mbs=inf exceeds"),
     # every one of a scenario's draws would have too few MBSs
     ({"showcase": {"n_mbs": 1e-300}}, "showcase_n_mbs=1e-300 is too small"),
-    ({"models": {"backhaul": "uma_av"}, "run": {"modes": ["relay"]},
-      "sweep": {"n_mbs_values": [0.003]}}, "n_mbs=0.003 is too small"),
+    ({"run": {"modes": ["relay"]}, "sweep": {"n_mbs_values": [0.003]}},
+     "n_mbs=0.003 is too small"),
     # validate builds MPLM, whose building grid bounds its row density and height scale
     ({"models": {"uav_ue": ["mplm"], "mplm": {"b_hat": 1e300}}}, "mplm building parameters"),
     ({"models": {"mplm": {"c_hat": 1e200}}}, "mplm building parameters"),
@@ -370,12 +367,18 @@ INVALID_VALUES = [
      "T=16384.0s: the Bezier smoothing of 2048 stages takes 257 MiB, above the lattice "
      "budget of 256 MiB"),
     # cell and stage counts of 2**53 or more are refused before any count is used
-    ({"run": {"cell_m": 1e-320}}, "inf lattice steps are not a whole count below 2**53"),
-    ({"run": {"cell_m": 1e-300}}, "1.2e+303 lattice steps are not a whole count below 2**53"),
-    ({"sweep": {"t_values": [1e300]}}, "duration T=1e+300: 1.25e+299 lattice steps are not"),
-    ({"sweep": {"t_values": [1e308]}}, "duration T=1e+308: 1.25e+307 lattice steps are not"),
-    ({"showcase": {"t": 1e300}}, "duration T=1e+300: 1.25e+299 lattice steps are not"),
-    ({"showcase": {"t": 1e308}}, "duration T=1e+308: 1.25e+307 lattice steps are not"),
+    ({"run": {"cell_m": 1e-320}}, "area_uav x extent 1200.0 m is not a multiple of 1e-320 m "
+     "cells: inf lattice steps are not a whole count below 2**53"),
+    ({"run": {"cell_m": 1e-300}}, "area_uav x extent 1200.0 m is not a multiple of 1e-300 m "
+     "cells: 1.2e+303 lattice steps are not a whole count below 2**53"),
+    ({"sweep": {"t_values": [1e300]}}, "duration T=1e+300: duration_t=1e+300 is not an integer "
+     "multiple of stage_dt=8.0: 1.25e+299 lattice steps are not"),
+    ({"sweep": {"t_values": [1e308]}}, "duration T=1e+308: duration_t=1e+308 is not an integer "
+     "multiple of stage_dt=8.0: 1.25e+307 lattice steps are not"),
+    ({"showcase": {"t": 1e300}}, "duration T=1e+300: duration_t=1e+300 is not an integer "
+     "multiple of stage_dt=8.0: 1.25e+299 lattice steps are not"),
+    ({"showcase": {"t": 1e308}}, "duration T=1e+308: duration_t=1e+308 is not an integer "
+     "multiple of stage_dt=8.0: 1.25e+307 lattice steps are not"),
     # with start == finish, only the stage count catches a T shorter than one stage
     ({"mission": {"finish": [0, 0]}, "run": {"realizations": 1},
       "sweep": {"t_values": [1e-12]}, "showcase": {"t": 1e-12}},
@@ -393,7 +396,7 @@ BARE_STRINGS = [
 class TestBadInputs:
     @pytest.mark.parametrize("patch,where", BAD_VALUES)
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, patch, where):
-        with pytest.raises(ConfigError, match=where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
             from_json_dict({**MINIMAL, **patch})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**MINIMAL, **patch}))
@@ -414,7 +417,7 @@ class TestBadInputs:
         assert not out.exists()
 
     def test_backhaul_altitude_checked_only_with_relay_mode(self):
-        high = {"physical": {"h_uav": 400}, "models": {"backhaul": "uma_av"}}
+        high = {"physical": {"h_uav": 400}}
         assert from_json_dict({**MINIMAL, **high}).validate() == []
 
     def test_largest_expected_count_still_draws(self):
@@ -482,10 +485,13 @@ class TestValidation:
         diags = [d for d in from_json_dict(doc).validate() if "grid path" in d]
         assert [d.split(" gives")[0] for d in diags] == ["T=72.0s", "T=64.0s"]
 
-    def test_relay_without_backhaul(self):
-        doc = small_run_doc(run={"criteria": ["pf"], "modes": ["standalone", "relay"]})
-        diags = from_json_dict(doc).validate()
-        assert any("backhaul" in d for d in diags)
+    def test_relay_brings_its_backhaul(self, tmp_path):
+        doc = small_run_doc(run={"criteria": ["pf"], "modes": ["standalone", "relay"],
+                                 "realizations": 1})
+        assert from_json_dict(doc).validate() == []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_bad_criterion(self):
         doc = small_run_doc(run={"criteria": ["pf", "maxmin"]})
@@ -508,7 +514,7 @@ class TestValidation:
     def test_mbs_shortfall_bound(self, n_mbs, modes, ok):
         # 100001 draws all below min_mbs: exp(-n)**100001 (min 1) or
         # (exp(-n) * (1 + n))**100001 (min 2) against 1e-12
-        doc = {**MINIMAL, "models": {"backhaul": "uma_av"}, "run": {"modes": modes},
+        doc = {**MINIMAL, "run": {"modes": modes},
                "sweep": {"n_mbs_values": [n_mbs]}}
         diags = from_json_dict(doc).validate()
         assert (diags == []) == ok, diags
@@ -554,7 +560,7 @@ class TestPresets:
     def test_fig5_has_both_modes(self):
         cfg = cli.load_preset("fig5")
         assert cfg.modes == ("standalone", "relay")
-        assert cfg.backhaul_model == "uma_av"
+        assert cfg.link_models("mplm").backhaul == pathloss.BackhaulUmaAvModel()
 
     def test_fig7_has_both_antennas(self):
         cfg = cli.load_preset("fig7")
@@ -562,7 +568,7 @@ class TestPresets:
 
     def test_combinations_in_output_order(self):
         cfg = from_json_dict({**MINIMAL,
-                              "models": {"uav_ue": ["ohplm", "mplm"], "backhaul": "uma_av"},
+                              "models": {"uav_ue": ["ohplm", "mplm"]},
                               "run": {"modes": ["standalone", "relay"],
                                       "antenna_modes": ["omni", "dipole"]}})
         combos = list(cfg.combinations())
@@ -626,6 +632,7 @@ class TestCli:
 
     def test_validate_reports_each_violation(self, tmp_path, capsys):
         doc = small_run_doc(
+            physical={"h_uav": 400},
             run={"criteria": ["bogus"], "modes": ["relay"]},
             sweep={"t_values": [72], "n_mbs_values": [4]},
         )
@@ -633,6 +640,18 @@ class TestCli:
         assert cli.main(["validate", "--config", str(path)]) == 1
         out = capsys.readouterr().out
         assert "bogus" in out and "backhaul" in out and "grid path" in out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_backhaul_is_no_config_key(self, tmp_path, capsys, command):
+        # relay mode carries the UMa-AV backhaul, so no key chooses it
+        path = self.write_config(tmp_path, small_run_doc(models={"backhaul": "uma_av"}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "config error: unknown key 'backhaul' in models"]
+        assert not out.exists()
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"schema_version": 1})
@@ -912,7 +931,7 @@ def reference_showcase(cfg, out_dir):
 def test_heatmap_matches_the_reference_showcase(tmp_path):
     # seed 279 first draws one MBS, so relay's two-MBS minimum forces a redraw
     doc = small_run_doc(master_seed=279,
-                        models={"uav_ue": ["ohplm"], "backhaul": "uma_av"},
+                        models={"uav_ue": ["ohplm"]},
                         run={"criteria": ["pf", "sum_rate"], "modes": ["standalone", "relay"],
                              "antenna_modes": ["omni", "dipole"]})
     path = tmp_path / "cfg.json"

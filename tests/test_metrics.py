@@ -68,7 +68,7 @@ def test_realization_seed_split():
 
 
 def test_scenario_for_draws_realization_j_on_the_config_mission():
-    cfg = replace(SMALL, modes=("standalone", "relay"), backhaul_model="uma_av")
+    cfg = replace(SMALL, modes=("standalone", "relay"))
     scn = scenario_for(cfg, 4.0, 2)
     assert scn.mission == cfg.mission
     assert scn.config == cfg.physical
@@ -95,7 +95,7 @@ def test_draw_and_validate_share_the_mbs_mean(monkeypatch):
 
 def test_one_backward_pass_per_map_serves_every_duration(monkeypatch):
     cfg = replace(SMALL, criteria=("pf", "sum_rate"), modes=("standalone", "relay"),
-                  backhaul_model="uma_av", sweep_t=(240.0, 80.0, 160.0))
+                  sweep_t=(240.0, 80.0, 160.0))
     passes = []
     backward_pass = metrics.backward_pass
 

@@ -740,3 +740,12 @@ def test_omni_only_links_never_reach_the_antenna_layer(monkeypatch):
     want = radio._received_mw(scn.mbs_xy, cfg.h_bs, POSITION_GRID[..., None, :], cfg.h_uav,
                               cfg.p_mbs_dbm, MODELS.backhaul, cfg.f_c_mhz)
     assert np.array_equal(got, want)
+
+
+def test_default_link_models_carry_the_uma_av_backhaul():
+    scn = SCENARIOS["dense"]()
+    for ants in (OMNI, DIPOLE):
+        got = radio.backhaul_budget(scn, POSITION_GRID, LinkModels(), ants)
+        want = radio.backhaul_budget(scn, POSITION_GRID,
+                                     LinkModels(backhaul=BackhaulUmaAvModel()), ants)
+        assert np.array_equal(got, want)

@@ -18,7 +18,7 @@ SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TINY = {
     "schema_version": 1,
     "master_seed": 5,
-    "models": {"uav_ue": ["ohplm", "mplm", "fspl"], "backhaul": "uma_av"},
+    "models": {"uav_ue": ["ohplm", "mplm", "fspl"]},
     "run": {"criteria": ["pf"], "modes": ["relay"], "antenna_modes": ["dipole"],
             "realizations": 1},
     "sweep": {"t_values": [160], "n_mbs_values": [4]},
