@@ -72,7 +72,7 @@ def _rejected(cfg: RunConfig) -> bool:
 
 def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
     """Validate cfg and print its OHPLM notes, then call write(cfg, tracker); on
-    failure remove what it wrote."""
+    failure or interruption (Ctrl-C) remove what it wrote."""
     if _rejected(cfg):
         return 1
     for note in cfg.ohplm_notes():
@@ -82,7 +82,7 @@ def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
     out = _OutputTracker(out_dir)
     try:
         write(cfg, out)
-    except Exception:
+    except BaseException:
         for name in out.names:
             (out_dir / name).unlink(missing_ok=True)
         raise

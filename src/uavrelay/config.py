@@ -13,9 +13,9 @@ from functools import partial
 
 from .antenna import CrossedDipole, Omni
 from .pathloss import (BuildingModel, FsplModel, LinkModels, MplmModel, OhplmModel,
-                       OHPLM_FC_RANGE, fspl, ohplm_range_problems, uma_av_altitude_problem)
+                       OHPLM_FC_RANGE, ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
-from .radio import CRITERIA, MODES, RELAY_RULES, AntennaSetup
+from .radio import CRITERIA, MODES, AntennaSetup
 from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        log_mbs_shortfall_chance)
 
@@ -23,7 +23,6 @@ SCHEMA_VERSION = 1
 
 UE_LINK_MODELS = ("ohplm", "mplm", "fspl")
 ANTENNA_MODES = ("omni", "dipole")
-MPLM_REFERENCES = ("unit", "friis_1m")
 # An expected MBS count is rejected when every draw of one scenario (the first
 # and all redraws) falls below min_mbs with a larger chance: the run would
 # fail on that realization after computing everything before it.
@@ -106,10 +105,6 @@ def _section(cls, **readers):
     return read
 
 
-def _name_or_number(value, where: str):
-    return value if isinstance(value, str) else _number(float, value, where)
-
-
 def _field(path: str, default, read=None):
     """A RunConfig field at JSON key `path`, parsed by read(value, path); a read of
     None keeps the value as is."""
@@ -127,17 +122,6 @@ class MplmSettings:
     a_hat: float = 0.1
     b_hat: float = 100.0
     c_hat: float = 10.0
-    variant: str = "corrected"
-    # anchor of the d^-alpha law: "unit" (1 m, bare exponent law) or
-    # "friis_1m" (free-space loss at 1 m added), or an explicit dB offset
-    reference: str | float = "friis_1m"
-
-
-@dataclass(frozen=True)
-class DipoleSettings:
-    # equal spins keep the MBS-UAV backhaul pair polarization matched
-    mbs_spin: int = 1
-    uav_spin: int = 1
 
 
 @dataclass(frozen=True)
@@ -150,15 +134,12 @@ class RunConfig:
     physical: PhysicalConfig = _field("physical", PhysicalConfig(), _section(PhysicalConfig))
     mission: Mission = _field("mission", Mission(), _section(
         Mission, start=_point, finish=_point, area_ue=_rect, area_uav=_rect))
-    mbs_ue_model: str = _field("models.mbs_ue", "ohplm")
     uav_ue_models: tuple[str, ...] = _field("models.uav_ue", ("ohplm",), _names)
     mplm: MplmSettings = _field("models.mplm", MplmSettings(), _section(
-        MplmSettings, a_hat=_float, b_hat=_float, c_hat=_float, reference=_name_or_number))
+        MplmSettings, a_hat=_float, b_hat=_float, c_hat=_float))
     criteria: tuple[str, ...] = _field("run.criteria", ("pf",), _names)
     modes: tuple[str, ...] = _field("run.modes", ("standalone",), _names)
-    relay_rule: str = _field("run.relay_rule", "best_direct")
     antenna_modes: tuple[str, ...] = _field("run.antenna_modes", ("omni",), _names)
-    dipole: DipoleSettings = _field("run.dipole", DipoleSettings(), _section(DipoleSettings))
     realizations: int = _field("run.realizations", 30, _int)
     cell_m: float = _field("run.cell_m", 100.0, _float)
     sweep_t: tuple[float, ...] = _field("sweep.t_values", (240.0,), _floats)
@@ -176,20 +157,6 @@ class RunConfig:
         """Fewest MBSs a scenario may have; the relay backhaul needs an interferer."""
         return 2 if "relay" in self.modes else 1
 
-    def _mplm_ref_db(self) -> float:
-        ref = self.mplm.reference
-        if ref == "unit":
-            return 0.0
-        if ref == "friis_1m":
-            return fspl(1.0, self.physical.f_c_mhz)
-        if isinstance(ref, str):
-            raise ConfigError(f"mplm.reference={ref!r} is an unknown anchor name: give a "
-                              f"number or one of {MPLM_REFERENCES}")
-        if not math.isfinite(ref):
-            raise ConfigError(f"mplm.reference={ref} must be finite or one of "
-                              f"{MPLM_REFERENCES}")
-        return float(ref)
-
     def ue_model(self, name: str):
         if name == "ohplm":
             return OhplmModel()
@@ -200,21 +167,17 @@ class RunConfig:
                 building=BuildingModel(self.mplm.a_hat, self.mplm.b_hat, self.mplm.c_hat),
                 alpha_los=self.physical.alpha_los,
                 alpha_nlos=self.physical.alpha_nlos,
-                variant=self.mplm.variant,
-                ref_db=self._mplm_ref_db(),
             )
         raise ConfigError(f"unknown UE link model {name!r}")
 
     def link_models(self, uav_ue_model: str) -> LinkModels:
-        return LinkModels(mbs_ue=self.ue_model(self.mbs_ue_model),
-                          uav_ue=self.ue_model(uav_ue_model))
+        return LinkModels(uav_ue=self.ue_model(uav_ue_model))
 
     def antenna_setup(self, name: str) -> AntennaSetup:
         if name == "omni":
             return AntennaSetup(mbs=Omni(), uav=Omni())
         if name == "dipole":
-            return AntennaSetup(mbs=CrossedDipole(self.dipole.mbs_spin),
-                                uav=CrossedDipole(self.dipole.uav_spin))
+            return AntennaSetup(mbs=CrossedDipole(), uav=CrossedDipole())
         raise ConfigError(f"unknown antenna mode {name!r}")
 
     def combinations(self):
@@ -229,20 +192,20 @@ class RunConfig:
     def ohplm_notes(self) -> list[str]:
         """Where the links this config runs on Okumura-Hata leave its validity box.
 
-        MBS->UE links transmit from h_bs, UAV->UE links from h_uav. A link's 3D
-        distance runs from the height gap (a UE right below the transmitter) to
-        the diagonal of the box around both areas, combined with the gap.
+        Every MBS->UE link is Okumura-Hata, transmitting from h_bs; UAV->UE links
+        transmit from h_uav. A link's 3D distance runs from the height gap (a UE
+        right below the transmitter) to the diagonal of the box around both
+        areas, combined with the gap.
         """
         phys, areas = self.physical, (self.mission.area_ue, self.mission.area_uav)
         diagonal = math.hypot(max(a[2] for a in areas) - min(a[0] for a in areas),
                               max(a[3] for a in areas) - min(a[1] for a in areas))
         notes = []
-        for h_tx, uses in ((phys.h_bs, self.mbs_ue_model == "ohplm"),
-                           (phys.h_uav, "ohplm" in self.uav_ue_models)):
-            if uses:
-                gap = h_tx - phys.h_ue
-                notes += ohplm_range_problems(phys.f_c_mhz, h_tx, phys.h_ue, gap,
-                                              math.hypot(diagonal, gap))
+        heights = (phys.h_bs, phys.h_uav) if "ohplm" in self.uav_ue_models else (phys.h_bs,)
+        for h_tx in heights:
+            gap = h_tx - phys.h_ue
+            notes += ohplm_range_problems(phys.f_c_mhz, h_tx, phys.h_ue, gap,
+                                          math.hypot(diagonal, gap))
         return list(dict.fromkeys(notes))
 
     # -- validation ----------------------------------------------------------
@@ -257,8 +220,6 @@ class RunConfig:
             out.append("realizations must be >= 1")
         if self.master_seed < 0:
             out.append("master_seed must be >= 0")
-        if self.mbs_ue_model not in UE_LINK_MODELS:
-            out.append(f"mbs_ue_model must be one of {UE_LINK_MODELS}")
         for label, values, allowed in (("uav_ue_model", self.uav_ue_models, UE_LINK_MODELS),
                                        ("criterion", self.criteria, CRITERIA),
                                        ("mode", self.modes, MODES),
@@ -272,22 +233,17 @@ class RunConfig:
             # a repeated value would add its samples to the same sweep point again
             out += [f"{label} {v!r} is listed more than once"
                     for v in dict.fromkeys(v for v in values if values.count(v) > 1)]
-        if self.relay_rule not in RELAY_RULES:
-            out.append(f"relay_rule must be one of {RELAY_RULES}")
         if "relay" in self.modes:
             problem = uma_av_altitude_problem(self.physical.h_uav)
             if problem:
                 out.append(problem)
-        # MPLM too when no link uses it: its settings are part of the config
-        for name in UE_LINK_MODELS:
-            if name in (self.mbs_ue_model, *self.uav_ue_models, "mplm"):
-                _built(out, self.ue_model, name)
-        for name in ANTENNA_MODES:
-            _built(out, self.antenna_setup, name)
+        # MPLM even when no link uses it: its settings are part of the config, and
+        # the other models take none
+        _built(out, self.ue_model, "mplm")
 
-        uses_ohplm = self.mbs_ue_model == "ohplm" or "ohplm" in self.uav_ue_models
+        # every MBS->UE link is Okumura-Hata
         lo, hi = OHPLM_FC_RANGE
-        if uses_ohplm and not (lo <= self.physical.f_c_mhz <= hi):
+        if not (lo <= self.physical.f_c_mhz <= hi):
             out.append(f"f_c_mhz={self.physical.f_c_mhz} outside OHPLM range [{lo}, {hi}]")
 
         grid = _built(out, StateGrid.from_mission, self.mission, self.cell_m)

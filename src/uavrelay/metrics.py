@@ -159,8 +159,7 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     n_max = max(g.n_stages for g in grids)
     for combination in cfg.combinations():
         _, _, mode, models, ants = combination
-        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
-                                       grid, cfg.relay_rule)
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants, grid)
         runs = []
         for criterion in cfg.criteria:
             backward = backward_pass(maps[criterion].rewards, grid, actions, n_max)
@@ -189,7 +188,7 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
             cfg, scn, t_values):
         # one association batch over the smoothed samples of every (T, criterion)
         sm_rates = smoothing.evaluate_smoothed([sm for _, _, _, sm, _ in runs], scn, mode,
-                                               models, ants, cfg.relay_rule)
+                                               models, ants)
         for (t, criterion, traj, _, viol), smoothed_rates in zip(runs, sm_rates, strict=True):
             violations += viol
             # trajectory positions are cell centres: gather the map's rates

@@ -19,9 +19,6 @@ OHPLM_HBS_RANGE = (30.0, 200.0)
 OHPLM_HUE_RANGE = (1.0, 10.0)
 OHPLM_D_RANGE = (1000.0, 10_000.0)
 
-# The two forms of the building-row LoS probability (see los_probability).
-LOS_VARIANTS = ("corrected", "as_written")
-
 # 3GPP UMa aerial-vehicle LoS model validity (receiver altitude, meters).
 UMA_AV_ALTITUDE_RANGE = (22.5, 300.0)
 
@@ -81,20 +78,15 @@ class BuildingModel:
                              f"1000 rows per km, got {self}")
 
 
-def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None = None,
-                    variant: str = "corrected"):
+def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None = None):
     """Probability of a line-of-sight air-to-ground link at horizontal range z.
 
     The ray crosses m+1 building rows, m = floor(z*sqrt(a_hat*b_hat)/1000 - 1);
     each row is cleared independently by a Rayleigh-height building, and tau
-    is the product of the m+1 row factors in a (row, m) factor table. The
-    'corrected' variant uses the standard grid-building clearance exponent
-    -(h_ray)^2 / (2 c_hat^2) with the ray height interpolated across the m+1
-    rows; 'as_written' keeps the unsquared, uninterpolated exponent (factors
-    clamped into [0, 1], where the raw expression escapes them).
+    is the product of the m+1 row factors in a (row, m) factor table. A row's
+    factor is the grid-building clearance 1 - exp(-h_ray^2 / (2 c_hat^2)), with
+    the ray height h_ray interpolated across the m+1 rows.
     """
-    if variant not in LOS_VARIANTS:
-        raise ValueError(f"unknown LoS formula variant {variant!r}")
     if h_uav <= 0 or h_ue <= 0 or h_uav <= h_ue:
         raise ValueError("heights must satisfy h_uav > h_ue > 0")
     bm = building or BuildingModel()
@@ -111,15 +103,9 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
     table = np.ones(ms.shape)
     # blocks of about 2^20 (row n, m) factors bound the memory; rows multiply in turn
     for n in np.array_split(np.arange(ms[-1] + 1)[:, None], 1 + ms.size ** 2 // 2 ** 20):
-        if variant == "corrected":
-            h_ray = h_uav - (n + 0.5) * dh / rows
-            factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
-        else:
-            h_ray = h_uav - (n + 0.5) * dh
-            # a ray below the rooftops overflows exp to inf; the clip maps that factor to 0
-            with np.errstate(over="ignore"):
-                factor = 1.0 - np.exp(-h_ray / two_c2)
-        factor = np.where(n <= ms, np.clip(factor, 0.0, 1.0), 1.0)  # row n > m: not crossed
+        h_ray = h_uav - (n + 0.5) * dh / rows
+        factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
+        factor = np.where(n <= ms, factor, 1.0)  # row n > m: not crossed
         table = np.prod(np.vstack([table, factor]), axis=0)
     tau = table[m + 1]
     return tau if tau.ndim else float(tau)
@@ -128,7 +114,6 @@ def los_probability(z, h_uav: float, h_ue: float, building: BuildingModel | None
 def mixture_path_gain(d, z, h_uav: float, h_ue: float,
                       alpha_los: float, alpha_nlos: float,
                       building: BuildingModel | None = None,
-                      variant: str = "corrected",
                       ref_db: float = 0.0):
     """LoS/NLoS mixture loss -10 log10(d^-aL tau_L + d^-aN tau_N) + ref_db.
 
@@ -140,7 +125,7 @@ def mixture_path_gain(d, z, h_uav: float, h_ue: float,
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("mixture_path_gain requires d > 0")
-    tau_l = np.asarray(los_probability(z, h_uav, h_ue, building, variant))
+    tau_l = np.asarray(los_probability(z, h_uav, h_ue, building))
     mix = d ** (-alpha_los) * tau_l + d ** (-alpha_nlos) * (1.0 - tau_l)
     out = ref_db - 10.0 * np.log10(mix)
     return out if out.ndim else float(out)
@@ -211,21 +196,17 @@ class OhplmModel:
 
 @dataclass(frozen=True)
 class MplmModel:
+    """The LoS/NLoS mixture anchored at the free-space loss at 1 m."""
+
     building: BuildingModel = BuildingModel()
     alpha_los: float = 2.09
     alpha_nlos: float = 3.75
-    variant: str = "corrected"
-    ref_db: float = 0.0
     name = "mplm"
-
-    def __post_init__(self) -> None:
-        if self.variant not in LOS_VARIANTS:
-            raise ValueError(f"mplm.variant {self.variant!r} must be one of {LOS_VARIANTS}")
 
     def loss_db(self, d3d, z, *, f_c_mhz, h_tx, h_rx):
         return mixture_path_gain(
             d3d, z, h_tx, h_rx, self.alpha_los, self.alpha_nlos,
-            self.building, self.variant, self.ref_db,
+            self.building, fspl(1.0, f_c_mhz),
         )
 
 
@@ -250,8 +231,9 @@ PathLossModel = OhplmModel | MplmModel | FsplModel | BackhaulUmaAvModel
 
 @dataclass(frozen=True)
 class LinkModels:
-    """Path-loss model per link class; the MBS->UAV backhaul, which only relay mode
-    reads, has the one UMa-AV law."""
+    """Path-loss model per link class. A run varies only the UAV->UE law: its MBS->UE
+    links are Okumura-Hata, and the MBS->UAV backhaul, which only relay mode reads,
+    has the one UMa-AV law."""
 
     mbs_ue: PathLossModel = OhplmModel()
     uav_ue: PathLossModel = OhplmModel()

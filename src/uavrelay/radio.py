@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 CRITERIA = ("pf", "sum_rate", "p5")
 MODES = ("standalone", "relay")
-RELAY_RULES = ("best_direct", "backhaul_literal")
 
 # Rate floor applied before log10 in the PF reward; far below the outage
 # threshold so it never reorders trajectories.
@@ -131,22 +130,18 @@ class AssociationSnapshot:
 
 
 def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
-              ants: AntennaSetup, relay_rule: str = "best_direct") -> AssociationSnapshot:
+              ants: AntennaSetup) -> AssociationSnapshot:
     """Associate every UE at each UAV position of a (..., 2) batch.
 
     standalone: each UE takes the transmitter (MBS or UAV) with the highest
     direct SIR. relay: the UAV forwards its best-SIR donor MBS; a UE joins
     the UAV when the amplify-and-forward end-to-end SIR beats its best direct
-    MBS SIR (relay_rule='best_direct') or the backhaul SIR itself
-    (relay_rule='backhaul_literal', the looser comparison). The UAV occupies
-    one scheduling unit at its donor. Exact SIR ties resolve to the lowest
-    transmitter index.
+    MBS SIR. The UAV occupies one scheduling unit at its donor. Exact SIR ties
+    resolve to the lowest transmitter index.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if relay_rule not in RELAY_RULES:
-        raise ValueError(f"unknown relay rule {relay_rule!r}")
-    server, sir, donor = _best_server(scn, uav_pos, mode, models, ants, relay_rule)
+    server, sir, donor = _best_server(scn, uav_pos, mode, models, ants)
     np.minimum(sir, SIR_CEILING, out=sir)
     m = scn.n_mbs
     # one scheduling unit per served UE, plus the UAV's at its donor
@@ -160,8 +155,7 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
                                sir=sir, rate=rate, donor=donor)
 
 
-def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: AntennaSetup,
-                 relay_rule: str):
+def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: AntennaSetup):
     """(server, sir, donor) per UE, reducing over the M+1 transmitters one at a time."""
     p_mbs, p_uav = link_budget(scn, uav_pos, models, ants)
     if mode == "standalone":
@@ -177,8 +171,7 @@ def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: An
 
     sir, server = _best_sir([*p_mbs, p_uav], m)  # best direct MBS
     gamma_e2e = relay_end_to_end_sir(gamma_bh, p_uav / _leading_sum(p_mbs))
-    threshold = sir if relay_rule == "best_direct" else gamma_bh
-    on_uav = gamma_e2e > threshold
+    on_uav = gamma_e2e > sir
     np.copyto(sir, gamma_e2e, where=on_uav)
     np.copyto(server, m, where=on_uav)
     return server, sir, donor[..., 0]
@@ -256,10 +249,10 @@ def criterion_reward(rates, criterion: str):
 
 
 def stage_rates(positions, scn: Scenario, mode: str, models: LinkModels,
-                ants: AntennaSetup, relay_rule: str = "best_direct") -> np.ndarray:
+                ants: AntennaSetup) -> np.ndarray:
     """Per-UE rates at each UAV position; shape (len(positions), K)."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    return associate(scn, positions, mode, models, ants, relay_rule).rate
+    return associate(scn, positions, mode, models, ants).rate
 
 
 @dataclass(eq=False)
@@ -293,15 +286,14 @@ class RewardMap:
 
 
 def build_reward_maps(scn: Scenario, criteria, mode: str, models: LinkModels,
-                      ants: AntennaSetup, grid: "StateGrid",
-                      relay_rule: str = "best_direct") -> dict[str, RewardMap]:
+                      ants: AntennaSetup, grid: "StateGrid") -> dict[str, RewardMap]:
     """One association call over the whole grid, shared by all requested criteria."""
     criteria = tuple(criteria)
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}")
     xs, ys = grid.axis_x(), grid.axis_y()
-    rates = associate(scn, _cell_centres(xs, ys), mode, models, ants, relay_rule).rate
+    rates = associate(scn, _cell_centres(xs, ys), mode, models, ants).rate
     return {c: RewardMap(criterion=c, xs=xs, ys=ys, rewards=criterion_reward(rates, c),
                          rates=rates)
             for c in criteria}

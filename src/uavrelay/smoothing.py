@@ -76,8 +76,7 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
 
 
 def evaluate_smoothed(smoothed: list[SmoothedTrajectory], scn: Scenario, mode: str,
-                      models: LinkModels, ants: AntennaSetup,
-                      relay_rule: str = "best_direct") -> list[np.ndarray]:
+                      models: LinkModels, ants: AntennaSetup) -> list[np.ndarray]:
     """Per-UE rates along each smoothed trajectory; one (N, K) array per trajectory.
 
     Every sampled position of every trajectory is re-associated in one
@@ -89,5 +88,5 @@ def evaluate_smoothed(smoothed: list[SmoothedTrajectory], scn: Scenario, mode: s
         if not rect_contains(scn.mission.area_uav, sm.positions):
             raise ValueError("smoothed trajectory leaves the flight area")
         starts.append(sm.positions[:-1])
-    rates = radio.stage_rates(np.concatenate(starts), scn, mode, models, ants, relay_rule)
+    rates = radio.stage_rates(np.concatenate(starts), scn, mode, models, ants)
     return np.split(rates, np.cumsum([len(s) for s in starts[:-1]]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavrelay.antenna import AntennaMode, Omni, ue_link_gain
-from uavrelay.pathloss import LOS_VARIANTS, BuildingModel
+from uavrelay.pathloss import BuildingModel
 from uavrelay.planner import (NEG_INF, ActionSet, GridAction, StateGrid, Trajectory,
                               UnreachableFinishError, _finish_trajectory)
 from uavrelay.radio import RewardMap, dbm_to_mw
@@ -88,10 +88,8 @@ def bernstein(i: int, n: int, t: float) -> float:
 
 
 def loop_los_probability(z, h_uav: float, h_ue: float,
-                         building: BuildingModel | None = None, variant: str = "corrected"):
+                         building: BuildingModel | None = None):
     """los_probability with the building-row product taken one row at a time."""
-    if variant not in LOS_VARIANTS:
-        raise ValueError(f"unknown LoS formula variant {variant!r}")
     if h_uav <= 0 or h_ue <= 0 or h_uav <= h_ue:
         raise ValueError("heights must satisfy h_uav > h_ue > 0")
     bm = building or BuildingModel()
@@ -107,14 +105,9 @@ def loop_los_probability(z, h_uav: float, h_ue: float,
     two_c2 = 2.0 * bm.c_hat ** 2
     for n in range(0, int(ms[-1]) + 1):
         active = ms >= n
-        if variant == "corrected":
-            h_ray = h_uav - (n + 0.5) * dh / rows
-            factor = 1.0 - np.exp(-(h_ray ** 2) / two_c2)
-        else:
-            h_ray = h_uav - (n + 0.5) * dh
-            with np.errstate(over="ignore"):
-                factor = 1.0 - np.exp(-h_ray / two_c2)
-        factor = np.clip(factor, 0.0, 1.0)
+        h_ray = h_uav - (n + 0.5) * dh / rows
+        # a no-op clip: the package leaves it out, and the tests require equal bits
+        factor = np.clip(1.0 - np.exp(-(h_ray ** 2) / two_c2), 0.0, 1.0)
         table = np.where(active, table * factor, table)
     tau = table[m + 1]
     return tau if tau.ndim else float(tau)

@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 import uavrelay
 from uavrelay import cli, pathloss, radio
-from uavrelay.config import (ANTENNA_MODES, MPLM_REFERENCES, UE_LINK_MODELS, ConfigError,
-                             DipoleSettings, MplmSettings, RunConfig, from_json_dict,
-                             load_config)
+from uavrelay.config import (ANTENNA_MODES, UE_LINK_MODELS, ConfigError, MplmSettings,
+                             RunConfig, from_json_dict, load_config)
 from uavrelay.pathloss import OHPLM_FC_RANGE
 from uavrelay.planner import ActionSet, StateGrid, min_stages, solve_dp
-from uavrelay.radio import CRITERIA, MODES, RELAY_RULES
+from uavrelay.radio import CRITERIA, MODES
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
 from uavrelay.smoothing import smooth
 
@@ -92,17 +91,12 @@ def run_configs(draw, h_uav_max=300.0):
             outage_threshold=draw(_finite(0.001, 1))),
         mission=Mission(start=draw(point), finish=draw(point), duration_t=draw(durations),
                         stage_dt=stage_dt),
-        mbs_ue_model=draw(st.sampled_from(UE_LINK_MODELS)),
         uav_ue_models=draw(_names(UE_LINK_MODELS)),
         mplm=MplmSettings(a_hat=draw(_finite(0.01, 0.99)), b_hat=draw(_finite(1, 500)),
-                          c_hat=draw(_finite(1, 50)),
-                          variant=draw(st.sampled_from(["corrected", "as_written"])),
-                          reference=draw(st.sampled_from(MPLM_REFERENCES) | _finite(-50, 50))),
-        relay_rule=draw(st.sampled_from(RELAY_RULES)),
+                          c_hat=draw(_finite(1, 50))),
         criteria=draw(_names(CRITERIA)),
         modes=draw(_names(MODES)),
         antenna_modes=draw(_names(ANTENNA_MODES)),
-        dipole=DipoleSettings(draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))),
         sweep_t=tuple(draw(st.lists(durations, min_size=1, max_size=4))),
         sweep_n_mbs=tuple(draw(st.lists(_finite(0.5, 50), min_size=1, max_size=3))),
         realizations=draw(st.integers(1, 100)),
@@ -142,7 +136,7 @@ def one_point_documents(draw):
     doc["sweep"] = {"t_values": doc["sweep"]["t_values"][:1],
                     "n_mbs_values": doc["sweep"]["n_mbs_values"][:1]}
     kind = draw(st.sampled_from(PERTURBATIONS)) if draw(st.integers(0, 2)) == 0 else None
-    if kind != "carrier" and "ohplm" in (models["mbs_ue"], *models["uav_ue"]):
+    if kind != "carrier":
         doc["physical"]["f_c_mhz"] = draw(_finite(*OHPLM_FC_RANGE))
     if kind != "duration":
         # the stage budget is the Chebyshev distance in cells
@@ -233,8 +227,6 @@ BAD_VALUES = [
     ({"models": {"uav_ue": {"mplm": 1}}}, "models.uav_ue"),
     ({"models": {"mplm": "x"}}, "models.mplm"),
     ({"models": {"mplm": {"a_hat": "abc"}}}, "models.mplm.a_hat"),
-    ({"models": {"mplm": {"reference": [0]}}}, "models.mplm.reference"),
-    ({"run": {"dipole": [1]}}, "run.dipole"),
     ({"physical": [100]}, "physical"),
     ({"master_seed": float("inf")}, "master_seed"),
     ({"run": {"realizations": 2.5}}, "run.realizations"),
@@ -244,7 +236,6 @@ BAD_VALUES = [
     ({"master_seed": False}, "master_seed"),
     ({"sweep": {"t_values": [True]}}, "sweep.t_values"),
     ({"physical": {"h_uav": True}}, "physical.h_uav"),
-    ({"run": {"dipole": {"uav_spin": True}}}, "run.dipole.uav_spin"),
     # names must be strings: a repeated list item is not even hashable
     ({"run": {"criteria": [["pf"], ["pf"]]}}, "run.criteria"),
     ({"run": {"modes": [1]}}, "run.modes"),
@@ -298,8 +289,6 @@ INVALID_VALUES = [
     ({"showcase": {"n_mbs": 701}}, "showcase_n_mbs=701.0"),
     ({"run": {"cell_m": 0}}, "cell_m=0.0"),
     ({"run": {"cell_m": -100}}, "cell_m=-100.0"),
-    ({"run": {"dipole": {"uav_spin": 1.5}}}, "dipole spins"),
-    ({"run": {"dipole": {"mbs_spin": "left"}}}, "dipole spins"),
     ({"sweep": {"t_values": [float("nan")]}}, "duration T=nan"),
     ({"showcase": {"t": float("inf")}}, "duration T=inf"),
     # 64 s beats the straight line at v_max, but cardinal grid moves need 10 stages
@@ -321,8 +310,6 @@ INVALID_VALUES = [
     # the UMa-AV backhaul loss is only defined up to 300 m
     ({"physical": {"h_uav": 400}, "run": {"modes": ["standalone", "relay"]}},
      "UMa-AV backhaul model requires altitude in [22.5, 300.0] m"),
-    ({"models": {"uav_ue": ["mplm"], "mplm": {"reference": float("nan")}}},
-     "mplm.reference=nan must be finite"),
     ({"models": {"mplm": {"b_hat": float("nan")}}}, "mplm building parameters"),
     ({"models": {"mplm": {"c_hat": float("inf")}}}, "mplm building parameters"),
     ({"sweep": {"n_mbs_values": [float("inf")]}}, "n_mbs=inf exceeds"),
@@ -333,12 +320,6 @@ INVALID_VALUES = [
     # validate builds MPLM, whose building grid bounds its row density and height scale
     ({"models": {"uav_ue": ["mplm"], "mplm": {"b_hat": 1e300}}}, "mplm building parameters"),
     ({"models": {"mplm": {"c_hat": 1e200}}}, "mplm building parameters"),
-    ({"models": {"mplm": {"variant": "bogus"}}}, "mplm.variant 'bogus' must be one of"),
-    # a JSON string is an anchor name, even when it reads as a number
-    ({"models": {"mplm": {"reference": "bogus"}}},
-     "mplm.reference='bogus' is an unknown anchor name: give a number or one of"),
-    ({"models": {"mplm": {"reference": "3"}}},
-     "mplm.reference='3' is an unknown anchor name: give a number or one of"),
     # the stage count is a closed form, so a fine lattice is refused at once
     ({"run": {"cell_m": 0.5}}, "the grid path from start to finish needs 2000"),
     ({"run": {"cell_m": 0.01}}, "the grid path from start to finish needs 100000"),
@@ -383,6 +364,11 @@ INVALID_VALUES = [
     ({"mission": {"finish": [0, 0]}, "run": {"realizations": 1},
       "sweep": {"t_values": [1e-12]}, "showcase": {"t": 1e-12}},
      "duration T=1e-12: duration_t=1e-12 is shorter than one stage_dt=8.0"),
+    # every MBS->UE link is OHPLM, so its carrier range binds whatever the UAV runs
+    ({"physical": {"f_c_mhz": 2600}, "models": {"uav_ue": ["mplm"]}},
+     "f_c_mhz=2600 outside OHPLM range [150.0, 1500.0]"),
+    ({"physical": {"f_c_mhz": 100}, "models": {"uav_ue": ["fspl"]}},
+     "f_c_mhz=100 outside OHPLM range [150.0, 1500.0]"),
 ]
 
 BARE_STRINGS = [
@@ -527,12 +513,12 @@ class TestValidation:
         assert diags == ["mission start (1e+308, 0.0) lies outside the flight area"]
 
     def test_each_builder_error_reported_once(self):
-        doc = small_run_doc(models={"mplm": {"variant": "bogus"}},
-                            run={"criteria": ["pf"], "dipole": {"mbs_spin": 2}},
+        doc = small_run_doc(models={"uav_ue": ["mplm"], "mplm": {"c_hat": 1e200}},
                             sweep={"t_values": [161], "n_mbs_values": [4]})
         assert from_json_dict(doc).validate() == [
-            "mplm.variant 'bogus' must be one of ('corrected', 'as_written')",
-            "dipole spins must be +1 or -1, got 2",
+            "mplm building parameters out of range: need 0 < a_hat < 1, b_hat > 0, 1e-3 <= "
+            "c_hat <= 1e3 m and sqrt(a_hat*b_hat) <= 1000 rows per km, got "
+            "BuildingModel(a_hat=0.1, b_hat=100.0, c_hat=1e+200)",
             "duration T=161.0: duration_t=161.0 is not an integer multiple of stage_dt=8.0"]
 
     def test_default_config_is_clean(self):
@@ -592,10 +578,9 @@ class TestOhplmNotes:
         assert cli.load_preset(name).ohplm_notes() == [DISTANCE_NOTE]
 
     @pytest.mark.parametrize("model", ["mplm", "fspl"])
-    def test_no_ohplm_link_no_note(self, model):
-        cfg = from_json_dict({**MINIMAL, "physical": {"f_c_mhz": 2600},
-                              "models": {"mbs_ue": model, "uav_ue": [model]}})
-        assert cfg.ohplm_notes() == []
+    def test_mbs_links_are_noted_without_an_ohplm_uav_link(self, model):
+        cfg = from_json_dict({**MINIMAL, **TWO_HEIGHTS, "models": {"uav_ue": [model]}})
+        assert cfg.ohplm_notes() == TWO_HEIGHTS_NOTES[:2]
 
     def test_ue_height(self):
         cfg = from_json_dict({**MINIMAL, "physical": {"h_ue": 12}})
@@ -608,15 +593,31 @@ class TestOhplmNotes:
     @pytest.mark.parametrize("area_m,distance_noted", [(1000, False), (6000, False),
                                                        (7000, True)])
     def test_distance_spans_height_gap_to_box_diagonal(self, area_m, distance_noted):
-        # only the UAV runs OHPLM; its height gap is exactly 1 km, and the box
+        # the MBS height gap is exactly 1 km, the UAV's 1 m more, and the box
         # diagonal of a 7 km area is above 10 km
         area_uav = [-100, -100, area_m + 100, area_m + 100]
-        cfg = from_json_dict({**MINIMAL, "physical": {"h_uav": 1002.0, "h_ue": 2.0},
-                              "models": {"mbs_ue": "mplm"},
+        cfg = from_json_dict({**MINIMAL,
+                              "physical": {"h_uav": 1003.0, "h_bs": 1002.0, "h_ue": 2.0},
                               "mission": {"area_ue": [0, 0, area_m, area_m],
                                           "area_uav": area_uav}})
-        notes = ["OHPLM tx height 1002.0 m outside (30.0, 200.0)"]
-        assert cfg.ohplm_notes() == notes + [DISTANCE_NOTE] * distance_noted
+        assert cfg.ohplm_notes() == (["OHPLM tx height 1002.0 m outside (30.0, 200.0)"]
+                                     + [DISTANCE_NOTE] * distance_noted
+                                     + ["OHPLM tx height 1003.0 m outside (30.0, 200.0)"])
+
+
+# Keys with one value, which a run now fixes, and the value each once defaulted to
+# (that is refused too): relay mode carries the UMa-AV backhaul, MBS->UE links are
+# OHPLM, MPLM's LoS is the corrected building-row form anchored at the free-space loss
+# at 1 m, a UE joins the relay when it beats its best direct SIR, and dipoles are
+# equal-handed.
+REMOVED_KEYS = {
+    "models.backhaul": "uma_av",
+    "models.mbs_ue": "ohplm",
+    "models.mplm.variant": "corrected",
+    "models.mplm.reference": "friis_1m",
+    "run.relay_rule": "best_direct",
+    "run.dipole": {"mbs_spin": 1, "uav_spin": 1},
+}
 
 
 class TestCli:
@@ -642,15 +643,22 @@ class TestCli:
         assert "bogus" in out and "backhaul" in out and "grid path" in out
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_backhaul_is_no_config_key(self, tmp_path, capsys, command):
-        # relay mode carries the UMa-AV backhaul, so no key chooses it
-        path = self.write_config(tmp_path, small_run_doc(models={"backhaul": "uma_av"}))
+    @pytest.mark.parametrize("path", REMOVED_KEYS)
+    def test_backhaul_is_no_config_key(self, tmp_path, capsys, command, path):
+        doc = small_run_doc()
+        section, _, key = path.rpartition(".")
+        node = doc
+        for name in section.split("."):
+            node = node.setdefault(name, {})
+        node[key] = REMOVED_KEYS[path]
+        config = self.write_config(tmp_path, doc)
         out = tmp_path / "out"
-        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+        argv = [command, "--config", str(config)]
+        argv += ["--out", str(out)] if command == "run" else []
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
-            "config error: unknown key 'backhaul' in models"]
+            f"config error: unknown key {key!r} in {section}"]
         assert not out.exists()
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
@@ -737,6 +745,19 @@ class TestCli:
             cli.main(["run", "--config", str(path), "--out", str(out)])
         assert list(out.iterdir()) == []
 
+    def test_interrupted_run_leaves_no_partial_output(self, tmp_path, monkeypatch):
+        path = self.write_config(tmp_path, small_run_doc())
+        out = tmp_path / "o6"
+
+        def interrupted(cfg, tracker):
+            tracker.path("partial.csv").write_text("x")
+            raise KeyboardInterrupt  # Ctrl-C after the sweep outputs and one showcase file
+
+        monkeypatch.setattr(cli, "_write_showcase", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert list(out.iterdir()) == []
+
     def test_pathloss_table(self, tmp_path):
         out = tmp_path / "pl.csv"
         assert cli.main(["pathloss-table", "--out", str(out)]) == 0
@@ -789,10 +810,12 @@ class TestCli:
         names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert list(dict.fromkeys(names)) == rows
 
-    @pytest.mark.parametrize("mplm,where", [({"b_hat": 1e300}, "mplm building parameters"),
-                                            ({"variant": "bogus"}, "mplm.variant 'bogus'")])
-    def test_pathloss_table_validates_its_config(self, tmp_path, capsys, mplm, where):
-        path = self.write_config(tmp_path, {**MINIMAL, "models": {"mplm": mplm}})
+    @pytest.mark.parametrize("patch,where", [
+        ({"models": {"mplm": {"b_hat": 1e300}}}, "mplm building parameters"),
+        ({"physical": {"f_c_mhz": 2600}, "models": {"uav_ue": ["fspl"]}},
+         "f_c_mhz=2600 outside OHPLM range")])
+    def test_pathloss_table_validates_its_config(self, tmp_path, capsys, patch, where):
+        path = self.write_config(tmp_path, {**MINIMAL, **patch})
         out = tmp_path / "pl.csv"
         assert cli.main(["pathloss-table", "--config", str(path), "--out", str(out)]) == 1
         assert f"config error: {where}" in capsys.readouterr().err
@@ -882,15 +905,16 @@ class TestCli:
         assert (out / "heatmap_pf_standalone_ohplm_omni.csv").exists()
 
     def test_interference_free_link_runs_to_a_finite_capacity(self, tmp_path):
-        # a 70 dBm MBS over a -30 dBm UAV: near the MBS the UAV's power rounds
+        # a 70 dBm MBS over a -30 dBm UAV behind a d^-20 law: the UAV's power rounds
         # away in the interference sum, which once made the SIR infinite
         doc = {"schema_version": 1, "master_seed": 272,
                "mission": {"start": [0, 0], "finish": [50, 50], "duration_t": 4,
                            "stage_dt": 4, "area_ue": [0, 0, 100, 100],
                            "area_uav": [0, 0, 100, 100]},
                "physical": {"p_mbs_dbm": 70, "p_uav_dbm": -30, "f_c_mhz": 150,
-                            "h_uav": 60, "h_bs": 10, "h_ue": 1},
-               "models": {"mbs_ue": "mplm", "uav_ue": ["ohplm"], "mplm": {"reference": -44}},
+                            "h_uav": 60, "h_bs": 10, "h_ue": 1,
+                            "alpha_los": 20, "alpha_nlos": 20},
+               "models": {"uav_ue": ["mplm"]},
                "run": {"cell_m": 50, "realizations": 1},
                "sweep": {"t_values": [4], "n_mbs_values": [1]},
                "showcase": {"t": 4, "n_mbs": 1}}
@@ -914,8 +938,7 @@ def reference_showcase(cfg, out_dir):
     grid = StateGrid.from_mission(mission, cfg.cell_m)
     actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
     for model_name, antenna_name, mode, models, ants in cfg.combinations():
-        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants,
-                                       grid, cfg.relay_rule)
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants, grid)
         max_sir_db = radio.max_sir_map(scn, models, ants, grid)
         for criterion in cfg.criteria:
             tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"

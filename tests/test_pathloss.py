@@ -1,6 +1,5 @@
 import logging
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -97,36 +96,18 @@ class TestLosProbability:
 
     def test_non_increasing_sweep(self):
         z = np.linspace(0.0, 1500.0, 301)
-        for variant in ("corrected", "as_written"):
-            tau = los_probability(z, 120.0, 2.0, variant=variant)
-            assert np.all(np.diff(tau) <= 1e-12)
-            assert np.all((tau >= 0.0) & (tau <= 1.0))
+        tau = los_probability(z, 120.0, 2.0)
+        assert np.all(np.diff(tau) <= 1e-12)
+        assert np.all((tau >= 0.0) & (tau <= 1.0))
 
     def test_bounds_for_extreme_buildings(self):
         z = np.linspace(0.0, 3000.0, 100)
         for bm in (BuildingModel(0.9, 900.0, 50.0), BuildingModel(0.01, 1.0, 0.1)):
-            for variant in ("corrected", "as_written"):
-                tau = los_probability(z, 120.0, 2.0, bm, variant)
-                assert np.all((tau >= 0.0) & (tau <= 1.0))
-
-    def test_as_written_overflow_stays_silent(self):
-        # rays below the rooftops overflow exp; the clip already maps them to 0
-        bm = BuildingModel(0.5, 500.0, 0.3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tau = los_probability(np.linspace(0.0, 1500.0, 7), 120.0, 2.0, bm, "as_written")
-        assert tau.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-
-    def test_rejects_bad_variant(self):
-        with pytest.raises(ValueError):
-            los_probability(10.0, 120.0, 2.0, variant="other")
+            tau = los_probability(z, 120.0, 2.0, bm)
+            assert np.all((tau >= 0.0) & (tau <= 1.0))
 
 
 class TestModelDomains:
-    def test_mplm_rejects_a_bad_variant_at_construction(self):
-        with pytest.raises(ValueError, match="mplm.variant 'bogus' must be one of"):
-            MplmModel(variant="bogus")
-
     @pytest.mark.parametrize("kw", [{"b_hat": math.inf}, {"c_hat": math.nan},
                                     {"a_hat": 1.0}, {"b_hat": 0.0},
                                     # more than one building row per metre
@@ -145,24 +126,20 @@ class TestModelDomains:
 @settings(max_examples=200, deadline=None, database=None)
 @given(a_hat=st.floats(0.01, 0.9), b_hat=st.floats(1.0, 900.0), c_hat=st.floats(0.5, 50.0),
        h_ue=st.floats(0.5, 10.0), h_gap=st.floats(1.0, 300.0),
-       variant=st.sampled_from(["corrected", "as_written"]),
        z_max=st.floats(0.0, 3000.0), shape=st.sampled_from([(0,), (1,), (37,), (13, 29)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_los_table_equals_the_row_loop(a_hat, b_hat, c_hat, h_ue, h_gap, variant, z_max,
-                                       shape, seed):
+def test_los_table_equals_the_row_loop(a_hat, b_hat, c_hat, h_ue, h_gap, z_max, shape, seed):
     bm = BuildingModel(a_hat, b_hat, c_hat)
     z = np.random.default_rng(seed).uniform(0.0, z_max, shape)
-    got = los_probability(z, h_ue + h_gap, h_ue, bm, variant)
-    want = loop_los_probability(z, h_ue + h_gap, h_ue, bm, variant)
+    got = los_probability(z, h_ue + h_gap, h_ue, bm)
+    want = loop_los_probability(z, h_ue + h_gap, h_ue, bm)
     assert np.array_equal(got, want)
     if z.size:
-        assert los_probability(float(z.flat[0]), h_ue + h_gap, h_ue, bm,
-                               variant) == want.flat[0]
+        assert los_probability(float(z.flat[0]), h_ue + h_gap, h_ue, bm) == want.flat[0]
 
 
-@pytest.mark.parametrize("variant", ["corrected", "as_written"])
-def test_los_row_product_equals_the_loop_oracle(variant):
-    rng = np.random.default_rng(19 if variant == "corrected" else 20)
+def test_los_row_product_equals_the_loop_oracle():
+    rng = np.random.default_rng(19)
     cases = [(BuildingModel(a_hat, 10 ** rng.uniform(0.0, 5.0), 10 ** rng.uniform(-1.0, 2.0)),
               h_ue, h_ue + 10 ** rng.uniform(-1.0, 2.5))
              for a_hat, h_ue in zip(rng.uniform(0.01, 0.9, 60), rng.uniform(0.5, 10.0, 60))]
@@ -174,8 +151,8 @@ def test_los_row_product_equals_the_loop_oracle(variant):
         for z in (rng.uniform(0.0, 3000.0, rng.integers(1, 40)), np.zeros(3), np.zeros(0),
                   rng.uniform(0.0, row_m, 5),  # every m is -1
                   rng.uniform(0.0, 3000.0, (4, 6)), 0.0, float(rng.uniform(0.0, 3000.0))):
-            got = los_probability(z, h_uav, h_ue, bm, variant)
-            want = loop_los_probability(z, h_uav, h_ue, bm, variant)
+            got = los_probability(z, h_uav, h_ue, bm)
+            want = loop_los_probability(z, h_uav, h_ue, bm)
             assert type(got) is type(want)
             assert np.array_equal(got, want)
 
@@ -210,17 +187,19 @@ class TestMixture:
         got = mixture_path_gain(500.0, 489.0, 120.0, 2.0, 2.09, 3.75)
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_variants_agree_under_certain_los(self):
-        d, z = 250.0, 200.0  # below the first row threshold, tau_L = 1
-        a = mixture_path_gain(d, z, 120.0, 2.0, 2.09, 3.75, variant="corrected")
-        b = mixture_path_gain(d, z, 120.0, 2.0, 2.09, 3.75, variant="as_written")
-        assert a == b
-
     def test_reference_offset_shifts_uniformly(self):
         d, z = 700.0, 650.0
         base = mixture_path_gain(d, z, 120.0, 2.0, 2.09, 3.75)
         shifted = mixture_path_gain(d, z, 120.0, 2.0, 2.09, 3.75, ref_db=35.97)
         assert shifted - base == pytest.approx(35.97, rel=1e-12)
+
+    def test_mplm_model_anchors_at_the_free_space_loss_at_1m(self):
+        d, z = np.array([130.0, 700.0]), np.array([60.0, 650.0])
+        got = MplmModel().loss_db(d, z, f_c_mhz=1500.0, h_tx=120.0, h_rx=2.0)
+        want = mixture_path_gain(d, z, 120.0, 2.0, 2.09, 3.75, ref_db=fspl(1.0, 1500.0))
+        assert np.array_equal(got, want)
+        bare = mixture_path_gain(d, z, 120.0, 2.0, 2.09, 3.75)
+        assert got - bare == pytest.approx(20.0 * math.log10(1500.0) - 27.55, rel=1e-12)
 
     def test_strictly_increasing_in_distance(self):
         z = 400.0

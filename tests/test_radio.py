@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from uavrelay import radio
 from uavrelay.antenna import CrossedDipole, Omni, combined_gain, ue_link_gain
 from uavrelay.config import RunConfig
-from uavrelay.pathloss import LinkModels, MplmModel, OhplmModel, BackhaulUmaAvModel
+from uavrelay.pathloss import (BackhaulUmaAvModel, FsplModel, LinkModels, MplmModel,
+                               OhplmModel)
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import (AntennaSetup, associate, criterion_reward,
                             dbm_to_mw, relay_end_to_end_sir, stage_rates)
@@ -23,6 +24,11 @@ MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel(),
                     backhaul=BackhaulUmaAvModel())
 MPLM_MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=MplmModel(),
                          backhaul=BackhaulUmaAvModel())
+FSPL_MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=FsplModel(),
+                         backhaul=BackhaulUmaAvModel())
+# every UAV->UE law a run can choose, over the one MBS->UE law and backhaul
+UE_MODELS = pytest.mark.parametrize("models", [MODELS, MPLM_MODELS, FSPL_MODELS],
+                                    ids=["ohplm", "mplm", "fspl"])
 
 
 # --- scalar oracles: one UE, one transmitter, one UAV position at a time -----
@@ -209,13 +215,6 @@ class TestAssociate:
         on_uav = snap.server == scn.n_mbs
         assert np.all(snap.sir[on_uav] <= 2.0 * gamma_bh + 1e-12)
 
-    def test_relay_rules_differ(self):
-        scn = generate_scenario(PhysicalConfig(), Mission(), 5)
-        a = associate(scn, (500.0, 500.0), "relay", MODELS, OMNI, "best_direct")
-        b = associate(scn, (500.0, 500.0), "relay", MODELS, OMNI, "backhaul_literal")
-        # the literal rule admits UEs whose e2e SIR only beats the backhaul SIR
-        assert (a.server == scn.n_mbs).sum() <= (b.server == scn.n_mbs).sum()
-
     def test_sir_invariant_under_common_power_scaling(self):
         mission = Mission()
         base = generate_scenario(PhysicalConfig(), mission, 21)
@@ -372,7 +371,7 @@ POSITION_GRID = np.stack(np.meshgrid([-100.0, 300.0, 500.0, 1100.0], [0.0, 450.0
                          axis=-1)  # (ny, nx, 2)
 
 
-def oracle_association(scn, pos, mode, models, ants, rule):
+def oracle_association(scn, pos, mode, models, ants):
     """Per-UE (server, sir, rate) from the scalar oracles at one UAV position."""
     budget = link_budget(scn, pos, models, ants)
     m = scn.n_mbs
@@ -389,7 +388,7 @@ def oracle_association(scn, pos, mode, models, ants, rule):
         if mode == "relay":
             row = budget[ue]
             e2e = relay_end_to_end_sir(bh_sirs[donor], row[m] / row[:m].sum())
-            if e2e > (direct[best] if rule == "best_direct" else bh_sirs[donor]):
+            if e2e > direct[best]:
                 server, sir = m, e2e
         servers.append(server)
         sirs.append(sir)
@@ -419,25 +418,23 @@ class TestBatchedEngine:
                 assert np.array_equal(single, np.array(oracle).reshape(single.shape))
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("models", [MODELS, MPLM_MODELS], ids=["ohplm", "mplm"])
+    @UE_MODELS
     @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
-    @pytest.mark.parametrize("mode,rule", [("standalone", "best_direct"),
-                                           ("relay", "best_direct"),
-                                           ("relay", "backhaul_literal")])
-    def test_associate_grid(self, scenario, models, ants, mode, rule):
+    @pytest.mark.parametrize("mode", radio.MODES)
+    def test_associate_grid(self, scenario, models, ants, mode):
         scn = SCENARIOS[scenario]()
-        snap = associate(scn, POSITION_GRID, mode, models, ants, rule)
+        snap = associate(scn, POSITION_GRID, mode, models, ants)
         ny, nx, _ = POSITION_GRID.shape
         assert snap.rate.shape == (ny, nx, scn.n_ue)
         for iy in range(ny):
             for ix in range(nx):
                 pos = POSITION_GRID[iy, ix]
-                single = associate(scn, pos, mode, models, ants, rule)
+                single = associate(scn, pos, mode, models, ants)
                 for field in ("server", "sir", "rate", "loads", "donor"):
                     got = getattr(snap, field)
                     if got is not None:
                         assert np.array_equal(got[iy, ix], getattr(single, field)), field
-                servers, sirs, rates = oracle_association(scn, pos, mode, models, ants, rule)
+                servers, sirs, rates = oracle_association(scn, pos, mode, models, ants)
                 assert np.array_equal(single.server, servers)
                 assert np.array_equal(single.sir, sirs)
                 assert np.array_equal(single.rate, rates)
@@ -446,10 +443,9 @@ class TestBatchedEngine:
         scn = SCENARIOS["nadir"]()
         budget = link_budget(scn, (500.0, 450.0), MODELS, DIPOLE)
         assert budget[0, scn.n_mbs] == 0.0
-        for rule in radio.RELAY_RULES:
-            snap = associate(scn, POSITION_GRID, "relay", MODELS, DIPOLE, rule)
-            assert snap.server[1, 2, 0] != scn.n_mbs
-            assert np.all(snap.sir > 0) and np.all(snap.rate > 0)
+        snap = associate(scn, POSITION_GRID, "relay", MODELS, DIPOLE)
+        assert snap.server[1, 2, 0] != scn.n_mbs
+        assert np.all(snap.sir > 0) and np.all(snap.rate > 0)
 
     @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
     def test_per_position_probe_points(self, ants):
@@ -486,22 +482,20 @@ class TestBatchedEngine:
        lambda_ue=st.sampled_from([3.0, 20.0]),
        positions=st.lists(st.tuples(st.floats(-100.0, 1100.0), st.floats(-100.0, 1100.0)),
                           min_size=1, max_size=6),
-       mode_rule=st.sampled_from([("standalone", "best_direct"), ("relay", "best_direct"),
-                                  ("relay", "backhaul_literal")]),
+       mode=st.sampled_from(radio.MODES),
        ants=st.sampled_from([OMNI, DIPOLE]),
        models=st.sampled_from([MODELS, MPLM_MODELS]))
-def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode_rule, ants, models):
+def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode, ants, models):
     """Batched association equals per-position calls; SIRs, rates and loads are sane."""
-    mode, rule = mode_rule
     scn = generate_scenario(PhysicalConfig(lambda_ue=lambda_ue), Mission(), seed,
                             n_mbs=n_mbs, min_mbs=2)
     pos = np.array(positions, dtype=float)
-    snap = associate(scn, pos, mode, models, ants, rule)
+    snap = associate(scn, pos, mode, models, ants)
     assert np.all(snap.sir > 0)
     assert np.all(np.isfinite(snap.rate)) and np.all(snap.rate >= 0)
     assert np.all(snap.loads.sum(axis=-1) == scn.n_ue + (mode == "relay"))
     for i, p in enumerate(pos):
-        single = associate(scn, p, mode, models, ants, rule)
+        single = associate(scn, p, mode, models, ants)
         for field in ("server", "sir", "rate", "loads", "donor"):
             got = getattr(snap, field)
             if got is not None:
@@ -514,7 +508,7 @@ def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode_rule, ants
 
 # --- the transmitter-major kernel against the UE-major layout it replaced ----
 
-def ue_major_associate(scn, uav_pos, mode, models, ants, relay_rule="best_direct"):
+def ue_major_associate(scn, uav_pos, mode, models, ants):
     """Association over the (..., K, M+1) power array, reduced over its last axis."""
     powers = link_budget(scn, uav_pos, models, ants)
     m = scn.n_mbs
@@ -535,8 +529,7 @@ def ue_major_associate(scn, uav_pos, mode, models, ants, relay_rule="best_direct
         direct_sirs = direct.max(axis=-1)
         gamma_acc = powers[..., m] / powers[..., :m].sum(axis=-1)
         gamma_e2e = relay_end_to_end_sir(gamma_bh, gamma_acc)
-        threshold = direct_sirs if relay_rule == "best_direct" else gamma_bh
-        on_uav = gamma_e2e > threshold
+        on_uav = gamma_e2e > direct_sirs
         server = np.where(on_uav, m, direct_server)
         sir = np.where(on_uav, gamma_e2e, direct_sirs)
     loads = np.sum(server[..., None] == transmitters, axis=-2)
@@ -545,10 +538,6 @@ def ue_major_associate(scn, uav_pos, mode, models, ants, relay_rule="best_direct
     rate = np.log2(1.0 + sir) / np.take_along_axis(loads, server, axis=-1)
     return radio.AssociationSnapshot(server=server, loads=loads, sir=sir, rate=rate,
                                      donor=donor)
-
-
-MODE_RULES = [("standalone", "best_direct"), ("relay", "best_direct"),
-              ("relay", "backhaul_literal")]
 
 
 def assert_same_association(got, want):
@@ -637,28 +626,29 @@ class TestReceivedPowerOnPlanes:
 class TestTransmitterMajorKernel:
     """Bit-identical to the UE-major reductions on both sides of numpy's 8 and 128 terms."""
 
-    @pytest.mark.parametrize("mode,rule", MODE_RULES)
-    def test_generated_relay_dipole_scenario(self, mode, rule):
+    @pytest.mark.parametrize("mode", radio.MODES)
+    @UE_MODELS
+    def test_generated_relay_dipole_scenario(self, mode, models):
         scn = generate_scenario(PhysicalConfig(lambda_ue=15.0), Mission(), 4,
                                 n_mbs=10.0, min_mbs=2)
         assert scn.n_mbs + 1 >= 8
-        got = associate(scn, POSITION_GRID, mode, MODELS, DIPOLE, rule)
-        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, MODELS,
-                                                         DIPOLE, rule))
+        got = associate(scn, POSITION_GRID, mode, models, DIPOLE)
+        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, models,
+                                                         DIPOLE))
 
     @pytest.mark.parametrize("n_mbs", [2, 6, 7, 8, 9, 15, 16, 127, 128, 140])
-    @pytest.mark.parametrize("mode,rule", MODE_RULES)
-    @pytest.mark.parametrize("models", [MODELS, MPLM_MODELS], ids=["ohplm", "mplm"])
-    def test_hand_built_mbs_counts(self, n_mbs, mode, rule, models):
+    @pytest.mark.parametrize("mode", radio.MODES)
+    @UE_MODELS
+    def test_hand_built_mbs_counts(self, n_mbs, mode, models):
         rng = np.random.default_rng(n_mbs)
         scn = make_scenario(rng.uniform(0.0, 1000.0, (n_mbs, 2)),
                             rng.uniform(0.0, 1000.0, (11, 2)))
-        got = associate(scn, POSITION_GRID, mode, models, DIPOLE, rule)
+        got = associate(scn, POSITION_GRID, mode, models, DIPOLE)
         assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, models,
-                                                         DIPOLE, rule))
-        one = associate(scn, POSITION_GRID[1, 2], mode, models, DIPOLE, rule)
+                                                         DIPOLE))
+        one = associate(scn, POSITION_GRID[1, 2], mode, models, DIPOLE)
         assert_same_association(one, ue_major_associate(scn, POSITION_GRID[1, 2], mode,
-                                                         models, DIPOLE, rule))
+                                                         models, DIPOLE))
 
     @pytest.mark.parametrize("mode", radio.MODES)
     @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
@@ -740,6 +730,27 @@ def test_omni_only_links_never_reach_the_antenna_layer(monkeypatch):
     want = radio._received_mw(scn.mbs_xy, cfg.h_bs, POSITION_GRID[..., None, :], cfg.h_uav,
                               cfg.p_mbs_dbm, MODELS.backhaul, cfg.f_c_mhz)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["ohplm", "mplm", "fspl"])
+def test_config_link_models_fix_the_mbs_law_and_backhaul(name):
+    # a config chooses only the UAV->UE law; MBS->UE is Okumura-Hata and the
+    # backhaul UMa-AV for every choice
+    cfg = RunConfig(uav_ue_models=(name,))
+    models = cfg.link_models(name)
+    assert models == LinkModels(mbs_ue=OhplmModel(), uav_ue=cfg.ue_model(name),
+                                backhaul=BackhaulUmaAvModel())
+    scn = SCENARIOS["dense"]()
+    for ants in (OMNI, DIPOLE):
+        p_mbs, _ = radio.link_budget(scn, POSITION_GRID, models, ants)
+        want, _ = radio.link_budget(scn, POSITION_GRID, MODELS, ants)
+        assert np.array_equal(p_mbs, want)
+
+
+def test_config_dipoles_are_equal_handed():
+    setup = RunConfig().antenna_setup("dipole")
+    assert setup == DIPOLE
+    assert setup.mbs.spin == setup.uav.spin
 
 
 def test_default_link_models_carry_the_uma_av_backhaul():
