@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, output, pathloss, radio
+from . import __version__, metrics, output, pathloss
 from .antenna import CrossedDipole, radiation_gain
 from .config import ConfigError, RunConfig, from_json_dict, load_config
 # unused here: perfbench/spans.py wraps cli.solve_dp and cli.generate_scenario by name
@@ -90,28 +90,26 @@ def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
     return 0
 
 
-def _write_showcase(cfg: RunConfig, out: _OutputTracker) -> None:
-    """Trajectories, smoothed curves and heat maps of sweep realization 0 at the showcase point."""
-    scn = metrics.scenario_for(cfg, cfg.showcase_n_mbs, 0)
-    max_sir_maps = {}  # the SIR probe depends on the links and antennas, not the mode
-    for (model_name, antenna_name, mode, models, ants), grid, maps, runs in (
-            metrics.plan_combinations(cfg, scn, (cfg.showcase_t,))):
-        if (model_name, antenna_name) not in max_sir_maps:
-            max_sir_maps[model_name, antenna_name] = radio.max_sir_map(scn, models, ants, grid)
-        for _, criterion, traj, sm, _ in runs:
-            tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
-            maps[criterion].max_sir_db = max_sir_maps[model_name, antenna_name]
-            maps[criterion].to_csv(out.path(f"heatmap_{tag}.csv"))
-            traj.to_csv(out.path(f"trajectory_{tag}.csv"))
-            traj.to_json(out.path(f"trajectory_{tag}.json"))
-            sm.to_csv(out.path(f"smoothed_{tag}.csv"))
+def _write_showcase(cfg: RunConfig, out: _OutputTracker, showcase=None) -> None:
+    """Heat maps, trajectories and smoothed curves of sweep realization 0 at the showcase point.
+
+    showcase is the sweep's plan of that point (SweepResult.showcase); without
+    one, the showcase is planned here at (showcase_t,), with the same bits.
+    """
+    if showcase is None:
+        showcase = metrics.plan_showcase(cfg)
+    for tag, heat_map, traj, sm in showcase:
+        heat_map.to_csv(out.path(f"heatmap_{tag}.csv"))
+        traj.to_csv(out.path(f"trajectory_{tag}.csv"))
+        traj.to_json(out.path(f"trajectory_{tag}.json"))
+        sm.to_csv(out.path(f"smoothed_{tag}.csv"))
 
 
 def cmd_run(args) -> int:
     def write(cfg: RunConfig, out: _OutputTracker) -> None:
         result = metrics.monte_carlo_sweep(cfg, jobs=args.jobs)
         result.write(out.path("sweep.csv"), out.path("sweep.json"))
-        _write_showcase(cfg, out)
+        _write_showcase(cfg, out, result.showcase)
         manifest = {
             "package": "uavrelay",
             "version": __version__,

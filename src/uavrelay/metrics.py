@@ -12,13 +12,16 @@ same networks, as are reruns.
 The pipeline exists once: scenario_for draws a realization and
 plan_combinations plans it (reward maps, DP, smoothing) per combination,
 with one backward DP pass per reward map serving every duration.
-run_realization adds the re-evaluation for the sweep; the CLI showcase is
-realization 0 planned at the showcase duration.
+run_realization adds the re-evaluation for the sweep. The showcase is
+realization 0 at the showcase MBS count and duration: when that is a sweep
+point, the sweep task that plans it also returns its showcase plan (a list
+of showcase_entries), else plan_showcase plans it on its own at that
+duration.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -94,6 +97,9 @@ class SweepResult:
     realizations: int
     trajectory_violations: int = 0
     mbs_rejections: int = 0
+    # realization 0's showcase plan when the showcase point is a sweep point;
+    # not part of to_json_dict
+    showcase: list | None = field(default=None, repr=False)
 
     def find(self, **tags) -> SweepPoint:
         """The one point whose key columns equal the given tags; None matches any value."""
@@ -174,18 +180,52 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
         yield combination, grid, maps, runs
 
 
-def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
+def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
+    """One plan_combinations item's showcase at duration t: a (file tag, heat
+    map, trajectory, smoothed curve) entry per criterion.
+
+    The heat map is the criterion's reward map with max_sir_map's map and
+    without per-UE rates, so entries are small enough to cross the process
+    pool. max_sir_maps caches the SIR maps of scn by (uav_ue_model, antenna):
+    the SIR probe depends on the links and antennas, not the mode.
+    """
+    (model_name, antenna_name, mode, models, ants), grid, maps, runs = plan
+    key = model_name, antenna_name
+    if key not in max_sir_maps:
+        max_sir_maps[key] = radio.max_sir_map(scn, models, ants, grid)
+    return [(f"{criterion}_{mode}_{model_name}_{antenna_name}",
+             replace(maps[criterion], rates=None, max_sir_db=max_sir_maps[key]), traj, sm)
+            for run_t, criterion, traj, sm, _ in runs if run_t == t]
+
+
+def plan_showcase(cfg: RunConfig) -> list:
+    """The showcase planned on its own: realization 0 at showcase_n_mbs, planned at
+    (showcase_t,), as the showcase_entries of each combination in order."""
+    scn = scenario_for(cfg, cfg.showcase_n_mbs, 0)
+    max_sir_maps: dict = {}
+    return [entry for plan in plan_combinations(cfg, scn, (cfg.showcase_t,))
+            for entry in showcase_entries(scn, plan, cfg.showcase_t, max_sir_maps)]
+
+
+def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
+                    showcase_t: float | None = None):
     """Full pipeline for one network realization at one MBS density.
 
-    Returns (samples, trajectory_violations, mbs_rejections), where samples
-    maps each sweep point's key (its KEY_COLUMNS values) to this
-    realization's (mean capacity, outage).
+    Returns (samples, trajectory_violations, mbs_rejections, showcase), where
+    samples maps each sweep point's key (its KEY_COLUMNS values) to this
+    realization's (mean capacity, outage). showcase holds the
+    showcase_entries of each combination at showcase_t, one of t_values, or
+    is None without a showcase_t.
     """
     scn = scenario_for(cfg, n_mbs, j)
     samples: dict[tuple, tuple[float, float]] = {}
     violations = 0
-    for (model_name, antenna_name, mode, models, ants), _, maps, runs in plan_combinations(
-            cfg, scn, t_values):
+    showcase = None if showcase_t is None else []
+    max_sir_maps: dict = {}
+    for plan in plan_combinations(cfg, scn, t_values):
+        (model_name, antenna_name, mode, models, ants), _, maps, runs = plan
+        if showcase is not None:
+            showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
         # one association batch over the smoothed samples of every (T, criterion)
         sm_rates = smoothing.evaluate_smoothed([sm for _, _, _, sm, _ in runs], scn, mode,
                                                models, ants)
@@ -202,7 +242,7 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
                     sample = (float("nan"), float("nan"))
                 samples[t, n_mbs, criterion, mode, model_name, antenna_name,
                         evaluation] = sample
-    return samples, violations, scn.mbs_rejections
+    return samples, violations, scn.mbs_rejections, showcase
 
 
 def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
@@ -210,7 +250,11 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
 
     Points are created in output order (T, n_mbs, combination, criterion,
     evaluation) and samples appended in (n_mbs, realization) task order,
-    which `pool.map` keeps, so outputs are byte-stable for any `jobs`.
+    which `pool.map` keeps, so outputs are byte-stable for any `jobs`. When
+    (showcase_n_mbs, showcase_t) is a sweep point, the task of realization 0
+    at showcase_n_mbs also returns its showcase plan, kept in
+    SweepResult.showcase: the longest-duration DP pass gives every shorter
+    duration the bits of a pass of its own.
     """
     if cfg.realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -224,27 +268,33 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
             for evaluation in EVALUATIONS]
     points = {key: SweepPoint(*key, capacity_samples=[], outage_samples=[]) for key in keys}
 
+    n_mbs_column = [n_mbs for n_mbs in cfg.sweep_n_mbs for _ in range(cfg.realizations)]
+    showcase_column = [None] * len(n_mbs_column)
+    if cfg.showcase_t in cfg.sweep_t and cfg.showcase_n_mbs in cfg.sweep_n_mbs:
+        showcase_column[n_mbs_column.index(cfg.showcase_n_mbs)] = cfg.showcase_t
     # run_realization's positional arguments, one column each, in task order
-    tasks = (repeat(cfg), repeat(cfg.sweep_t),
-             [n_mbs for n_mbs in cfg.sweep_n_mbs for _ in range(cfg.realizations)],
-             [j for _ in cfg.sweep_n_mbs for j in range(cfg.realizations)])
+    tasks = (repeat(cfg), repeat(cfg.sweep_t), n_mbs_column,
+             [j for _ in cfg.sweep_n_mbs for j in range(cfg.realizations)], showcase_column)
     # a worker per task at most: the pool starts all of its workers at once
-    workers = min(jobs, len(tasks[2]))
+    workers = min(jobs, len(n_mbs_column))
     if workers > 1:
-        # imported here: the process pool costs serial runs import time and nothing else
+        # imported here: the process pool costs serial runs import time and nothing else.
+        # numpy loads numpy.random lazily, at the first draw; loaded before the fork,
+        # the workers inherit it instead of each importing it again
         from concurrent.futures import ProcessPoolExecutor
+        import numpy.random  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(run_realization, *tasks))
     else:
         raw = list(map(run_realization, *tasks))
 
-    violations = 0
-    rejections = 0
-    for samples, viol, rej in raw:
-        violations += viol
-        rejections += rej
+    result = SweepResult(points=list(points.values()), realizations=cfg.realizations)
+    for samples, viol, rej, showcase in raw:
+        result.trajectory_violations += viol
+        result.mbs_rejections += rej
+        if showcase is not None:
+            result.showcase = showcase
         for key, (capacity, outage) in samples.items():
             points[key].capacity_samples.append(capacity)
             points[key].outage_samples.append(outage)
-    return SweepResult(points=list(points.values()), realizations=cfg.realizations,
-                       trajectory_violations=violations, mbs_rejections=rejections)
+    return result

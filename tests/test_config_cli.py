@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uavrelay
-from uavrelay import cli, pathloss, radio
+from uavrelay import cli, metrics, pathloss, radio
 from uavrelay.config import (ANTENNA_MODES, UE_LINK_MODELS, ConfigError, MplmSettings,
                              RunConfig, from_json_dict, load_config)
 from uavrelay.pathloss import OHPLM_FC_RANGE
@@ -737,7 +737,7 @@ class TestCli:
         path = self.write_config(tmp_path, small_run_doc())
         out = tmp_path / "o5"
 
-        def boom(cfg, tracker):
+        def boom(cfg, tracker, showcase=None):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(cli, "_write_showcase", boom)
@@ -749,7 +749,7 @@ class TestCli:
         path = self.write_config(tmp_path, small_run_doc())
         out = tmp_path / "o6"
 
-        def interrupted(cfg, tracker):
+        def interrupted(cfg, tracker, showcase=None):
             tracker.path("partial.csv").write_text("x")
             raise KeyboardInterrupt  # Ctrl-C after the sweep outputs and one showcase file
 
@@ -951,12 +951,20 @@ def reference_showcase(cfg, out_dir):
     return scn
 
 
-def test_heatmap_matches_the_reference_showcase(tmp_path):
+@pytest.mark.parametrize("command,showcase_t", [
+    (["heatmap"], 160), (["run", "--jobs", "1"], 160), (["run", "--jobs", "2"], 160),
+    (["run", "--jobs", "1"], 200)],
+    ids=["heatmap", "run-jobs1", "run-jobs2", "run-off-sweep-t"])
+def test_showcase_matches_the_reference_showcase(tmp_path, command, showcase_t):
+    """heatmap plans the showcase on its own, as does a run whose showcase_t is not a
+    sweep T; a run whose showcase_t is a sweep T below the longest takes it from the
+    sweep, in a pool worker under --jobs 2."""
     # seed 279 first draws one MBS, so relay's two-MBS minimum forces a redraw
     doc = small_run_doc(master_seed=279,
                         models={"uav_ue": ["ohplm"]},
                         run={"criteria": ["pf", "sum_rate"], "modes": ["standalone", "relay"],
-                             "antenna_modes": ["omni", "dipole"]})
+                             "antenna_modes": ["omni", "dipole"], "realizations": 2},
+                        showcase={"t": showcase_t, "n_mbs": 4})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     want = tmp_path / "want"
@@ -964,12 +972,49 @@ def test_heatmap_matches_the_reference_showcase(tmp_path):
     scn = reference_showcase(load_config(path), want)
     assert scn.mbs_rejections > 0
     got = tmp_path / "got"
-    assert cli.main(["heatmap", "--config", str(path), "--out", str(got)]) == 0
+    assert cli.main([*command, "--config", str(path), "--out", str(got)]) == 0
     names = sorted(f.name for f in want.iterdir())
     assert len(names) == 4 * 2 * 2 * 2
-    assert sorted(f.name for f in got.iterdir()) == names
+    sweep_outputs = ["manifest.json", "sweep.csv", "sweep.json"] if command[0] == "run" else []
+    assert sorted(f.name for f in got.iterdir()) == sorted(names + sweep_outputs)
     for name in names:
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("showcase_t,maps_built,draws", [(240.0, 4, 2), (200.0, 6, 3)])
+def test_run_plans_the_showcase_once(tmp_path, monkeypatch, showcase_t, maps_built, draws):
+    """A showcase at a sweep point comes from the sweep's realization 0: fig7 at 2
+    realizations builds 2 grids of maps per draw and draws no third scenario for it."""
+    cfg = replace(cli.load_preset("fig7"), realizations=2, showcase_t=showcase_t)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    calls = {"maps": 0, "draws": 0}
+    build, draw = radio.build_reward_maps, metrics.generate_scenario
+
+    def counted_build(*args, **kwargs):
+        calls["maps"] += 1
+        return build(*args, **kwargs)
+
+    def counted_draw(*args, **kwargs):
+        calls["draws"] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(radio, "build_reward_maps", counted_build)
+    monkeypatch.setattr(metrics, "generate_scenario", counted_draw)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"maps": maps_built, "draws": draws}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_showcase_plan_holds_no_rates(jobs):
+    cfg = replace(cli.load_preset("fig7"), realizations=2)
+    showcase = metrics.monte_carlo_sweep(cfg, jobs=jobs).showcase
+    assert [tag for tag, *_ in showcase] == ["pf_relay_ohplm_omni", "pf_relay_ohplm_dipole"]
+    for _, heat_map, _, _ in showcase:
+        assert heat_map.rates is None
+        assert heat_map.max_sir_db.shape == heat_map.rewards.shape
+    off_sweep = replace(cfg, showcase_t=200.0)
+    assert metrics.monte_carlo_sweep(off_sweep, jobs=jobs).showcase is None
 
 
 def test_load_config_rejects_bad_json(tmp_path):

@@ -1,5 +1,9 @@
 import concurrent.futures
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +126,7 @@ class TestSweep:
         mean, se, n = p.capacity
         assert n == 1
         assert se == 0.0
-        samples, _, _ = run_realization(cfg, (240.0,), 4.0, 0)
+        samples, _, _, _ = run_realization(cfg, (240.0,), 4.0, 0)
         capacity, _ = samples[p.t_s, p.n_mbs, p.criterion, p.mode, p.uav_ue_model,
                               p.antenna, p.evaluation]
         assert mean == capacity
@@ -169,6 +173,37 @@ class TestSweep:
         want = monte_carlo_sweep(cfg)
         assert [p.capacity_samples for p in got.points] == [
             p.capacity_samples for p in want.points]
+
+    def test_pool_forks_with_numpy_random_loaded(self, tmp_path):
+        """numpy loads numpy.random at the first draw: a pool forked before it would
+        make every worker import it again, and the CLI import must not load it."""
+        script = tmp_path / "fork.py"
+        script.write_text(
+            "import concurrent.futures, sys\n"
+            "import uavrelay.cli\n"
+            "from uavrelay import metrics\n"
+            "from uavrelay.config import RunConfig\n"
+            "loaded = ['numpy.random' in sys.modules]\n"
+            "class SerialPool:\n"
+            "    def __init__(self, max_workers):\n"
+            "        loaded.append('numpy.random' in sys.modules)\n"
+            "    def __enter__(self):\n"
+            "        return self\n"
+            "    def __exit__(self, *exc):\n"
+            "        return False\n"
+            "    def map(self, fn, *iterables):\n"
+            "        return map(fn, *iterables)\n"
+            "concurrent.futures.ProcessPoolExecutor = SerialPool\n"
+            "metrics.monte_carlo_sweep(RunConfig(sweep_t=(160.0,), showcase_t=160.0,\n"
+            "                                    realizations=2), jobs=2)\n"
+            "print(loaded)\n")
+        src = str(Path(metrics.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, check=True)
+        # not loaded by the import, loaded when the pool is made
+        assert proc.stdout.split() == ["[False,", "True]"]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_rejected_before_any_work(self, monkeypatch, jobs):
