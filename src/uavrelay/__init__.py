@@ -1,7 +1,6 @@
 """Cellular-network simulator and DP trajectory planner for a UAV relay."""
 
-from .antenna import (AntennaMode, CrossedDipole, G_MAX, Omni, combined_gain,
-                      polarization_loss_factor)
+from .antenna import AntennaMode, CrossedDipole, G_MAX, Omni, combined_gain
 from .config import ConfigError, RunConfig, from_json_dict, load_config
 from .metrics import (SweepResult, monte_carlo_sweep, outage_probability,
                       time_averaged_capacity)

@@ -174,7 +174,6 @@ def cmd_antenna_pattern(args) -> int:
     radians = ((math.radians(theta), math.radians(phi)) for theta, phi in angles)
     dx, dy, dz = zip(*((math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
                        for t, p in radians))
-    # the pattern 0.75 (1 + u_x^2) has no handedness, so the spin does not matter
     gains = radiation_gain(dx, dy, dz, CrossedDipole()).tolist()
     output.write_csv(args.out, ["theta_deg", "phi_deg", "gain_linear", "gain_db"],
                      ((theta, phi, g, 10.0 * math.log10(g))

@@ -152,10 +152,6 @@ def on_planes(gain):
 
 # --- interleaved-axis forms: reductions over the last axis of (..., 2)/(..., 3)
 
-_Z = np.array([0.0, 0.0, 1.0])
-_Y = np.array([0.0, 1.0, 0.0])
-
-
 def _unit(directions) -> np.ndarray:
     d = np.asarray(directions, dtype=float)
     norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
@@ -184,31 +180,9 @@ def interleaved_ue_link_gain(directions, mode: AntennaMode):
     return out if out.ndim else float(out)
 
 
-def interleaved_polarization_jones(directions, spin: int) -> np.ndarray:
-    u = _unit(directions)
-    pz = _Z - u * u[..., 2:3]
-    py = _Y - u * u[..., 1:2]
-    e = pz + 1j * spin * py
-    norm = np.sqrt(np.sum(np.abs(e) ** 2, axis=-1, keepdims=True))
-    return e / norm
-
-
-def interleaved_polarization_loss_factor(directions, tx_mode: AntennaMode,
-                                         rx_mode: AntennaMode):
-    if isinstance(tx_mode, Omni) or isinstance(rx_mode, Omni):
-        u = _unit(directions)
-        out = np.ones(u.shape[:-1])
-        return out if out.ndim else float(out)
-    e_tx = interleaved_polarization_jones(directions, tx_mode.spin)
-    e_rx = interleaved_polarization_jones(directions, rx_mode.spin)
-    out = np.abs(np.sum(e_tx * np.conj(e_rx), axis=-1)) ** 2
-    return out if out.ndim else float(out)
-
-
 def interleaved_combined_gain(directions, tx_mode: AntennaMode, rx_mode: AntennaMode):
     u = np.asarray(directions, dtype=float)
-    g = interleaved_radiation_gain(u, tx_mode) * interleaved_radiation_gain(-u, rx_mode)
-    return g * interleaved_polarization_loss_factor(u, tx_mode, rx_mode)
+    return interleaved_radiation_gain(u, tx_mode) * interleaved_radiation_gain(-u, rx_mode)
 
 
 def interleaved_received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,

@@ -6,15 +6,12 @@ import pytest
 from uavrelay import antenna
 from uavrelay.antenna import G_MAX, CrossedDipole, Omni
 
-from oracles import (LinkGeometry, interleaved_combined_gain,
-                     interleaved_polarization_jones,
-                     interleaved_polarization_loss_factor,
-                     interleaved_radiation_gain, interleaved_ue_link_gain, on_planes, tx_gain)
+from oracles import (LinkGeometry, interleaved_combined_gain, interleaved_radiation_gain,
+                     interleaved_ue_link_gain, on_planes, tx_gain)
 
 # the package's gains take direction planes; these take (..., 3) directions
-radiation_gain, ue_link_gain, combined_gain, polarization_jones, polarization_loss_factor = map(
-    on_planes, (antenna.radiation_gain, antenna.ue_link_gain, antenna.combined_gain,
-                antenna.polarization_jones, antenna.polarization_loss_factor))
+radiation_gain, ue_link_gain, combined_gain = map(
+    on_planes, (antenna.radiation_gain, antenna.ue_link_gain, antenna.combined_gain))
 
 
 def sphere_points(n=400, seed=2):
@@ -77,76 +74,10 @@ def test_zero_length_direction_rejected():
         tx_gain(LinkGeometry((1, 2, 3), (1, 2, 3), tx_mode=CrossedDipole()))
 
 
-def test_jones_vector_is_unit_and_transverse():
-    for u in sphere_points(60):
-        e = polarization_jones(u, 1)
-        assert np.sum(np.abs(e) ** 2) == pytest.approx(1.0, rel=1e-12)
-        assert abs(np.dot(e, u)) < 1e-12
+MODES = (Omni(), CrossedDipole())
 
-
-class TestPolarizationLossFactor:
-    def test_omni_ends_are_matched(self):
-        u = np.array([0.3, -0.4, 0.866])
-        assert polarization_loss_factor(u, Omni(), CrossedDipole()) == 1.0
-        assert polarization_loss_factor(u, Omni(), Omni()) == 1.0
-
-    def test_same_handedness_matched_everywhere(self):
-        for u in sphere_points(100):
-            plf = polarization_loss_factor(u, CrossedDipole(1), CrossedDipole(1))
-            assert plf == pytest.approx(1.0, rel=1e-12)
-
-    def test_opposite_handedness_null_at_boresight(self):
-        u = np.array([1.0, 0.0, 0.0])
-        plf = polarization_loss_factor(u, CrossedDipole(1), CrossedDipole(-1))
-        assert plf == pytest.approx(0.0, abs=1e-15)
-
-    def test_always_in_unit_interval(self):
-        for spins in ((1, 1), (1, -1), (-1, -1)):
-            plf = polarization_loss_factor(sphere_points(), CrossedDipole(spins[0]),
-                                           CrossedDipole(spins[1]))
-            assert np.all(plf >= -1e-15)
-            assert np.all(plf <= 1.0 + 1e-12)
-
-
-def backhaul_gain(tx, rx, tx_mode=Omni(), rx_mode=Omni()) -> float:
-    return combined_gain(np.subtract(rx, tx, dtype=float), tx_mode, rx_mode)
-
-
-class TestBackhaulCombinedGain:
-    def test_both_omni(self):
-        assert backhaul_gain((0, 0, 30), (500, 300, 120)) == 1.0
-
-    def test_matched_pair_is_product_of_radiation_gains(self):
-        g = backhaul_gain((0, 0, 30), (500, 300, 120), CrossedDipole(1), CrossedDipole(1))
-        d = np.array([500.0, 300.0, 90.0])
-        expected = radiation_gain(d, CrossedDipole(1)) * radiation_gain(-d, CrossedDipole(1))
-        assert g == pytest.approx(float(expected), rel=1e-12)
-
-    def test_mismatched_pair_null_on_x_link(self):
-        g = backhaul_gain((0, 0, 120), (800, 0, 120), CrossedDipole(1), CrossedDipole(-1))
-        assert g == pytest.approx(0.0, abs=1e-15)
-
-    def test_bounded_by_gmax_squared(self):
-        rng = np.random.default_rng(5)
-        for spins in ((1, 1), (1, -1)):
-            for _ in range(60):
-                a = rng.uniform(-1000, 1000, size=3)
-                b = rng.uniform(-1000, 1000, size=3)
-                if np.allclose(a, b):
-                    continue
-                g = backhaul_gain(a, b, CrossedDipole(spins[0]), CrossedDipole(spins[1]))
-                assert 0.0 <= g <= G_MAX ** 2 + 1e-12
-
-
-def test_crossed_dipole_validates_spin():
-    with pytest.raises(ValueError):
-        CrossedDipole(spin=2)
-
-
-MODES = (Omni(), CrossedDipole(1), CrossedDipole(-1))
-
-# nadir and zenith, the y = 0 plane, both ways along x (the opposite-spin
-# null), along y, horizontal, and components many orders of magnitude apart
+# nadir and zenith, the y = 0 plane, both ways along x (the radiation
+# peak), along y, horizontal, and components many orders of magnitude apart
 SPECIAL_DIRECTIONS = np.array([
     [0.0, 0.0, -118.0], [0.0, 0.0, 90.0], [0.0, 0.0, -1e-150],
     [350.0, 0.0, -118.0], [-0.25, 0.0, 3.0], [1e-9, 0.0, -1.0],
@@ -168,6 +99,32 @@ def direction_batch(shape, seed):
 BATCH_SHAPES = [(1,), (13,), (300,), (7, 11), (5, 4, 26), (2, 3, 50)]
 
 
+def backhaul_gain(tx, rx, tx_mode=Omni(), rx_mode=Omni()) -> float:
+    return combined_gain(np.subtract(rx, tx, dtype=float), tx_mode, rx_mode)
+
+
+class TestBackhaulCombinedGain:
+    def test_both_omni(self):
+        assert backhaul_gain((0, 0, 30), (500, 300, 120)) == 1.0
+
+    def test_matched_pair_is_product_of_radiation_gains(self):
+        dip = CrossedDipole()
+        for seed, shape in enumerate(BATCH_SHAPES):
+            d = direction_batch(shape, seed)
+            want = radiation_gain(d, dip) * radiation_gain(-d, dip)
+            assert np.array_equal(combined_gain(d, dip, dip), want)
+
+    def test_bounded_by_gmax_squared(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            a = rng.uniform(-1000, 1000, size=3)
+            b = rng.uniform(-1000, 1000, size=3)
+            if np.allclose(a, b):
+                continue
+            g = backhaul_gain(a, b, CrossedDipole(), CrossedDipole())
+            assert 0.0 <= g <= G_MAX ** 2 + 1e-12
+
+
 class TestPlanesMatchInterleavedForms:
     """Every gain has the bits of its (..., 3) last-axis reduction form."""
 
@@ -182,21 +139,10 @@ class TestPlanesMatchInterleavedForms:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", BATCH_SHAPES)
-    @pytest.mark.parametrize("spin", (1, -1))
-    def test_polarization_jones(self, shape, spin):
-        for seed in range(4):
-            d = direction_batch(shape, seed)
-            got = polarization_jones(d, spin)
-            assert got.shape == shape + (3,)
-            assert np.array_equal(got, interleaved_polarization_jones(d, spin))
-
-    @pytest.mark.parametrize("shape", BATCH_SHAPES)
     @pytest.mark.parametrize("tx_mode,rx_mode", itertools.product(MODES, MODES), ids=str)
     def test_two_end_gains(self, shape, tx_mode, rx_mode):
         for seed in range(4):
             d = direction_batch(shape, seed)
-            plf = polarization_loss_factor(d, tx_mode, rx_mode)
-            assert np.array_equal(plf, interleaved_polarization_loss_factor(d, tx_mode, rx_mode))
             g = combined_gain(d, tx_mode, rx_mode)
             assert np.array_equal(g, interleaved_combined_gain(d, tx_mode, rx_mode))
 
@@ -204,36 +150,100 @@ class TestPlanesMatchInterleavedForms:
     def test_a_single_direction_has_its_bits_in_a_batch(self, tx_mode, rx_mode):
         batch = direction_batch((40,), 7)
         whole = [radiation_gain(batch, tx_mode), ue_link_gain(batch, tx_mode),
-                 polarization_loss_factor(batch, tx_mode, rx_mode),
                  combined_gain(batch, tx_mode, rx_mode)]
         for i, d in enumerate(batch):
             single = [radiation_gain(d, tx_mode), ue_link_gain(d, tx_mode),
-                      polarization_loss_factor(d, tx_mode, rx_mode),
                       combined_gain(d, tx_mode, rx_mode)]
             assert all(type(s) is float for s in single)
             assert single == [w[i] for w in whole]
-            assert np.array_equal(polarization_jones(d, 1), polarization_jones(batch, 1)[i])
 
 
 ZERO_DIRECTIONS = [np.zeros(3), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])]
 MODE_CALLS = {
     "radiation_gain": radiation_gain,
     "ue_link_gain": ue_link_gain,
-    "polarization_loss_factor": lambda d, m: polarization_loss_factor(d, m, m),
     "combined_gain": lambda d, m: combined_gain(d, m, m),
 }
 
 
 @pytest.mark.parametrize("directions", ZERO_DIRECTIONS, ids=("single", "batch"))
-@pytest.mark.parametrize("mode", (Omni(), CrossedDipole(1)), ids=str)
+@pytest.mark.parametrize("mode", MODES, ids=str)
 @pytest.mark.parametrize("name", MODE_CALLS)
 def test_zero_length_direction_rejected_everywhere(name, mode, directions):
     with pytest.raises(ValueError, match="zero-length"):
         MODE_CALLS[name](directions, mode)
 
 
-@pytest.mark.parametrize("directions", ZERO_DIRECTIONS, ids=("single", "batch"))
-@pytest.mark.parametrize("spin", (1, -1))
-def test_zero_length_direction_has_no_jones_vector(spin, directions):
-    with pytest.raises(ValueError, match="zero-length"):
-        polarization_jones(directions, spin)
+
+MODE_PAIRS = list(itertools.product(MODES, MODES))
+
+
+class TestGainSymmetries:
+    """Each gain reads its direction through squares of unit components: exact symmetries."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @pytest.mark.parametrize("name", MODE_CALLS)
+    @pytest.mark.parametrize("axis", range(3), ids=("x", "y", "z"))
+    def test_even_in_each_axis(self, axis, name, mode):
+        flip = np.ones(3)
+        flip[axis] = -1.0
+        for seed, shape in enumerate(BATCH_SHAPES):
+            d = direction_batch(shape, seed)
+            assert np.array_equal(MODE_CALLS[name](d * flip, mode), MODE_CALLS[name](d, mode))
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @pytest.mark.parametrize("name", MODE_CALLS)
+    @pytest.mark.parametrize("scale", [2.0 ** -10, 0.5, 2.0, 2.0 ** 10])
+    def test_independent_of_link_length(self, scale, name, mode):
+        for seed, shape in enumerate(BATCH_SHAPES):
+            d = direction_batch(shape, seed)
+            assert np.array_equal(MODE_CALLS[name](d * scale, mode), MODE_CALLS[name](d, mode))
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    @pytest.mark.parametrize("tx_mode,rx_mode", MODE_PAIRS, ids=str)
+    def test_backhaul_is_reciprocal(self, shape, tx_mode, rx_mode):
+        d = direction_batch(shape, 11)
+        assert np.array_equal(combined_gain(d, tx_mode, rx_mode),
+                              combined_gain(-d, rx_mode, tx_mode))
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    @pytest.mark.parametrize("tx_mode,rx_mode", MODE_PAIRS, ids=str)
+    def test_backhaul_is_product_of_end_gains(self, shape, tx_mode, rx_mode):
+        # the receiver radiates back along -d
+        d = direction_batch(shape, 12)
+        want = radiation_gain(d, tx_mode) * radiation_gain(-d, rx_mode)
+        assert np.array_equal(combined_gain(d, tx_mode, rx_mode), want)
+
+    @pytest.mark.parametrize("tx_mode,rx_mode", MODE_PAIRS, ids=str)
+    def test_symmetric_about_the_x_axis(self, tx_mode, rx_mode):
+        # both radiated patterns depend on u_x alone: turning d about x keeps the gains
+        d = direction_batch((300,), 13)
+        for angle in np.linspace(0.1, 2 * np.pi, 7):
+            c, s = np.cos(angle), np.sin(angle)
+            turned = np.stack([d[:, 0], c * d[:, 1] - s * d[:, 2], s * d[:, 1] + c * d[:, 2]],
+                              axis=-1)
+            np.testing.assert_allclose(radiation_gain(turned, tx_mode),
+                                       radiation_gain(d, tx_mode), rtol=1e-12)
+            np.testing.assert_allclose(combined_gain(turned, tx_mode, rx_mode),
+                                       combined_gain(d, tx_mode, rx_mode), rtol=1e-12)
+
+
+# exact ranges: 0.75 (1 + u_x^2) with |u_x| <= 1, and at most 0.75 toward a UE
+GAIN_RANGES = {
+    ("radiation_gain", Omni): (1.0, 1.0),
+    ("radiation_gain", CrossedDipole): (0.75, G_MAX),
+    ("ue_link_gain", Omni): (1.0, 1.0),
+    ("ue_link_gain", CrossedDipole): (0.0, 0.75),
+    ("combined_gain", Omni): (1.0, 1.0),
+    ("combined_gain", CrossedDipole): (0.75 ** 2, G_MAX ** 2),
+}
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+@pytest.mark.parametrize("name", MODE_CALLS)
+def test_gains_stay_in_their_ranges(name, mode):
+    lo, hi = GAIN_RANGES[name, type(mode)]
+    for seed, shape in enumerate(BATCH_SHAPES):
+        g = MODE_CALLS[name](direction_batch(shape, seed), mode)
+        assert np.all(g >= lo)
+        assert np.all(g <= hi * (1 + 4 * np.finfo(float).eps))
