@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, output, pathloss
+from . import __version__, metrics, output, pathloss, radio
 from .antenna import CrossedDipole, radiation_gain
 from .config import ConfigError, RunConfig, from_json_dict, load_config
 # unused here: perfbench/spans.py wraps cli.solve_dp and cli.generate_scenario by name
@@ -141,10 +141,10 @@ def cmd_pathloss_table(args) -> int:
     distances = np.arange(50.0, 1501.0, 25.0)
     # name -> (model, h_tx, h_rx): each row is priced as a run prices that link
     models = {
-        "ohplm_mbs": (cfg.ue_model("ohplm"), phys.h_bs, phys.h_ue),
+        "ohplm_mbs": (radio.MBS_UE_LAW, phys.h_bs, phys.h_ue),
         "ohplm_uav": (cfg.ue_model("ohplm"), phys.h_uav, phys.h_ue),
         "fspl": (cfg.ue_model("fspl"), phys.h_uav, phys.h_ue),
-        "backhaul_uma_av": (pathloss.BackhaulUmaAvModel(), phys.h_bs, phys.h_uav),
+        "backhaul_uma_av": (radio.BACKHAUL_LAW, phys.h_bs, phys.h_uav),
         "mplm": (cfg.ue_model("mplm"), phys.h_uav, phys.h_ue),
     }
     problem = pathloss.uma_av_altitude_problem(phys.h_uav)

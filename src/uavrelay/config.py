@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 from .antenna import CrossedDipole, Omni
-from .pathloss import (BuildingModel, FsplModel, LinkModels, MplmModel, OhplmModel,
+from .pathloss import (BuildingModel, FsplModel, MplmModel, OhplmModel,
                        OHPLM_FC_RANGE, ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
-from .radio import CRITERIA, MODES, AntennaSetup
+from .radio import CRITERIA, MODES
 from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        log_mbs_shortfall_chance)
 
@@ -170,24 +170,22 @@ class RunConfig:
             )
         raise ConfigError(f"unknown UE link model {name!r}")
 
-    def link_models(self, uav_ue_model: str) -> LinkModels:
-        return LinkModels(uav_ue=self.ue_model(uav_ue_model))
-
-    def antenna_setup(self, name: str) -> AntennaSetup:
+    def antenna(self, name: str):
+        """The antenna every MBS and the UAV carry; UEs are omnidirectional."""
         if name == "omni":
-            return AntennaSetup(mbs=Omni(), uav=Omni())
+            return Omni()
         if name == "dipole":
-            return AntennaSetup(mbs=CrossedDipole(), uav=CrossedDipole())
+            return CrossedDipole()
         raise ConfigError(f"unknown antenna mode {name!r}")
 
     def combinations(self):
-        """(uav_ue_model, antenna, mode, LinkModels, AntennaSetup) in output order."""
+        """(uav_ue_model, antenna, mode, UAV->UE law, antenna mode) in output order."""
         for model_name in self.uav_ue_models:
-            models = self.link_models(model_name)
+            uav_ue = self.ue_model(model_name)
             for antenna_name in self.antenna_modes:
-                ants = self.antenna_setup(antenna_name)
+                antenna = self.antenna(antenna_name)
                 for mode in self.modes:
-                    yield model_name, antenna_name, mode, models, ants
+                    yield model_name, antenna_name, mode, uav_ue, antenna
 
     def ohplm_notes(self) -> list[str]:
         """Where the links this config runs on Okumura-Hata leave its validity box.

@@ -164,8 +164,8 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     grid = grids[0]
     n_max = max(g.n_stages for g in grids)
     for combination in cfg.combinations():
-        _, _, mode, models, ants = combination
-        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants, grid)
+        _, _, mode, uav_ue, antenna = combination
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, uav_ue, antenna, grid)
         runs = []
         for criterion in cfg.criteria:
             backward = backward_pass(maps[criterion].rewards, grid, actions, n_max)
@@ -189,10 +189,10 @@ def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
     pool. max_sir_maps caches the SIR maps of scn by (uav_ue_model, antenna):
     the SIR probe depends on the links and antennas, not the mode.
     """
-    (model_name, antenna_name, mode, models, ants), grid, maps, runs = plan
+    (model_name, antenna_name, mode, uav_ue, antenna), grid, maps, runs = plan
     key = model_name, antenna_name
     if key not in max_sir_maps:
-        max_sir_maps[key] = radio.max_sir_map(scn, models, ants, grid)
+        max_sir_maps[key] = radio.max_sir_map(scn, uav_ue, antenna, grid)
     return [(f"{criterion}_{mode}_{model_name}_{antenna_name}",
              replace(maps[criterion], rates=None, max_sir_db=max_sir_maps[key]), traj, sm)
             for run_t, criterion, traj, sm, _ in runs if run_t == t]
@@ -223,12 +223,12 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
     showcase = None if showcase_t is None else []
     max_sir_maps: dict = {}
     for plan in plan_combinations(cfg, scn, t_values):
-        (model_name, antenna_name, mode, models, ants), _, maps, runs = plan
+        (model_name, antenna_name, mode, uav_ue, antenna), _, maps, runs = plan
         if showcase is not None:
             showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
         # one association batch over the smoothed samples of every (T, criterion)
         sm_rates = smoothing.evaluate_smoothed([sm for _, _, _, sm, _ in runs], scn, mode,
-                                               models, ants)
+                                               uav_ue, antenna)
         for (t, criterion, traj, _, viol), smoothed_rates in zip(runs, sm_rates, strict=True):
             violations += viol
             # trajectory positions are cell centres: gather the map's rates

@@ -181,7 +181,8 @@ def backhaul_path_loss(d3d, f_c_mhz: float, h_uav: float = 120.0):
 
 # --- model selection -------------------------------------------------------
 #
-# A link class is configured with one of the tagged models below; the radio
+# Each link class is priced by one of the tagged models below: a run picks the
+# UAV->UE law, and radio fixes the MBS->UE law and the backhaul law. The radio
 # layer calls loss_db with the full link geometry and lets the model pick
 # what it needs.
 
@@ -225,16 +226,3 @@ class BackhaulUmaAvModel:
     def loss_db(self, d3d, z, *, f_c_mhz, h_tx, h_rx):
         return backhaul_path_loss(d3d, f_c_mhz, h_uav=h_rx)
 
-
-PathLossModel = OhplmModel | MplmModel | FsplModel | BackhaulUmaAvModel
-
-
-@dataclass(frozen=True)
-class LinkModels:
-    """Path-loss model per link class. A run varies only the UAV->UE law: its MBS->UE
-    links are Okumura-Hata, and the MBS->UAV backhaul, which only relay mode reads,
-    has the one UMa-AV law."""
-
-    mbs_ue: PathLossModel = OhplmModel()
-    uav_ue: PathLossModel = OhplmModel()
-    backhaul: PathLossModel = BackhaulUmaAvModel()

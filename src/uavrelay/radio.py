@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import output
-from .antenna import AntennaMode, CrossedDipole, Omni, combined_gain, ue_link_gain
-from .pathloss import LinkModels
+from .antenna import AntennaMode, CrossedDipole, combined_gain, ue_link_gain
+from .pathloss import BackhaulUmaAvModel, OhplmModel
 from .scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,18 +44,15 @@ PF_RATE_FLOOR = 1e-9
 # nonzero interference is below 2**53, because total - p is then at least one
 # ulp of p; so the cap binds only where the interference rounds to 0.
 SIR_CEILING = 2.0 ** 53
+# A run varies only the UAV->UE law. As in the paper, the other two links have
+# one law each: Okumura-Hata on every MBS->UE link, and the 3GPP UMa
+# aerial-vehicle LoS law on relay mode's MBS->UAV backhaul.
+MBS_UE_LAW = OhplmModel()
+BACKHAUL_LAW = BackhaulUmaAvModel()
 
 
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
-
-
-@dataclass(frozen=True)
-class AntennaSetup:
-    """Antenna mode per transmitter class; UEs are always omnidirectional."""
-
-    mbs: AntennaMode = Omni()
-    uav: AntennaMode = Omni()
 
 
 def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
@@ -78,11 +75,13 @@ def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
     return p if g is None else p * g
 
 
-def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
+def link_budget(scn: Scenario, uav_pos, uav_ue, antenna: AntennaMode,
                 ue_xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Received power (mW) at each UE: MBS->UE block (M, K) and UAV->UE block (..., K).
 
-    uav_pos is a batch of UAV positions (..., 2). ue_xy replaces the
+    uav_pos is a batch of UAV positions (..., 2). The MBS->UE links take
+    MBS_UE_LAW and the UAV->UE links the uav_ue law; every MBS and the UAV
+    carry the one antenna, and UEs are omnidirectional. ue_xy replaces the
     scenario's UEs by probe points, either (K, 2) shared by every position
     or (..., K, 2) with one set per position; the MBS block is then (..., M, K).
     """
@@ -92,20 +91,19 @@ def link_budget(scn: Scenario, uav_pos, models: LinkModels, ants: AntennaSetup,
     uav_xy = np.asarray(uav_pos, dtype=float)
     ue_xy = scn.ue_xy if ue_xy is None else np.asarray(ue_xy, dtype=float)
     p_mbs = _received_mw(scn.mbs_xy[:, None, :], cfg.h_bs, ue_xy[..., None, :, :], cfg.h_ue,
-                         cfg.p_mbs_dbm, models.mbs_ue, cfg.f_c_mhz, ue_link_gain, ants.mbs)
+                         cfg.p_mbs_dbm, MBS_UE_LAW, cfg.f_c_mhz, ue_link_gain, antenna)
     p_uav = _received_mw(uav_xy[..., None, :], cfg.h_uav, ue_xy, cfg.h_ue,
-                         cfg.p_uav_dbm, models.uav_ue, cfg.f_c_mhz, ue_link_gain, ants.uav)
+                         cfg.p_uav_dbm, uav_ue, cfg.f_c_mhz, ue_link_gain, antenna)
     return p_mbs, p_uav
 
 
-def backhaul_budget(scn: Scenario, uav_pos, models: LinkModels,
-                    ants: AntennaSetup) -> np.ndarray:
+def backhaul_budget(scn: Scenario, uav_pos, antenna: AntennaMode) -> np.ndarray:
     """Received power (mW) at the UAV from each MBS, gains included; (..., M)."""
     cfg = scn.config
     uav_xy = np.asarray(uav_pos, dtype=float)
     return _received_mw(scn.mbs_xy, cfg.h_bs, uav_xy[..., None, :], cfg.h_uav,
-                        cfg.p_mbs_dbm, models.backhaul, cfg.f_c_mhz,
-                        combined_gain, ants.mbs, ants.uav)
+                        cfg.p_mbs_dbm, BACKHAUL_LAW, cfg.f_c_mhz,
+                        combined_gain, antenna, antenna)
 
 
 def relay_end_to_end_sir(gamma_backhaul, gamma_access):
@@ -129,8 +127,8 @@ class AssociationSnapshot:
     donor: np.ndarray | None = None  # (...,) MBS feeding the UAV backhaul (relay mode)
 
 
-def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
-              ants: AntennaSetup) -> AssociationSnapshot:
+def associate(scn: Scenario, uav_pos, mode: str, uav_ue,
+              antenna: AntennaMode) -> AssociationSnapshot:
     """Associate every UE at each UAV position of a (..., 2) batch.
 
     standalone: each UE takes the transmitter (MBS or UAV) with the highest
@@ -141,7 +139,7 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    server, sir, donor = _best_server(scn, uav_pos, mode, models, ants)
+    server, sir, donor = _best_server(scn, uav_pos, mode, uav_ue, antenna)
     np.minimum(sir, SIR_CEILING, out=sir)
     m = scn.n_mbs
     # one scheduling unit per served UE, plus the UAV's at its donor
@@ -155,9 +153,9 @@ def associate(scn: Scenario, uav_pos, mode: str, models: LinkModels,
                                sir=sir, rate=rate, donor=donor)
 
 
-def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: AntennaSetup):
+def _best_server(scn: Scenario, uav_pos, mode: str, uav_ue, antenna: AntennaMode):
     """(server, sir, donor) per UE, reducing over the M+1 transmitters one at a time."""
-    p_mbs, p_uav = link_budget(scn, uav_pos, models, ants)
+    p_mbs, p_uav = link_budget(scn, uav_pos, uav_ue, antenna)
     if mode == "standalone":
         sir, server = _best_sir([*p_mbs, p_uav])
         return server, sir, None
@@ -166,7 +164,7 @@ def _best_server(scn: Scenario, uav_pos, mode: str, models: LinkModels, ants: An
     if m < 2:
         raise ValueError("relay mode needs >= 2 MBSs for a backhaul interference set")
     # (..., M, 1): one (..., 1) array per MBS, so gamma_bh broadcasts over the UEs
-    bh = backhaul_budget(scn, uav_pos, models, ants)[..., None]
+    bh = backhaul_budget(scn, uav_pos, antenna)[..., None]
     gamma_bh, donor = _best_sir(np.moveaxis(bh, -2, 0))
 
     sir, server = _best_sir([*p_mbs, p_uav], m)  # best direct MBS
@@ -248,11 +246,11 @@ def criterion_reward(rates, criterion: str):
     return out if out.ndim else float(out)
 
 
-def stage_rates(positions, scn: Scenario, mode: str, models: LinkModels,
-                ants: AntennaSetup) -> np.ndarray:
+def stage_rates(positions, scn: Scenario, mode: str, uav_ue,
+                antenna: AntennaMode) -> np.ndarray:
     """Per-UE rates at each UAV position; shape (len(positions), K)."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    return associate(scn, positions, mode, models, ants).rate
+    return associate(scn, positions, mode, uav_ue, antenna).rate
 
 
 @dataclass(eq=False)
@@ -285,15 +283,15 @@ class RewardMap:
                           for iy, y in enumerate(self.ys) for ix, x in enumerate(self.xs)))
 
 
-def build_reward_maps(scn: Scenario, criteria, mode: str, models: LinkModels,
-                      ants: AntennaSetup, grid: "StateGrid") -> dict[str, RewardMap]:
+def build_reward_maps(scn: Scenario, criteria, mode: str, uav_ue, antenna: AntennaMode,
+                      grid: "StateGrid") -> dict[str, RewardMap]:
     """One association call over the whole grid, shared by all requested criteria."""
     criteria = tuple(criteria)
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}")
     xs, ys = grid.axis_x(), grid.axis_y()
-    rates = associate(scn, _cell_centres(xs, ys), mode, models, ants).rate
+    rates = associate(scn, _cell_centres(xs, ys), mode, uav_ue, antenna).rate
     return {c: RewardMap(criterion=c, xs=xs, ys=ys, rewards=criterion_reward(rates, c),
                          rates=rates)
             for c in criteria}
@@ -304,11 +302,10 @@ def _cell_centres(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.stack(np.meshgrid(xs, ys), axis=-1)
 
 
-def max_sir_map(scn: Scenario, models: LinkModels, ants: AntennaSetup,
-                grid: "StateGrid") -> np.ndarray:
+def max_sir_map(scn: Scenario, uav_ue, antenna: AntennaMode, grid: "StateGrid") -> np.ndarray:
     """Best-transmitter SIR (dB) of a probe UE on the ground below each cell; (ny, nx)."""
     cells = _cell_centres(grid.axis_x(), grid.axis_y())
-    p_mbs, p_uav = link_budget(scn, cells, models, ants, ue_xy=cells[..., None, :])
+    p_mbs, p_uav = link_budget(scn, cells, uav_ue, antenna, ue_xy=cells[..., None, :])
     # one MBS and a probe in the UAV dipole's nadir null: no interference, SIR inf
     sir, _ = _best_sir([*np.moveaxis(p_mbs, -2, 0), p_uav])
     return 10.0 * np.log10(sir[..., 0])

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import output, radio
-from .pathloss import LinkModels
-from .radio import AntennaSetup
+from .antenna import AntennaMode
 from .planner import Trajectory
 from .scenario import Scenario, rect_contains
 
@@ -76,7 +75,7 @@ def smooth(traj: Trajectory, v_max: float | None = None) -> SmoothedTrajectory:
 
 
 def evaluate_smoothed(smoothed: list[SmoothedTrajectory], scn: Scenario, mode: str,
-                      models: LinkModels, ants: AntennaSetup) -> list[np.ndarray]:
+                      uav_ue, antenna: AntennaMode) -> list[np.ndarray]:
     """Per-UE rates along each smoothed trajectory; one (N, K) array per trajectory.
 
     Every sampled position of every trajectory is re-associated in one
@@ -88,5 +87,5 @@ def evaluate_smoothed(smoothed: list[SmoothedTrajectory], scn: Scenario, mode: s
         if not rect_contains(scn.mission.area_uav, sm.positions):
             raise ValueError("smoothed trajectory leaves the flight area")
         starts.append(sm.positions[:-1])
-    rates = radio.stage_rates(np.concatenate(starts), scn, mode, models, ants)
+    rates = radio.stage_rates(np.concatenate(starts), scn, mode, uav_ue, antenna)
     return np.split(rates, np.cumsum([len(s) for s in starts[:-1]]))

@@ -10,6 +10,7 @@ import tomllib
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -546,7 +547,7 @@ class TestPresets:
     def test_fig5_has_both_modes(self):
         cfg = cli.load_preset("fig5")
         assert cfg.modes == ("standalone", "relay")
-        assert cfg.link_models("mplm").backhaul == pathloss.BackhaulUmaAvModel()
+        assert radio.BACKHAUL_LAW == pathloss.BackhaulUmaAvModel()
 
     def test_fig7_has_both_antennas(self):
         cfg = cli.load_preset("fig7")
@@ -561,9 +562,9 @@ class TestPresets:
         assert [c[:3] for c in combos] == [
             (m, a, mode) for m in ("ohplm", "mplm") for a in ("omni", "dipole")
             for mode in ("standalone", "relay")]
-        for model_name, antenna_name, _, models, ants in combos:
-            assert models == cfg.link_models(model_name)
-            assert ants == cfg.antenna_setup(antenna_name)
+        for model_name, antenna_name, _, uav_ue, antenna in combos:
+            assert uav_ue == cfg.ue_model(model_name)
+            assert antenna == cfg.antenna(antenna_name)
 
 
 DISTANCE_NOTE = "OHPLM applied outside its 1-10 km distance range"
@@ -780,6 +781,20 @@ class TestCli:
         models = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert models == {"ohplm_mbs", "ohplm_uav", "fspl", "mplm"}
 
+    def test_pathloss_table_prices_the_fixed_links_with_the_run_laws(self, tmp_path):
+        out = tmp_path / "pl.csv"
+        assert cli.main(["pathloss-table", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        phys = RunConfig().physical
+        for name, law, h_tx, h_rx in (
+                ("ohplm_mbs", radio.MBS_UE_LAW, phys.h_bs, phys.h_ue),
+                ("backhaul_uma_av", radio.BACKHAUL_LAW, phys.h_bs, phys.h_uav)):
+            d = np.array([float(row[1]) for row in rows if row[0] == name])
+            z = np.sqrt(np.maximum(d * d - (h_tx - h_rx) ** 2, 0.0))
+            want = law.loss_db(d, z, f_c_mhz=phys.f_c_mhz, h_tx=h_tx, h_rx=h_rx)
+            assert d.size and [row[2] for row in rows if row[0] == name] == [
+                repr(float(v)) for v in want]
+
     @pytest.mark.parametrize("h_uav,rows", [
         (120, ["ohplm_mbs", "ohplm_uav", "fspl", "backhaul_uma_av", "mplm"]),
         (400, ["ohplm_mbs", "ohplm_uav", "fspl", "mplm"])], ids=["all_rows", "no_backhaul"])
@@ -798,8 +813,8 @@ class TestCli:
         ue_model = RunConfig.ue_model
         monkeypatch.setattr(RunConfig, "ue_model",
                             lambda cfg, name: Counted(ue_model(cfg, name)))
-        backhaul = pathloss.BackhaulUmaAvModel
-        monkeypatch.setattr(pathloss, "BackhaulUmaAvModel", lambda: Counted(backhaul()))
+        for law in ("MBS_UE_LAW", "BACKHAUL_LAW"):
+            monkeypatch.setattr(radio, law, Counted(getattr(radio, law)))
         doc = cli.load_preset("fig7").to_json_dict()
         doc["run"]["modes"] = ["standalone"]  # validates at any altitude
         doc["physical"]["h_uav"] = h_uav
@@ -937,9 +952,9 @@ def reference_showcase(cfg, out_dir):
                             min_mbs=cfg.min_mbs)
     grid = StateGrid.from_mission(mission, cfg.cell_m)
     actions = ActionSet.standard(cfg.cell_m, mission.stage_dt, physical.v_max)
-    for model_name, antenna_name, mode, models, ants in cfg.combinations():
-        maps = radio.build_reward_maps(scn, cfg.criteria, mode, models, ants, grid)
-        max_sir_db = radio.max_sir_map(scn, models, ants, grid)
+    for model_name, antenna_name, mode, uav_ue, antenna in cfg.combinations():
+        maps = radio.build_reward_maps(scn, cfg.criteria, mode, uav_ue, antenna, grid)
+        max_sir_db = radio.max_sir_map(scn, uav_ue, antenna, grid)
         for criterion in cfg.criteria:
             tag = f"{criterion}_{mode}_{model_name}_{antenna_name}"
             maps[criterion].max_sir_db = max_sir_db

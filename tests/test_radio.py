@@ -8,40 +8,39 @@ from hypothesis import strategies as st
 from uavrelay import radio
 from uavrelay.antenna import CrossedDipole, Omni, combined_gain, ue_link_gain
 from uavrelay.config import RunConfig
-from uavrelay.pathloss import (BackhaulUmaAvModel, FsplModel, LinkModels, MplmModel,
-                               OhplmModel)
+from uavrelay.pathloss import BackhaulUmaAvModel, FsplModel, MplmModel, OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
-from uavrelay.radio import (AntennaSetup, associate, criterion_reward,
-                            dbm_to_mw, relay_end_to_end_sir, stage_rates)
+from uavrelay.radio import (associate, criterion_reward, dbm_to_mw, relay_end_to_end_sir,
+                            stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
 
 from oracles import (LinkGeometry, interleaved_combined_gain, interleaved_received_mw,
                      interleaved_ue_link_gain, tx_gain)
 
-OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
-DIPOLE = AntennaSetup(mbs=CrossedDipole(), uav=CrossedDipole())
-MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel(),
-                    backhaul=BackhaulUmaAvModel())
-MPLM_MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=MplmModel(),
-                         backhaul=BackhaulUmaAvModel())
-FSPL_MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=FsplModel(),
-                         backhaul=BackhaulUmaAvModel())
+OMNI = Omni()
+DIPOLE = CrossedDipole()
+OHPLM = OhplmModel()
+MPLM = MplmModel()
+FSPL = FsplModel()
 # every UAV->UE law a run can choose, over the one MBS->UE law and backhaul
-UE_MODELS = pytest.mark.parametrize("models", [MODELS, MPLM_MODELS, FSPL_MODELS],
+UE_MODELS = pytest.mark.parametrize("uav_ue", [OHPLM, MPLM, FSPL],
                                     ids=["ohplm", "mplm", "fspl"])
 
 
 # --- scalar oracles: one UE, one transmitter, one UAV position at a time -----
 
-def received_power(tx_index, ue_xy, scn, uav_pos, models, ants) -> float:
-    """Received power (mW) at one ground point from one transmitter."""
+def received_power(tx_index, ue_xy, scn, uav_pos, uav_ue, antenna) -> float:
+    """Received power (mW) at one ground point from one transmitter.
+
+    MBS links are Okumura-Hata, named here rather than read from the package.
+    """
     cfg = scn.config
     if tx_index < scn.n_mbs:
         tx_xy, h_tx, p_dbm = scn.mbs_xy[tx_index], cfg.h_bs, cfg.p_mbs_dbm
-        model, mode = models.mbs_ue, ants.mbs
+        model = OhplmModel()
     else:
         tx_xy, h_tx, p_dbm = uav_pos, cfg.h_uav, cfg.p_uav_dbm
-        model, mode = models.uav_ue, ants.uav
+        model = uav_ue
     dx = float(ue_xy[0]) - float(tx_xy[0])
     dy = float(ue_xy[1]) - float(tx_xy[1])
     z = math.sqrt(dx * dx + dy * dy)
@@ -49,16 +48,16 @@ def received_power(tx_index, ue_xy, scn, uav_pos, models, ants) -> float:
     loss = model.loss_db(np.array([d]), np.array([z]), f_c_mhz=cfg.f_c_mhz,
                          h_tx=h_tx, h_rx=cfg.h_ue)
     p = float((dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0))[0])
-    if isinstance(mode, Omni):
+    if isinstance(antenna, Omni):
         return p
     geom = LinkGeometry((float(tx_xy[0]), float(tx_xy[1]), h_tx),
-                        (float(ue_xy[0]), float(ue_xy[1]), cfg.h_ue), tx_mode=mode)
+                        (float(ue_xy[0]), float(ue_xy[1]), cfg.h_ue), tx_mode=antenna)
     return p * tx_gain(geom)
 
 
-def link_budget(scn, uav_pos, models, ants, ue_xy=None) -> np.ndarray:
+def link_budget(scn, uav_pos, uav_ue, antenna, ue_xy=None) -> np.ndarray:
     """Received power (mW) at each UE from each transmitter, UAV last; (..., K, M+1)."""
-    p_mbs, p_uav = radio.link_budget(scn, uav_pos, models, ants, ue_xy)
+    p_mbs, p_uav = radio.link_budget(scn, uav_pos, uav_ue, antenna, ue_xy)
     out = np.empty(p_uav.shape + (scn.n_mbs + 1,))  # C order: numpy's last-axis sum order
     out[..., :-1] = np.swapaxes(p_mbs, -1, -2)  # one MBS block for every position
     out[..., -1] = p_uav
@@ -93,7 +92,7 @@ def test_received_power_matches_hand_conversion():
     # one MBS at 3D distance exactly 1000 m from the UE
     z = math.sqrt(1000.0 ** 2 - 28.0 ** 2)
     scn = make_scenario([[0.0, 0.0]], [[z, 0.0]])
-    got = received_power(0, [z, 0.0], scn, (2000.0, 2000.0), MODELS, OMNI)
+    got = received_power(0, [z, 0.0], scn, (2000.0, 2000.0), OHPLM, OMNI)
     from uavrelay.pathloss import hata_path_loss
     loss = hata_path_loss(1000.0, 1500.0, 30.0, 2.0)
     assert got == pytest.approx(10 ** 4.6 * 10 ** (-loss / 10.0), rel=1e-12)
@@ -103,16 +102,15 @@ def test_received_power_matches_hand_conversion():
 
 def test_received_power_is_deterministic():
     scn = make_scenario([[100.0, 200.0], [800.0, 900.0]], [[400.0, 500.0]])
-    a = received_power(1, [400.0, 500.0], scn, (300.0, 300.0), MODELS, OMNI)
-    b = received_power(1, [400.0, 500.0], scn, (300.0, 300.0), MODELS, OMNI)
+    a = received_power(1, [400.0, 500.0], scn, (300.0, 300.0), OHPLM, OMNI)
+    b = received_power(1, [400.0, 500.0], scn, (300.0, 300.0), OHPLM, OMNI)
     assert a == b
 
 
 def test_received_power_zero_in_pattern_null():
     # crossed-dipole UE link gain is exactly 0 straight down
     scn = make_scenario([[0.0, 0.0]], [[500.0, 500.0]])
-    ants = AntennaSetup(mbs=Omni(), uav=CrossedDipole())
-    got = received_power(1, [500.0, 500.0], scn, (500.0, 500.0), MODELS, ants)
+    got = received_power(1, [500.0, 500.0], scn, (500.0, 500.0), OHPLM, DIPOLE)
     assert got == 0.0
 
 
@@ -165,8 +163,8 @@ class TestRelaySir:
 class TestAssociate:
     def test_matches_exhaustive_oracle(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=5.0), Mission(), 42, n_mbs=2.0)
-        snap = associate(scn, (300.0, 700.0), "standalone", MODELS, OMNI)
-        budget = link_budget(scn, (300.0, 700.0), MODELS, OMNI)
+        snap = associate(scn, (300.0, 700.0), "standalone", OHPLM, OMNI)
+        budget = link_budget(scn, (300.0, 700.0), OHPLM, OMNI)
         k, t = budget.shape
         for ue in range(k):
             best, best_sir = None, -1.0
@@ -180,14 +178,14 @@ class TestAssociate:
     def test_tie_breaks_to_lowest_id(self):
         # UE exactly equidistant from two MBSs: identical powers, server 0 wins
         scn = make_scenario([[0.0, 0.0], [1000.0, 0.0]], [[500.0, 0.0]])
-        snap = associate(scn, (500.0, 2000.0), "standalone", MODELS, OMNI)
-        budget = link_budget(scn, (500.0, 2000.0), MODELS, OMNI)
+        snap = associate(scn, (500.0, 2000.0), "standalone", OHPLM, OMNI)
+        budget = link_budget(scn, (500.0, 2000.0), OHPLM, OMNI)
         assert budget[0, 0] == budget[0, 1]
         assert snap.server[0] == 0
 
     def test_rate_follows_shannon_over_load(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 3)
-        snap = associate(scn, (500.0, 500.0), "standalone", MODELS, OMNI)
+        snap = associate(scn, (500.0, 500.0), "standalone", OHPLM, OMNI)
         expected = np.log2(1.0 + snap.sir) / snap.loads[snap.server]
         assert np.allclose(snap.rate, expected, rtol=1e-13)
         assert np.all(snap.rate <= np.log2(1.0 + snap.sir) + 1e-13)
@@ -196,19 +194,19 @@ class TestAssociate:
 
     def test_standalone_loads_sum_to_k(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 8)
-        snap = associate(scn, (200.0, 900.0), "standalone", MODELS, OMNI)
+        snap = associate(scn, (200.0, 900.0), "standalone", OHPLM, OMNI)
         assert snap.loads.sum() == scn.n_ue
 
     def test_relay_loads_include_uav_at_donor(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 8)
-        snap = associate(scn, (200.0, 900.0), "relay", MODELS, OMNI)
+        snap = associate(scn, (200.0, 900.0), "relay", OHPLM, OMNI)
         assert snap.donor is not None
         assert snap.loads.sum() == scn.n_ue + 1
 
     def test_relay_e2e_bounded_by_backhaul(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 12)
-        snap = associate(scn, (600.0, 400.0), "relay", MODELS, OMNI)
-        bh = radio.backhaul_budget(scn, (600.0, 400.0), MODELS, OMNI)
+        snap = associate(scn, (600.0, 400.0), "relay", OHPLM, OMNI)
+        bh = radio.backhaul_budget(scn, (600.0, 400.0), OMNI)
         bh_sir = bh / (bh.sum() - bh)
         gamma_bh = bh_sir[snap.donor]
         assert np.argmax(bh_sir) == snap.donor
@@ -222,27 +220,27 @@ class TestAssociate:
                           mission=mission, mbs_xy=base.mbs_xy, ue_xy=base.ue_xy,
                           seed=21)
         for mode in ("standalone", "relay"):
-            s1 = associate(base, (400.0, 800.0), mode, MODELS, OMNI)
-            s2 = associate(scaled, (400.0, 800.0), mode, MODELS, OMNI)
+            s1 = associate(base, (400.0, 800.0), mode, OHPLM, OMNI)
+            s2 = associate(scaled, (400.0, 800.0), mode, OHPLM, OMNI)
             assert np.array_equal(s1.server, s2.server)
             assert np.allclose(s1.sir, s2.sir, rtol=1e-12)
 
     def test_no_mbs_rejected(self):
         scn = make_scenario(np.zeros((0, 2)), [[100.0, 100.0]])
         with pytest.raises(ValueError, match="no MBS"):
-            associate(scn, (0.0, 0.0), "standalone", MODELS, OMNI)
+            associate(scn, (0.0, 0.0), "standalone", OHPLM, OMNI)
 
     def test_relay_needs_two_mbs(self):
         scn = make_scenario([[500.0, 500.0]], [[100.0, 100.0]])
         with pytest.raises(ValueError, match="2 MBSs"):
-            associate(scn, (0.0, 0.0), "relay", MODELS, OMNI)
+            associate(scn, (0.0, 0.0), "relay", OHPLM, OMNI)
 
     def test_interference_that_rounds_to_zero_gets_the_sir_ceiling(self, monkeypatch):
         # a 1e-20 interferer is below half an ulp of the serving 1 mW: total - p is 0
         scn = make_scenario([[500.0, 500.0]], [[100.0, 100.0]])
         monkeypatch.setattr(radio, "link_budget",
                             lambda *args: (np.array([[1.0]]), np.array([1e-20])))
-        snap = associate(scn, (0.0, 0.0), "standalone", MODELS, OMNI)
+        snap = associate(scn, (0.0, 0.0), "standalone", OHPLM, OMNI)
         assert snap.server[0] == 0
         assert snap.sir[0] == radio.SIR_CEILING
         assert snap.rate[0] == 53.0
@@ -296,40 +294,36 @@ class TestRewardMap:
             mbs=[[200.0, 700.0], [700.0, 200.0]],
             ue=[[100.0, 400.0], [400.0, 100.0], [800.0, 600.0], [600.0, 800.0]],
         )
-        models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
         maps = radio.build_reward_maps(scn, ("pf", "sum_rate", "p5"), "standalone",
-                                       models, OMNI, self.grid())
+                                       OHPLM, OMNI, self.grid())
         for rm in maps.values():
             assert np.allclose(rm.rewards, rm.rewards.T, rtol=1e-10, atol=1e-12)
-        max_sir = radio.max_sir_map(scn, models, OMNI, self.grid())
+        max_sir = radio.max_sir_map(scn, OHPLM, OMNI, self.grid())
         assert np.allclose(max_sir, max_sir.T, rtol=1e-10, atol=1e-12)
 
     def test_single_criterion_matches_joint_build(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 15)
-        models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
-        solo = radio.build_reward_maps(scn, ("pf",), "standalone", models, OMNI,
+        solo = radio.build_reward_maps(scn, ("pf",), "standalone", OHPLM, OMNI,
                                        self.grid())["pf"]
         joint = radio.build_reward_maps(scn, ("pf", "sum_rate"), "standalone",
-                                        models, OMNI, self.grid())["pf"]
+                                        OHPLM, OMNI, self.grid())["pf"]
         assert np.array_equal(solo.rewards, joint.rewards)
 
     def test_rewards_finite_and_deterministic(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 30)
-        models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
-        a = radio.build_reward_maps(scn, ("pf",), "standalone", models, OMNI, self.grid())["pf"]
-        b = radio.build_reward_maps(scn, ("pf",), "standalone", models, OMNI, self.grid())["pf"]
+        a = radio.build_reward_maps(scn, ("pf",), "standalone", OHPLM, OMNI, self.grid())["pf"]
+        b = radio.build_reward_maps(scn, ("pf",), "standalone", OHPLM, OMNI, self.grid())["pf"]
         assert np.all(np.isfinite(a.rewards))
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_csv_export(self, tmp_path):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 2)
-        models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
-        rm = radio.build_reward_maps(scn, ("sum_rate",), "standalone", models, OMNI,
+        rm = radio.build_reward_maps(scn, ("sum_rate",), "standalone", OHPLM, OMNI,
                                      self.grid())["sum_rate"]
         path = tmp_path / "map.csv"
         with pytest.raises(ValueError, match="max_sir_db"):
             rm.to_csv(path)
-        rm.max_sir_db = radio.max_sir_map(scn, models, OMNI, self.grid())
+        rm.max_sir_db = radio.max_sir_map(scn, OHPLM, OMNI, self.grid())
         rm.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "cell_x_m,cell_y_m,reward,max_sir_db"
@@ -339,7 +333,7 @@ class TestRewardMap:
 def test_stage_rates_shape():
     scn = generate_scenario(PhysicalConfig(lambda_ue=30.0), Mission(), 6)
     rates = stage_rates([(0.0, 0.0), (100.0, 0.0), (100.0, 100.0)],
-                        scn, "standalone", MODELS, OMNI)
+                        scn, "standalone", OHPLM, OMNI)
     assert rates.shape == (3, scn.n_ue)
     assert np.all(rates >= 0.0)
 
@@ -348,9 +342,9 @@ def test_antenna_changes_sir_map_with_fixed_nodes():
     cfg = RunConfig(antenna_modes=("omni", "dipole"))
     scn = generate_scenario(PhysicalConfig(), Mission(), 11)
     grid = StateGrid.from_mission(Mission())
-    models = cfg.link_models("ohplm")
-    omni_map = radio.max_sir_map(scn, models, cfg.antenna_setup("omni"), grid)
-    dip_map = radio.max_sir_map(scn, models, cfg.antenna_setup("dipole"), grid)
+    uav_ue = cfg.ue_model("ohplm")
+    omni_map = radio.max_sir_map(scn, uav_ue, cfg.antenna("omni"), grid)
+    dip_map = radio.max_sir_map(scn, uav_ue, cfg.antenna("dipole"), grid)
     assert not np.allclose(omni_map, dip_map)
 
 
@@ -371,14 +365,14 @@ POSITION_GRID = np.stack(np.meshgrid([-100.0, 300.0, 500.0, 1100.0], [0.0, 450.0
                          axis=-1)  # (ny, nx, 2)
 
 
-def oracle_association(scn, pos, mode, models, ants):
+def oracle_association(scn, pos, mode, uav_ue, antenna):
     """Per-UE (server, sir, rate) from the scalar oracles at one UAV position."""
-    budget = link_budget(scn, pos, models, ants)
+    budget = link_budget(scn, pos, uav_ue, antenna)
     m = scn.n_mbs
     k = scn.n_ue
     servers, sirs = [], []
     if mode == "relay":
-        bh = radio.backhaul_budget(scn, pos, models, ants)
+        bh = radio.backhaul_budget(scn, pos, antenna)
         bh_sirs = [bh[i] / (bh.sum() - bh[i]) for i in range(m)]
         donor = bh_sirs.index(max(bh_sirs))
     for ue in range(k):
@@ -401,77 +395,77 @@ class TestBatchedEngine:
     """Position batches give the same bits as per-position and scalar oracles."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("models", [MODELS, MPLM_MODELS], ids=["ohplm", "mplm"])
-    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
-    def test_link_budget_grid(self, scenario, models, ants):
+    @pytest.mark.parametrize("uav_ue", [OHPLM, MPLM], ids=["ohplm", "mplm"])
+    @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_link_budget_grid(self, scenario, uav_ue, antenna):
         scn = SCENARIOS[scenario]()
-        powers = link_budget(scn, POSITION_GRID, models, ants)
+        powers = link_budget(scn, POSITION_GRID, uav_ue, antenna)
         ny, nx, _ = POSITION_GRID.shape
         assert powers.shape == (ny, nx, scn.n_ue, scn.n_mbs + 1)
         for iy in range(ny):
             for ix in range(nx):
                 pos = POSITION_GRID[iy, ix]
-                single = link_budget(scn, pos, models, ants)
+                single = link_budget(scn, pos, uav_ue, antenna)
                 assert np.array_equal(powers[iy, ix], single)
-                oracle = [[received_power(t, ue, scn, pos, models, ants)
+                oracle = [[received_power(t, ue, scn, pos, uav_ue, antenna)
                            for t in range(scn.n_mbs + 1)] for ue in scn.ue_xy]
                 assert np.array_equal(single, np.array(oracle).reshape(single.shape))
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @UE_MODELS
-    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
     @pytest.mark.parametrize("mode", radio.MODES)
-    def test_associate_grid(self, scenario, models, ants, mode):
+    def test_associate_grid(self, scenario, uav_ue, antenna, mode):
         scn = SCENARIOS[scenario]()
-        snap = associate(scn, POSITION_GRID, mode, models, ants)
+        snap = associate(scn, POSITION_GRID, mode, uav_ue, antenna)
         ny, nx, _ = POSITION_GRID.shape
         assert snap.rate.shape == (ny, nx, scn.n_ue)
         for iy in range(ny):
             for ix in range(nx):
                 pos = POSITION_GRID[iy, ix]
-                single = associate(scn, pos, mode, models, ants)
+                single = associate(scn, pos, mode, uav_ue, antenna)
                 for field in ("server", "sir", "rate", "loads", "donor"):
                     got = getattr(snap, field)
                     if got is not None:
                         assert np.array_equal(got[iy, ix], getattr(single, field)), field
-                servers, sirs, rates = oracle_association(scn, pos, mode, models, ants)
+                servers, sirs, rates = oracle_association(scn, pos, mode, uav_ue, antenna)
                 assert np.array_equal(single.server, servers)
                 assert np.array_equal(single.sir, sirs)
                 assert np.array_equal(single.rate, rates)
 
     def test_nadir_ue_has_zero_access_sir_under_dipole(self):
         scn = SCENARIOS["nadir"]()
-        budget = link_budget(scn, (500.0, 450.0), MODELS, DIPOLE)
+        budget = link_budget(scn, (500.0, 450.0), OHPLM, DIPOLE)
         assert budget[0, scn.n_mbs] == 0.0
-        snap = associate(scn, POSITION_GRID, "relay", MODELS, DIPOLE)
+        snap = associate(scn, POSITION_GRID, "relay", OHPLM, DIPOLE)
         assert snap.server[1, 2, 0] != scn.n_mbs
         assert np.all(snap.sir > 0) and np.all(snap.rate > 0)
 
-    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
-    def test_per_position_probe_points(self, ants):
+    @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_per_position_probe_points(self, antenna):
         # one probe UE under each UAV position, the heat map's max-SIR probe
         scn = SCENARIOS["dense"]()
         probes = POSITION_GRID[:, :, None, :]
-        powers = link_budget(scn, POSITION_GRID, MODELS, ants, ue_xy=probes)
+        powers = link_budget(scn, POSITION_GRID, OHPLM, antenna, ue_xy=probes)
         for iy, ix in np.ndindex(POSITION_GRID.shape[:2]):
             pos = POSITION_GRID[iy, ix]
-            single = link_budget(scn, pos, MODELS, ants, ue_xy=[pos])
+            single = link_budget(scn, pos, OHPLM, antenna, ue_xy=[pos])
             assert np.array_equal(powers[iy, ix], single)
 
     @pytest.mark.parametrize("mode", radio.MODES)
     def test_map_rates_are_the_discrete_trajectory_rates(self, mode):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 9)
         grid = StateGrid.from_mission(Mission())
-        rm = radio.build_reward_maps(scn, ("pf",), mode, MODELS, DIPOLE, grid)["pf"]
+        rm = radio.build_reward_maps(scn, ("pf",), mode, OHPLM, DIPOLE, grid)["pf"]
         traj = solve_dp(rm, grid, ActionSet.standard(100.0, 8.0, 17.7))
-        disc = stage_rates(traj.positions[:-1], scn, mode, MODELS, DIPOLE)
+        disc = stage_rates(traj.positions[:-1], scn, mode, OHPLM, DIPOLE)
         assert np.array_equal(rm.rates_at(traj.cells[:-1]), disc)
         assert np.array_equal(criterion_reward(disc, "pf"), traj.stage_rewards)
 
     def test_empty_ue_set(self):
         scn = make_scenario([[100.0, 100.0], [900.0, 900.0]], np.zeros((0, 2)))
         for mode in radio.MODES:
-            snap = associate(scn, POSITION_GRID, mode, MODELS, OMNI)
+            snap = associate(scn, POSITION_GRID, mode, OHPLM, OMNI)
             assert snap.rate.shape == POSITION_GRID.shape[:2] + (0,)
             assert np.all(criterion_reward(snap.rate, "pf") == 0.0)
 
@@ -483,19 +477,19 @@ class TestBatchedEngine:
        positions=st.lists(st.tuples(st.floats(-100.0, 1100.0), st.floats(-100.0, 1100.0)),
                           min_size=1, max_size=6),
        mode=st.sampled_from(radio.MODES),
-       ants=st.sampled_from([OMNI, DIPOLE]),
-       models=st.sampled_from([MODELS, MPLM_MODELS]))
-def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode, ants, models):
+       antenna=st.sampled_from([OMNI, DIPOLE]),
+       uav_ue=st.sampled_from([OHPLM, MPLM]))
+def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode, antenna, uav_ue):
     """Batched association equals per-position calls; SIRs, rates and loads are sane."""
     scn = generate_scenario(PhysicalConfig(lambda_ue=lambda_ue), Mission(), seed,
                             n_mbs=n_mbs, min_mbs=2)
     pos = np.array(positions, dtype=float)
-    snap = associate(scn, pos, mode, models, ants)
+    snap = associate(scn, pos, mode, uav_ue, antenna)
     assert np.all(snap.sir > 0)
     assert np.all(np.isfinite(snap.rate)) and np.all(snap.rate >= 0)
     assert np.all(snap.loads.sum(axis=-1) == scn.n_ue + (mode == "relay"))
     for i, p in enumerate(pos):
-        single = associate(scn, p, mode, models, ants)
+        single = associate(scn, p, mode, uav_ue, antenna)
         for field in ("server", "sir", "rate", "loads", "donor"):
             got = getattr(snap, field)
             if got is not None:
@@ -508,9 +502,9 @@ def test_associate_properties(seed, n_mbs, lambda_ue, positions, mode, ants, mod
 
 # --- the transmitter-major kernel against the UE-major layout it replaced ----
 
-def ue_major_associate(scn, uav_pos, mode, models, ants):
+def ue_major_associate(scn, uav_pos, mode, uav_ue, antenna):
     """Association over the (..., K, M+1) power array, reduced over its last axis."""
-    powers = link_budget(scn, uav_pos, models, ants)
+    powers = link_budget(scn, uav_pos, uav_ue, antenna)
     m = scn.n_mbs
     transmitters = np.arange(m + 1)
     total = powers.sum(axis=-1, keepdims=True)
@@ -520,7 +514,7 @@ def ue_major_associate(scn, uav_pos, mode, models, ants):
         server = np.argmax(sir_all, axis=-1)
         sir = sir_all.max(axis=-1)
     else:
-        bh = radio.backhaul_budget(scn, uav_pos, models, ants)
+        bh = radio.backhaul_budget(scn, uav_pos, antenna)
         bh_sir = bh / (bh.sum(axis=-1, keepdims=True) - bh)
         donor = np.argmax(bh_sir, axis=-1)
         gamma_bh = bh_sir.max(axis=-1, keepdims=True)
@@ -628,38 +622,38 @@ class TestTransmitterMajorKernel:
 
     @pytest.mark.parametrize("mode", radio.MODES)
     @UE_MODELS
-    def test_generated_relay_dipole_scenario(self, mode, models):
+    def test_generated_relay_dipole_scenario(self, mode, uav_ue):
         scn = generate_scenario(PhysicalConfig(lambda_ue=15.0), Mission(), 4,
                                 n_mbs=10.0, min_mbs=2)
         assert scn.n_mbs + 1 >= 8
-        got = associate(scn, POSITION_GRID, mode, models, DIPOLE)
-        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, models,
+        got = associate(scn, POSITION_GRID, mode, uav_ue, DIPOLE)
+        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, uav_ue,
                                                          DIPOLE))
 
     @pytest.mark.parametrize("n_mbs", [2, 6, 7, 8, 9, 15, 16, 127, 128, 140])
     @pytest.mark.parametrize("mode", radio.MODES)
     @UE_MODELS
-    def test_hand_built_mbs_counts(self, n_mbs, mode, models):
+    def test_hand_built_mbs_counts(self, n_mbs, mode, uav_ue):
         rng = np.random.default_rng(n_mbs)
         scn = make_scenario(rng.uniform(0.0, 1000.0, (n_mbs, 2)),
                             rng.uniform(0.0, 1000.0, (11, 2)))
-        got = associate(scn, POSITION_GRID, mode, models, DIPOLE)
-        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, models,
+        got = associate(scn, POSITION_GRID, mode, uav_ue, DIPOLE)
+        assert_same_association(got, ue_major_associate(scn, POSITION_GRID, mode, uav_ue,
                                                          DIPOLE))
-        one = associate(scn, POSITION_GRID[1, 2], mode, models, DIPOLE)
+        one = associate(scn, POSITION_GRID[1, 2], mode, uav_ue, DIPOLE)
         assert_same_association(one, ue_major_associate(scn, POSITION_GRID[1, 2], mode,
-                                                         models, DIPOLE))
+                                                         uav_ue, DIPOLE))
 
     @pytest.mark.parametrize("mode", radio.MODES)
-    @pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
-    def test_whole_grid_reward_maps_equal_the_row_loop(self, mode, ants):
+    @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_whole_grid_reward_maps_equal_the_row_loop(self, mode, antenna):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 13,
                                 n_mbs=8.0, min_mbs=2)
         grid = StateGrid.from_mission(Mission())
-        maps = radio.build_reward_maps(scn, radio.CRITERIA, mode, MPLM_MODELS, ants, grid)
+        maps = radio.build_reward_maps(scn, radio.CRITERIA, mode, MPLM, antenna, grid)
         xs, ys = grid.axis_x(), grid.axis_y()
         rows = np.stack([associate(scn, np.column_stack([xs, np.full(xs.size, y)]), mode,
-                                   MPLM_MODELS, ants).rate for y in ys])
+                                   MPLM, antenna).rate for y in ys])
         for c, rm in maps.items():
             assert np.array_equal(rm.rates, rows)
             assert np.array_equal(rm.rewards, criterion_reward(rows, c))
@@ -671,19 +665,19 @@ class TestTransmitterMajorKernel:
         want = np.empty((ys.size, xs.size))
         for iy, y in enumerate(ys):
             row = np.column_stack([xs, np.full(xs.size, y)])
-            probe = link_budget(scn, row, MODELS, DIPOLE, ue_xy=row[:, None, :])[:, 0]
+            probe = link_budget(scn, row, OHPLM, DIPOLE, ue_xy=row[:, None, :])[:, 0]
             want[iy] = 10.0 * np.log10((probe / (probe.sum(-1, keepdims=True) - probe)).max(-1))
-        assert np.array_equal(radio.max_sir_map(scn, MODELS, DIPOLE, grid), want)
+        assert np.array_equal(radio.max_sir_map(scn, OHPLM, DIPOLE, grid), want)
 
     def test_max_sir_map_without_interference_is_inf(self):
         # one MBS, and the UAV dipole's nadir null hides the UAV from the probe below it
         scn = make_scenario([[130.0, 270.0]], [[500.0, 500.0]])
-        max_sir = radio.max_sir_map(scn, MODELS, DIPOLE, StateGrid.from_mission(Mission()))
+        max_sir = radio.max_sir_map(scn, OHPLM, DIPOLE, StateGrid.from_mission(Mission()))
         assert np.all(np.isposinf(max_sir))
 
 
-@pytest.mark.parametrize("ants", [OMNI, DIPOLE], ids=["omni", "dipole"])
-def test_every_power_computation_goes_through_link_budget(monkeypatch, ants):
+@pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+def test_every_power_computation_goes_through_link_budget(monkeypatch, antenna):
     """associate (both modes) and max_sir_map each call radio.link_budget once.
 
     perfbench's tracer counts MBS->UE work on that module global; a kernel
@@ -698,9 +692,9 @@ def test_every_power_computation_goes_through_link_budget(monkeypatch, ants):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    runs = [lambda mode=mode: associate(scn, POSITION_GRID, mode, MODELS, ants)
+    runs = [lambda mode=mode: associate(scn, POSITION_GRID, mode, OHPLM, antenna)
             for mode in radio.MODES]
-    runs.append(lambda: radio.max_sir_map(scn, MODELS, ants, grid))
+    runs.append(lambda: radio.max_sir_map(scn, OHPLM, antenna, grid))
     for run in runs:
         want = run()
         monkeypatch.setattr(radio, "link_budget", counting)
@@ -725,37 +719,35 @@ def test_omni_only_links_never_reach_the_antenna_layer(monkeypatch):
     monkeypatch.setattr(radio, "ue_link_gain", refuse)
     monkeypatch.setattr(radio, "combined_gain", refuse)
     for mode in radio.MODES:
-        associate(scn, POSITION_GRID, mode, MODELS, OMNI)
-    got = radio.backhaul_budget(scn, POSITION_GRID, MODELS, OMNI)
+        associate(scn, POSITION_GRID, mode, OHPLM, OMNI)
+    got = radio.backhaul_budget(scn, POSITION_GRID, OMNI)
     want = radio._received_mw(scn.mbs_xy, cfg.h_bs, POSITION_GRID[..., None, :], cfg.h_uav,
-                              cfg.p_mbs_dbm, MODELS.backhaul, cfg.f_c_mhz)
+                              cfg.p_mbs_dbm, BackhaulUmaAvModel(), cfg.f_c_mhz)
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["ohplm", "mplm", "fspl"])
-def test_config_link_models_fix_the_mbs_law_and_backhaul(name):
-    # a config chooses only the UAV->UE law; MBS->UE is Okumura-Hata and the
-    # backhaul UMa-AV for every choice
-    cfg = RunConfig(uav_ue_models=(name,))
-    models = cfg.link_models(name)
-    assert models == LinkModels(mbs_ue=OhplmModel(), uav_ue=cfg.ue_model(name),
-                                backhaul=BackhaulUmaAvModel())
+def test_mbs_block_does_not_depend_on_the_uav_law(name):
+    # a config chooses only the UAV->UE law; the MBS->UE links are the same
+    # Okumura-Hata block under every choice
+    uav_ue = RunConfig().ue_model(name)
     scn = SCENARIOS["dense"]()
-    for ants in (OMNI, DIPOLE):
-        p_mbs, _ = radio.link_budget(scn, POSITION_GRID, models, ants)
-        want, _ = radio.link_budget(scn, POSITION_GRID, MODELS, ants)
+    for antenna in (OMNI, DIPOLE):
+        p_mbs, _ = radio.link_budget(scn, POSITION_GRID, uav_ue, antenna)
+        want, _ = radio.link_budget(scn, POSITION_GRID, OHPLM, antenna)
         assert np.array_equal(p_mbs, want)
 
 
 def test_config_dipoles_are_equal_handed():
-    setup = RunConfig().antenna_setup("dipole")
-    assert setup == DIPOLE
+    assert RunConfig().antenna("dipole") == DIPOLE
 
 
-def test_default_link_models_carry_the_uma_av_backhaul():
+def test_backhaul_is_the_uma_av_law_with_the_run_antenna_at_both_ends():
     scn = SCENARIOS["dense"]()
-    for ants in (OMNI, DIPOLE):
-        got = radio.backhaul_budget(scn, POSITION_GRID, LinkModels(), ants)
-        want = radio.backhaul_budget(scn, POSITION_GRID,
-                                     LinkModels(backhaul=BackhaulUmaAvModel()), ants)
+    cfg = scn.config
+    for antenna in (OMNI, DIPOLE):
+        got = radio.backhaul_budget(scn, POSITION_GRID, antenna)
+        want = radio._received_mw(scn.mbs_xy, cfg.h_bs, POSITION_GRID[..., None, :],
+                                  cfg.h_uav, cfg.p_mbs_dbm, BackhaulUmaAvModel(), cfg.f_c_mhz,
+                                  combined_gain, antenna, antenna)
         assert np.array_equal(got, want)

@@ -6,16 +6,15 @@ from scipy.spatial import Delaunay
 
 from uavrelay import radio
 from uavrelay.antenna import Omni
-from uavrelay.pathloss import BackhaulUmaAvModel, LinkModels, OhplmModel
+from uavrelay.pathloss import OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
-from uavrelay.radio import AntennaSetup
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
 from uavrelay.smoothing import de_casteljau, evaluate_smoothed, smooth
 
 from oracles import BezierCurve, bernstein
 
-OMNI = AntennaSetup(mbs=Omni(), uav=Omni())
-MODELS = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel())
+OMNI = Omni()
+OHPLM = OhplmModel()
 ACTIONS = ActionSet.standard(100.0, 8.0, 17.7)
 
 
@@ -166,7 +165,7 @@ class TestSmooth:
     def test_dp_path_speeds_within_limit(self):
         scn = generate_scenario(PhysicalConfig(), Mission(), 272)
         grid = StateGrid.from_mission(Mission())
-        rm = radio.build_reward_maps(scn, ("pf",), "standalone", MODELS, OMNI, grid)["pf"]
+        rm = radio.build_reward_maps(scn, ("pf",), "standalone", OHPLM, OMNI, grid)["pf"]
         traj = solve_dp(rm, grid, ACTIONS)
         sm = smooth(traj, v_max=17.7)
         assert sm.positions.shape[0] == traj.positions.shape[0]
@@ -186,9 +185,9 @@ class TestEvaluateSmoothed:
         cells = [(5, 5)] * 7
         traj = lattice_trajectory(cells)
         sm = smooth(traj, v_max=17.7)
-        [rates] = evaluate_smoothed([sm], scn, "standalone", MODELS, OMNI)
+        [rates] = evaluate_smoothed([sm], scn, "standalone", OHPLM, OMNI)
         rewards = radio.criterion_reward(rates, "pf")
-        disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", MODELS, OMNI)
+        disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
         assert np.array_equal(rates, disc)
         assert rewards.shape == (6,)
 
@@ -199,8 +198,8 @@ class TestEvaluateSmoothed:
         sm = smooth(traj, v_max=17.7)
         # uniformly spaced collinear control points sample back to the waypoints
         assert np.allclose(sm.positions, traj.positions, atol=1e-9)
-        [rates] = evaluate_smoothed([sm], scn, "standalone", MODELS, OMNI)
-        disc = radio.stage_rates(sm.positions[:-1], scn, "standalone", MODELS, OMNI)
+        [rates] = evaluate_smoothed([sm], scn, "standalone", OHPLM, OMNI)
+        disc = radio.stage_rates(sm.positions[:-1], scn, "standalone", OHPLM, OMNI)
         assert np.allclose(rates, disc, rtol=1e-12)
 
     def test_outside_flight_area_rejected(self):
@@ -209,23 +208,21 @@ class TestEvaluateSmoothed:
         sm = smooth(traj)
         sm.positions = sm.positions + 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed([sm], scn, "standalone", MODELS, OMNI)
+            evaluate_smoothed([sm], scn, "standalone", OHPLM, OMNI)
 
     @pytest.mark.parametrize("mode", radio.MODES)
     def test_batch_equals_per_trajectory_stage_rates(self, mode):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 7)
         grid = StateGrid.from_mission(Mission())
-        models = LinkModels(mbs_ue=OhplmModel(), uav_ue=OhplmModel(),
-                            backhaul=BackhaulUmaAvModel())
-        rm = radio.build_reward_maps(scn, ("pf",), mode, models, OMNI, grid)["pf"]
+        rm = radio.build_reward_maps(scn, ("pf",), mode, OHPLM, OMNI, grid)["pf"]
         # horizons of different lengths, as the sweep batches its durations
         smoothed = [smooth(solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)),
                                     ACTIONS), v_max=17.7)
                     for t in (160.0, 240.0, 200.0)]
-        batch = evaluate_smoothed(smoothed, scn, mode, models, OMNI)
+        batch = evaluate_smoothed(smoothed, scn, mode, OHPLM, OMNI)
         assert len(batch) == len(smoothed)
         for sm, rates in zip(smoothed, batch):
-            single = radio.stage_rates(sm.positions[:-1], scn, mode, models, OMNI)
+            single = radio.stage_rates(sm.positions[:-1], scn, mode, OHPLM, OMNI)
             assert np.array_equal(rates, single)
 
     def test_any_trajectory_outside_flight_area_rejected(self):
@@ -234,7 +231,7 @@ class TestEvaluateSmoothed:
         outside = smooth(lattice_trajectory([(1, 1), (2, 2), (3, 3)]))
         outside.positions = outside.positions + 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed([inside, outside], scn, "standalone", MODELS, OMNI)
+            evaluate_smoothed([inside, outside], scn, "standalone", OHPLM, OMNI)
 
 
 def test_smoothed_csv(tmp_path):
