@@ -50,18 +50,31 @@ class CrossedDipole:
 AntennaMode = Omni | CrossedDipole
 
 
-def _unit_components(dx, dy, dz):
-    """Unit-vector planes (ux, uy, uz) of broadcastable direction planes, at least 1-d.
+def _unit_components(dx, dy, dz, axes):
+    """The unit-vector planes along `axes` (0, 1, 2 for x, y, z) of broadcastable directions.
 
-    The norm adds the squares in np.sum's last-axis order, so each plane
-    has the bits of the interleaved `d / norm(d)`. A single direction is a
-    batch of one: it runs through the same numpy array loops as any batch.
+    Returns two fresh planes of the directions' broadcast shape, at least
+    1-d: the one or two unit planes asked for, then a free plane when one
+    was. Only those are divided out, into the norm's two working planes, so
+    a gain can finish its arithmetic in them. The norm adds the squares in
+    np.sum's last-axis order, so each unit plane has the bits of the
+    interleaved `d / norm(d)`. A single direction is a batch of one: it runs
+    through the same numpy array loops as any batch.
     """
-    x, y, z = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (dx, dy, dz))
-    norm = np.sqrt(x * x + y * y + z * z)
+    c = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (dx, dy, dz)]
+    shape = np.broadcast_shapes(*(v.shape for v in c))
+    norm = np.multiply(c[0], c[0], out=np.empty(shape))
+    spare = np.multiply(c[1], c[1], out=np.empty(shape))
+    np.add(norm, spare, out=norm)
+    np.add(norm, c[2] * c[2], out=norm)
+    np.sqrt(norm, out=norm)
     if np.any(norm == 0):
         raise ValueError("zero-length link direction")
-    return x / norm, y / norm, z / norm
+    if len(axes) == 2:
+        np.divide(c[axes[0]], norm, out=spare)
+        return spare, np.divide(c[axes[1]], norm, out=norm)
+    (axis,) = axes
+    return np.divide(c[axis], norm, out=norm), spare
 
 
 def _per_direction(out: np.ndarray, dx, dy, dz):
@@ -69,33 +82,37 @@ def _per_direction(out: np.ndarray, dx, dy, dz):
     return out if np.ndim(dx) or np.ndim(dy) or np.ndim(dz) else float(out[0])
 
 
-def _radiation(ux, mode: AntennaMode):
-    """Radiated power gain from the x plane of the unit directions; even in ux."""
+def _radiation(ux, mode: AntennaMode, out: np.ndarray) -> np.ndarray:
+    """Radiated power gain from the x plane of the unit directions, into out; even in ux."""
     if isinstance(mode, Omni):
-        return np.ones(ux.shape)
-    return 0.75 * (1.0 + ux ** 2)
+        out.fill(1.0)
+        return out
+    np.square(ux, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(0.75, out, out=out)  # 0.75 * (1 + ux^2)
 
 
 def radiation_gain(dx, dy, dz, mode: AntennaMode):
     """Radiated power gain of `mode` along the directions (dx, dy, dz)."""
-    ux, _, _ = _unit_components(dx, dy, dz)
-    return _per_direction(_radiation(ux, mode), dx, dy, dz)
+    ux, _ = _unit_components(dx, dy, dz, (0,))
+    return _per_direction(_radiation(ux, mode, ux), dx, dy, dz)
 
 
 def ue_link_gain(dx, dy, dz, mode: AntennaMode):
     """Transmitter-side gain toward a UE: radiation times whip capture."""
-    _, uy, uz = _unit_components(dx, dy, dz)
+    uy, uz = _unit_components(dx, dy, dz, (1, 2))
     if isinstance(mode, Omni):
-        out = np.ones(uz.shape)
-    else:
-        a2 = 1.0 - uz ** 2
-        c2 = (uy * uz) ** 2
-        out = 0.75 * (a2 ** 2 + c2)
-    return _per_direction(out, dx, dy, dz)
+        uz.fill(1.0)
+        return _per_direction(uz, dx, dy, dz)
+    c2 = np.square(np.multiply(uy, uz, out=uy), out=uy)  # (uy uz)^2
+    a2 = np.subtract(1.0, np.square(uz, out=uz), out=uz)  # 1 - uz^2
+    np.add(np.square(a2, out=a2), c2, out=a2)
+    return _per_direction(np.multiply(0.75, a2, out=a2), dx, dy, dz)  # 0.75 (a2^2 + c2)
 
 
 def combined_gain(dx, dy, dz, tx_mode: AntennaMode, rx_mode: AntennaMode):
     """Product of the radiation gains at both ends, per tx->rx direction."""
-    ux, _, _ = _unit_components(dx, dy, dz)
+    ux, spare = _unit_components(dx, dy, dz, (0,))
     # the receiver radiates along -u, and the pattern is even in u_x
-    return _per_direction(_radiation(ux, tx_mode) * _radiation(ux, rx_mode), dx, dy, dz)
+    g_tx = _radiation(ux, tx_mode, spare)
+    return _per_direction(np.multiply(g_tx, _radiation(ux, rx_mode, ux), out=ux), dx, dy, dz)

@@ -55,7 +55,11 @@ def hata_path_loss(d, f_c_mhz: float, h_tx: float, h_ue: float):
     if np.any(d <= 0):
         raise ValueError("hata_path_loss requires d > 0")
     co = hata_coefficients(f_c_mhz, h_tx, h_ue)
-    out = co.a_coef + co.b_coef * np.log10(d / 1000.0) + co.c_coef
+    out = np.divide(d, 1000.0, out=np.empty(d.shape))  # A + B log10(d_km) + C, in place
+    np.log10(out, out=out)
+    np.multiply(co.b_coef, out, out=out)
+    np.add(co.a_coef, out, out=out)
+    np.add(out, co.c_coef, out=out)
     return out if out.ndim else float(out)
 
 
@@ -126,8 +130,15 @@ def mixture_path_gain(d, z, h_uav: float, h_ue: float,
     if np.any(d <= 0):
         raise ValueError("mixture_path_gain requires d > 0")
     tau_l = np.asarray(los_probability(z, h_uav, h_ue, building))
-    mix = d ** (-alpha_los) * tau_l + d ** (-alpha_nlos) * (1.0 - tau_l)
-    out = ref_db - 10.0 * np.log10(mix)
+    # mix = d^-aL tau_L + d^-aN (1 - tau_L), in place; tau_L is a fresh array
+    mix = np.power(d, -alpha_los, out=np.empty(np.broadcast_shapes(d.shape, tau_l.shape)))
+    np.multiply(mix, tau_l, out=mix)
+    nlos = np.power(d, -alpha_nlos, out=np.empty(mix.shape))
+    np.multiply(nlos, np.subtract(1.0, tau_l, out=tau_l), out=nlos)
+    out = np.add(mix, nlos, out=mix)
+    np.log10(out, out=out)  # ref_db - 10 log10(mix)
+    np.multiply(10.0, out, out=out)
+    np.subtract(ref_db, out, out=out)
     return out if out.ndim else float(out)
 
 

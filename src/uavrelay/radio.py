@@ -17,6 +17,12 @@ sum in numpy's own summation order, then a running first maximum); the
 standalone server, the relay donor and the heat-map probe all use it. A
 reward map is one call over its grid, a re-evaluation one call over every
 sampled position of its trajectories.
+
+A grid's (position, UE) planes are large, so each call allocates a few and
+computes every later step into them with out=, instead of one fresh array
+per numpy operation. Each step keeps the operands, operand order and ufunc
+of the plain expression, so the bits are the same; no call writes into an
+array it was given.
 """
 from __future__ import annotations
 
@@ -68,11 +74,19 @@ def _received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float, model,
     g = None
     if any(isinstance(m, CrossedDipole) for m in modes):  # before the loss, for a lower peak
         g = gain(dx, dy, h_rx - h_tx, *modes)
-    z = np.sqrt(dx * dx + dy * dy)
-    loss = model.loss_db(np.sqrt(z ** 2 + (h_tx - h_rx) ** 2), z, f_c_mhz=f_c_mhz,
-                         h_tx=h_tx, h_rx=h_rx)
-    p = dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0)
-    return p if g is None else p * g
+    # the gain has read dx and dy: from here on they hold z = |(dx, dy)| and d = |(z, dz)|
+    z = np.multiply(dx, dx, out=dx)
+    np.add(z, np.multiply(dy, dy, out=dy), out=z)
+    np.sqrt(z, out=z)
+    d = np.square(z, out=dy)
+    np.add(d, (h_tx - h_rx) ** 2, out=d)
+    np.sqrt(d, out=d)
+    p = model.loss_db(d, z, f_c_mhz=f_c_mhz, h_tx=h_tx, h_rx=h_rx)  # a fresh plane
+    np.negative(p, out=p)  # p_mw * 10^(-loss / 10), in place
+    np.divide(p, 10.0, out=p)
+    np.power(10.0, p, out=p)
+    np.multiply(dbm_to_mw(p_dbm), p, out=p)
+    return p if g is None else np.multiply(p, g, out=p)
 
 
 def link_budget(scn: Scenario, uav_pos, uav_ue, antenna: AntennaMode,
@@ -112,7 +126,8 @@ def relay_end_to_end_sir(gamma_backhaul, gamma_access):
     g2 = np.asarray(gamma_access, dtype=float)
     if np.any(g1 <= 0) or np.any(g2 < 0):
         raise ValueError("relay SIRs must be positive (the access SIR may be 0)")
-    out = 2.0 * g1 * g2 / (g1 + g2)
+    out = 2.0 * g1 * g2
+    out /= g1 + g2  # in place unless 0-d
     return out if out.ndim else float(out)
 
 
@@ -142,14 +157,19 @@ def associate(scn: Scenario, uav_pos, mode: str, uav_ue,
     server, sir, donor = _best_server(scn, uav_pos, mode, uav_ue, antenna)
     np.minimum(sir, SIR_CEILING, out=sir)
     m = scn.n_mbs
-    # one scheduling unit per served UE, plus the UAV's at its donor
-    units = server if donor is None else np.concatenate([server, donor[..., None]], axis=-1)
+    # one scheduling unit per served UE, plus the UAV's at its donor, in a
+    # fresh array that then holds each unit's bincount slot
+    units = np.concatenate([server] if donor is None else [server, donor[..., None]], axis=-1)
     batch = units.shape[:-1]
     n_pos = math.prod(batch)
-    slots = units.reshape(n_pos, units.shape[-1]) + (m + 1) * np.arange(n_pos)[:, None]
-    loads = np.bincount(slots.ravel(), minlength=n_pos * (m + 1)).reshape(batch + (m + 1,))
-    rate = np.log2(1.0 + sir) / np.take_along_axis(loads, server, axis=-1)
-    return AssociationSnapshot(server=server, loads=loads,
+    slots = units.reshape(n_pos, units.shape[-1])
+    slots += (m + 1) * np.arange(n_pos)[:, None]
+    loads = np.bincount(slots.ravel(), minlength=n_pos * (m + 1))
+    rate = np.add(1.0, sir)
+    np.log2(rate, out=rate)
+    # each UE's server load, gathered through its own bincount slot
+    np.divide(rate, loads[slots[:, :server.shape[-1]]].reshape(server.shape), out=rate)
+    return AssociationSnapshot(server=server, loads=loads.reshape(batch + (m + 1,)),
                                sir=sir, rate=rate, donor=donor)
 
 
@@ -168,23 +188,36 @@ def _best_server(scn: Scenario, uav_pos, mode: str, uav_ue, antenna: AntennaMode
     gamma_bh, donor = _best_sir(np.moveaxis(bh, -2, 0))
 
     sir, server = _best_sir([*p_mbs, p_uav], m)  # best direct MBS
-    gamma_e2e = relay_end_to_end_sir(gamma_bh, p_uav / _leading_sum(p_mbs))
+    access = np.divide(p_uav, _leading_sum(p_mbs), out=p_uav)  # the UAV->UE SIR, over p_uav
+    gamma_e2e = relay_end_to_end_sir(gamma_bh, access)
     on_uav = gamma_e2e > sir
-    np.copyto(sir, gamma_e2e, where=on_uav)
-    np.copyto(server, m, where=on_uav)
+    np.putmask(sir, on_uav, gamma_e2e)  # same shape: putmask repeats, never broadcasts
+    np.putmask(server, on_uav, m)
     return server, sir, donor[..., 0]
 
 
 def _best_sir(powers, candidates: int | None = None):
     """(SIR, index) of the best of the first `candidates` transmitters (default all).
 
-    powers is a sequence of equal-shaped received-power arrays, one per
+    powers is a sequence of broadcastable received-power arrays, one per
     transmitter; each SIR is its power over the sum of all the others, inf
-    where those round to 0.
+    where those round to 0. The running first maximum keeps the lowest index
+    on a tie. Every SIR is written into one scratch plane of the sum's full
+    shape before np.putmask reads it: putmask repeats a smaller value array
+    where copyto would broadcast it, so only a full-shape one gives the same bits.
     """
     total = _leading_sum(powers)
+    best, sir = np.empty(total.shape), np.empty(total.shape)
+    index = np.zeros(total.shape, dtype=np.intp)
+    better = np.empty(total.shape, dtype=bool)
     with np.errstate(divide="ignore"):
-        return _first_max(p / (total - p) for p in powers[:candidates])
+        np.divide(powers[0], np.subtract(total, powers[0], out=best), out=best)
+        for i, p in enumerate(powers[1:candidates], start=1):
+            np.divide(p, np.subtract(total, p, out=sir), out=sir)
+            np.greater(sir, best, out=better)
+            np.putmask(best, better, sir)
+            np.putmask(index, better, i)
+    return best, index
 
 
 def _leading_sum(terms):
@@ -214,21 +247,6 @@ def _leading_sum(terms):
     return out
 
 
-def _first_max(values):
-    """(maximum, index) over a stream of equal-shaped arrays; a tie keeps the lowest index.
-
-    The first array is updated in place into the maximum.
-    """
-    values = iter(values)
-    best = next(values)
-    index = np.zeros(best.shape, dtype=np.intp)
-    for i, v in enumerate(values, start=1):
-        better = v > best
-        np.copyto(best, v, where=better)
-        np.copyto(index, i, where=better)
-    return best, index
-
-
 def criterion_reward(rates, criterion: str):
     """Stage reward for one criterion, reducing per-UE rates over the last axis."""
     if criterion not in CRITERIA:
@@ -237,7 +255,8 @@ def criterion_reward(rates, criterion: str):
     if rates.shape[-1] == 0:
         out = np.zeros(rates.shape[:-1])
     elif criterion == "pf":
-        out = np.sum(np.log10(np.maximum(rates, PF_RATE_FLOOR)), axis=-1)
+        out = np.maximum(rates, PF_RATE_FLOOR)
+        out = np.sum(np.log10(out, out=out), axis=-1)
     elif criterion == "sum_rate":
         out = np.sum(rates, axis=-1)
     else:

@@ -5,7 +5,8 @@ package kernel: exhaustive path search for the DP, the Bernstein sum for de
 Casteljau, a point-to-point link geometry for the batched UE-link gain, the
 row-by-row loop for the LoS probability's building-row product, and the
 interleaved-axis forms of the antenna gains and the link geometry, which the
-package computes on coordinate planes with the same bits.
+package computes on coordinate planes with the same bits, and the
+copyto(where=) running maximum over per-transmitter SIRs.
 """
 import math
 from dataclasses import dataclass
@@ -198,3 +199,31 @@ def interleaved_received_mw(tx_xy, h_tx: float, rx_xy, h_rx: float, p_dbm: float
                          h_tx=h_tx, h_rx=h_rx)
     p = dbm_to_mw(p_dbm) * 10.0 ** (-loss / 10.0)
     return p if g is None else p * g
+
+
+# --- the best SIR as a running first maximum with np.copyto(where=)
+
+def first_max(values):
+    """(maximum, index) over a stream of equal-shaped arrays; a tie keeps the lowest index.
+
+    The first array is updated in place into the maximum.
+    """
+    values = iter(values)
+    best = next(values)
+    index = np.zeros(best.shape, dtype=np.intp)
+    for i, v in enumerate(values, start=1):
+        better = v > best
+        np.copyto(best, v, where=better)
+        np.copyto(index, i, where=better)
+    return best, index
+
+
+def best_sir(powers, candidates: int | None = None):
+    """(SIR, index) of the best of the first `candidates` broadcastable power arrays.
+
+    The sum over all transmitters is np.sum over the last axis of their
+    stacked block, and each SIR p / (total - p) is a fresh array.
+    """
+    total = np.sum(np.stack(np.broadcast_arrays(*powers), axis=-1), axis=-1)
+    with np.errstate(divide="ignore"):
+        return first_max(p / (total - p) for p in powers[:candidates])

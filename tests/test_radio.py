@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import radio
-from uavrelay.antenna import CrossedDipole, Omni, combined_gain, ue_link_gain
+from uavrelay.antenna import CrossedDipole, Omni, combined_gain, radiation_gain, ue_link_gain
 from uavrelay.config import RunConfig
 from uavrelay.pathloss import BackhaulUmaAvModel, FsplModel, MplmModel, OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
@@ -14,7 +14,7 @@ from uavrelay.radio import (associate, criterion_reward, dbm_to_mw, relay_end_to
                             stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
 
-from oracles import (LinkGeometry, interleaved_combined_gain, interleaved_received_mw,
+from oracles import (LinkGeometry, best_sir, interleaved_combined_gain, interleaved_received_mw,
                      interleaved_ue_link_gain, tx_gain)
 
 OMNI = Omni()
@@ -751,3 +751,100 @@ def test_backhaul_is_the_uma_av_law_with_the_run_antenna_at_both_ends():
                                   cfg.h_uav, cfg.p_mbs_dbm, BackhaulUmaAvModel(), cfg.f_c_mhz,
                                   combined_gain, antenna, antenna)
         assert np.array_equal(got, want)
+
+
+# --- the best-SIR reduction, and kernels that own every plane they write -----
+
+def frozen(a):
+    """A read-only float copy: an out= that targets it raises."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def tied_powers(rng, n_mbs: int, layout: str):
+    """Per-transmitter powers, MBSs then the UAV, with exact top ties planted at every index.
+
+    rows: each MBS is a (K,) row shared by the n positions of an (n, K) UAV
+    block. columns: each MBS is an (n, 1) column, which putmask would repeat
+    along the wrong axis where copyto broadcasts it. Slot s (a column of the
+    rows layout, a row of the columns layout) holds a tie at the top between
+    transmitters s and s + 1; the last slot has only the UAV transmitting, so
+    its SIR is inf and the MBSs tie at 0.
+    """
+    n = k = n_mbs + 2
+    levels = 10.0 ** np.arange(-3.0, 0.0)  # few levels: ties below the top too
+    mbs_shape = (k,) if layout == "rows" else (n, 1)
+    powers = [rng.choice(levels, mbs_shape) for _ in range(n_mbs)] + [rng.choice(levels, (n, k))]
+    slot = (lambda s: np.s_[..., s]) if layout == "rows" else (lambda s: np.s_[s])
+    for s in range(n_mbs):
+        for p in powers[s:s + 2]:
+            p[slot(s)] = 10.0
+    for p in powers[:-1]:
+        p[slot(n - 1)] = 0.0
+    powers[-1][slot(n - 1)] = 10.0
+    return [frozen(p) for p in powers]
+
+
+class TestBestSir:
+    """_best_sir's putmask running maximum has the bits of the copyto(where=) loop."""
+
+    @pytest.mark.parametrize("n_mbs", [1, 2, 4, 7, 8, 9])
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    @pytest.mark.parametrize("prefix", ["all", "mbs", "first"])
+    def test_matches_the_copyto_loop(self, n_mbs, layout, prefix):
+        powers = tied_powers(np.random.default_rng(n_mbs), n_mbs, layout)
+        candidates = {"all": None, "mbs": n_mbs, "first": 1}[prefix]
+        sir, index = radio._best_sir(powers, candidates)
+        want_sir, want_index = best_sir(powers, candidates)
+        assert sir.shape == index.shape == (n_mbs + 2, n_mbs + 2)
+        assert index.dtype == np.intp
+        assert np.array_equal(sir, want_sir) and np.array_equal(index, want_index)
+        # every candidate ties the one before it at the top somewhere; the lower index wins
+        total = np.sum(np.stack(np.broadcast_arrays(*powers), axis=-1), axis=-1)
+        with np.errstate(divide="ignore"):
+            own = [p / (total - p) for p in powers[:candidates]]
+        for t in range(1, len(own)):
+            tie = (own[t] == own[t - 1]) & (own[t] == want_sir)
+            assert np.any(tie) and np.all(index[tie] < t)
+
+    def test_ndarray_of_transmitters(self):
+        # the backhaul and heat-map form: one leading axis per transmitter
+        powers = frozen(10.0 ** np.random.default_rng(3).integers(-3, 0, (5, 4, 6, 1)))
+        sir, index = radio._best_sir(powers)
+        want_sir, want_index = best_sir(list(powers))
+        assert np.array_equal(sir, want_sir) and np.array_equal(index, want_index)
+
+
+@UE_MODELS
+@pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+def test_kernels_never_write_into_their_arguments(uav_ue, antenna):
+    """Every kernel writes only planes it allocated; its inputs are read-only here."""
+    base = SCENARIOS["dense"]()
+    scn = Scenario(config=base.config, mission=base.mission, mbs_xy=frozen(base.mbs_xy),
+                   ue_xy=frozen(base.ue_xy), seed=base.seed)
+    cfg = scn.config
+    positions = frozen(POSITION_GRID)
+    grid = StateGrid.from_mission(Mission())
+    p_mbs, p_uav = radio.link_budget(scn, positions, uav_ue, antenna)
+    radio.link_budget(scn, positions, uav_ue, antenna, ue_xy=frozen(positions[:, :, None, :]))
+    radio.backhaul_budget(scn, positions, antenna)
+    for mode in radio.MODES:
+        associate(scn, positions, mode, uav_ue, antenna)
+        associate(scn, positions[1, 2], mode, uav_ue, antenna)
+        radio.build_reward_maps(scn, radio.CRITERIA, mode, uav_ue, antenna, grid)
+    radio.max_sir_map(scn, uav_ue, antenna, grid)
+    radio._best_sir([frozen(p) for p in p_mbs] + [frozen(p_uav)], scn.n_mbs)
+    relay_end_to_end_sir(frozen([[2.0], [3.0]]), frozen([[0.0, 1.0], [4.0, 5.0]]))
+    for c in radio.CRITERIA:
+        criterion_reward(frozen(p_uav), c)
+    dx, dy = frozen(positions[..., 0] - 600.0), frozen(positions[..., 1] - 50.0)
+    for dz in (frozen(cfg.h_ue - cfg.h_uav), frozen(np.full(dx.shape, -90.0))):
+        radiation_gain(dx, dy, dz, antenna)
+        ue_link_gain(dx, dy, dz, antenna)
+        combined_gain(dx, dy, dz, antenna, antenna)
+    z = frozen(np.hypot(dx, dy))
+    d = frozen(np.hypot(z, cfg.h_uav - cfg.h_ue))
+    for law, h_tx, h_rx in ((uav_ue, cfg.h_uav, cfg.h_ue), (radio.MBS_UE_LAW, cfg.h_bs, cfg.h_ue),
+                            (radio.BACKHAUL_LAW, cfg.h_bs, cfg.h_uav)):
+        law.loss_db(d, z, f_c_mhz=cfg.f_c_mhz, h_tx=h_tx, h_rx=h_rx)
