@@ -4,8 +4,9 @@ Run from the repository root, on the commit whose outputs are the golden ones:
 
     PYTHONPATH=src python3 tests/record_golden.py
 
-It runs every preset at full size, and the fine-lattice case lattice61.json,
-serially and writes the sha256 of each CSV and JSON output, in separate sections, to tests/golden_digests.json,
+It runs every preset at full size, the fine-lattice case lattice61.json and
+the dense-network case dense16.json serially, and writes the sha256 of each
+CSV and JSON output, in separate sections, to tests/golden_digests.json,
 together with the Python and numpy versions that produced them, and prints each
 digest that moved against the file it replaced. Re-record only for an intended
 output change, and say in CHANGES.md what changed.
@@ -30,6 +31,9 @@ SWEPT = ("fig4", "fig5", "fig6", "fig7")
 # 61x61 cells of 20 m and 50 and 60 stages, where the path needs 50: the lattice and
 # stage counts at which the DP, smoothing and process-pool rewrites can change bytes
 LATTICE61 = Path(__file__).with_name("lattice61.json")
+# 16 MBSs: the association's sums take numpy's eight-accumulator order, in both
+# modes, under both antennas and both UAV->UE laws
+DENSE16 = Path(__file__).with_name("dense16.json")
 
 
 def versions() -> dict:
@@ -44,15 +48,16 @@ def _cli(*argv: str) -> None:
 def write_outputs(root: Path, sweeps: dict, jobs: int = 1) -> None:
     """Write the golden file set under root.
 
-    fig2, fig3 and lattice61 run end to end, manifest included, lattice61 with
-    `jobs` workers. The SWEPT presets take their sweeps from `sweeps`
-    (name -> SweepResult) and their showcase files from `heatmap`, so their
+    fig2, fig3, lattice61 and dense16 run end to end, manifest included, the
+    last two with `jobs` workers. The SWEPT presets take their sweeps from
+    `sweeps` (name -> SweepResult) and their showcase files from `heatmap`, so their
     manifests are not part of the set.
     """
     for name in END_TO_END:
         _cli("run", "--preset", name, "--out", str(root / name))
-    _cli("run", "--config", str(LATTICE61), "--out", str(root / LATTICE61.stem),
-         "--jobs", str(jobs))
+    for config in (LATTICE61, DENSE16):
+        _cli("run", "--config", str(config), "--out", str(root / config.stem),
+             "--jobs", str(jobs))
     for name in SWEPT:
         out = root / name
         _cli("heatmap", "--preset", name, "--out", str(out))

@@ -1,8 +1,8 @@
 """Every preset's outputs are byte-identical to the recorded golden digests.
 
 The fig4-fig7 sweeps come from the session fixture, which runs with
-jobs=JOBS, and lattice61 runs with --jobs 2 (two realizations, so two pool
-tasks), while the digests were recorded serially, so this also checks byte
+jobs=JOBS, and lattice61 and dense16 run with --jobs 2 (two realizations
+each, so two pool tasks), while the digests were recorded serially, so this also checks byte
 identity across --jobs.
 """
 import json
