@@ -14,9 +14,12 @@ place UE powers are computed: the UAV-independent MBS->UE block once per
 call as (M, K) and the UAV->UE block as (..., K). One reduction, _best_sir,
 takes the best SIR over a sequence of per-transmitter power arrays (their
 sum in numpy's own summation order, then a running first maximum); the
-standalone server, the relay donor and the heat-map probe all use it. A
-reward map is one call over its grid, a re-evaluation one call over every
-sampled position of its trajectories.
+standalone server, the relay donor and the heat-map probe all use it. At
+one total a larger power never has a smaller SIR, so the position-free MBS
+rows are ranked once per call by power, and the running maximum redoes only
+the UE columns where a lower-index MBS comes within NEAR_TIE of the top
+power, then folds in the UAV. A reward map is one call over its grid, a
+re-evaluation one call over every sampled position of its trajectories.
 
 A grid's (position, UE) planes are large, so each call allocates a few and
 computes every later step into them with out=, instead of one fresh array
@@ -50,6 +53,11 @@ PF_RATE_FLOOR = 1e-9
 # nonzero interference is below 2**53, because total - p is then at least one
 # ulp of p; so the cap binds only where the interference rounds to 0.
 SIR_CEILING = 2.0 ** 53
+# Two powers more than NEAR_TIE apart (relative) keep distinct SIRs at one total
+# while the SIRs are normal: each carries a few ulps of rounding, far below the
+# margin. A subnormal SIR (below TINY) keeps too few bits for that.
+NEAR_TIE = 2.0 ** -40
+TINY = np.finfo(float).tiny
 # A run varies only the UAV->UE law. As in the paper, the other two links have
 # one law each: Okumura-Hata on every MBS->UE link, and the 3GPP UMa
 # aerial-vehicle LoS law on relay mode's MBS->UAV backhaul.
@@ -174,15 +182,15 @@ def associate(scn: Scenario, uav_pos, mode: str, uav_ue,
 
 
 def _best_server(scn: Scenario, uav_pos, mode: str, uav_ue, antenna: AntennaMode):
-    """(server, sir, donor) per UE, reducing over the M+1 transmitters one at a time."""
+    """(server, sir, donor) per UE, reducing over the M+1 transmitters."""
+    m = scn.n_mbs
+    if mode == "relay" and m < 2:
+        raise ValueError("relay mode needs >= 2 MBSs for a backhaul interference set")
     p_mbs, p_uav = link_budget(scn, uav_pos, uav_ue, antenna)
     if mode == "standalone":
         sir, server = _best_sir([*p_mbs, p_uav])
         return server, sir, None
 
-    m = scn.n_mbs
-    if m < 2:
-        raise ValueError("relay mode needs >= 2 MBSs for a backhaul interference set")
     # (..., M, 1): one (..., 1) array per MBS, so gamma_bh broadcasts over the UEs
     bh = backhaul_budget(scn, uav_pos, antenna)[..., None]
     gamma_bh, donor = _best_sir(np.moveaxis(bh, -2, 0))
@@ -201,18 +209,54 @@ def _best_sir(powers, candidates: int | None = None):
 
     powers is a sequence of broadcastable received-power arrays, one per
     transmitter; each SIR is its power over the sum of all the others, inf
-    where those round to 0. The running first maximum keeps the lowest index
-    on a tie. Every SIR is written into one scratch plane of the sum's full
-    shape before np.putmask reads it: putmask repeats a smaller value array
-    where copyto would broadcast it, so only a full-shape one gives the same bits.
+    where those round to 0, and a tie goes to the lowest index.
+
+    At one total, fl(p / fl(total - p)) never decreases as p grows. So where
+    the candidates start with (K,) rows shared by every position (the
+    MBS->UE block), each UE column's strongest row, ranked once by argmax,
+    has the best SIR of the run at every position, and only its SIR plane is
+    computed. The running maximum redoes the columns that may tie on a
+    rounded SIR (see NEAR_TIE), then folds in the candidates after the run.
     """
     total = _leading_sum(powers)
-    best, sir = np.empty(total.shape), np.empty(total.shape)
-    index = np.zeros(total.shape, dtype=np.intp)
-    better = np.empty(total.shape, dtype=bool)
+    powers = powers[:candidates]
+    n = 0  # the leading (K,) rows
+    while total.ndim > 1 and n < len(powers) and np.shape(powers[n]) == total.shape[-1:]:
+        n += 1
+    if n < 2:
+        return _running_max(powers, total)
+    block = np.stack(powers[:n])
+    top = block.argmax(axis=0)
+    p = block[top, np.arange(top.size)]
+    best, index = np.empty(total.shape), np.empty(total.shape, dtype=np.intp)
     with np.errstate(divide="ignore"):
-        np.divide(powers[0], np.subtract(total, powers[0], out=best), out=best)
-        for i, p in enumerate(powers[1:candidates], start=1):
+        np.divide(p, np.subtract(total, p, out=best), out=best)
+    index[...] = top
+    near = np.any((block >= p * (1.0 - NEAR_TIE)) & (np.arange(n)[:, None] < top), axis=0)
+    # the top SIR is nan (0/0) only where every power is 0, and there top is 0
+    near |= (top > 0) & (best.min(axis=tuple(range(best.ndim - 1)), initial=np.inf) < TINY)
+    cols = np.flatnonzero(near)
+    if cols.size:
+        best[..., cols], index[..., cols] = _running_max([q[cols] for q in powers[:n]],
+                                                         total[..., cols])
+    return _running_max(powers, total, best, index, n)
+
+
+def _running_max(powers, total, best=None, index=None, start: int = 0):
+    """The running first maximum of the SIRs of powers[start:], into (best, index).
+
+    Every SIR is written into one scratch plane of the sum's full shape
+    before np.putmask reads it: putmask repeats a smaller value array where
+    copyto would broadcast it, so only a full-shape one gives the same bits.
+    """
+    with np.errstate(divide="ignore"):
+        if start == 0:
+            best, index = np.empty(total.shape), np.zeros(total.shape, dtype=np.intp)
+            np.divide(powers[0], np.subtract(total, powers[0], out=best), out=best)
+            start = 1
+        if start < len(powers):
+            sir, better = np.empty(total.shape), np.empty(total.shape, dtype=bool)
+        for i, p in enumerate(powers[start:], start=start):
             np.divide(p, np.subtract(total, p, out=sir), out=sir)
             np.greater(sir, best, out=better)
             np.putmask(best, better, sir)

@@ -235,6 +235,15 @@ class TestAssociate:
         with pytest.raises(ValueError, match="2 MBSs"):
             associate(scn, (0.0, 0.0), "relay", OHPLM, OMNI)
 
+    def test_relay_with_one_mbs_fails_before_any_link_budget(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-MBS relay association computed link powers")
+
+        scn = make_scenario([[500.0, 500.0]], [[100.0, 100.0]])
+        monkeypatch.setattr(radio, "link_budget", refuse)
+        with pytest.raises(ValueError, match="2 MBSs"):
+            associate(scn, POSITION_GRID, "relay", OHPLM, OMNI)
+
     def test_interference_that_rounds_to_zero_gets_the_sir_ceiling(self, monkeypatch):
         # a 1e-20 interferer is below half an ulp of the serving 1 mW: total - p is 0
         scn = make_scenario([[500.0, 500.0]], [[100.0, 100.0]])
@@ -461,6 +470,21 @@ class TestBatchedEngine:
         disc = stage_rates(traj.positions[:-1], scn, mode, OHPLM, DIPOLE)
         assert np.array_equal(rm.rates_at(traj.cells[:-1]), disc)
         assert np.array_equal(criterion_reward(disc, "pf"), traj.stage_rewards)
+
+    @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    @pytest.mark.parametrize("mode", radio.MODES)
+    def test_associate_on_a_dense_draw(self, mode, antenna):
+        # a Poisson draw of 16 MBSs: the interference sums take numpy's
+        # eight-accumulator order, and the MBS ranking has many rows to order
+        scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 5, n_mbs=16.0)
+        assert scn.n_mbs >= 9
+        snap = associate(scn, POSITION_GRID, mode, OHPLM, antenna)
+        for iy, ix in [(0, 0), (1, 1), (1, 2), (2, 3), (0, 3)]:
+            servers, sirs, rates = oracle_association(scn, POSITION_GRID[iy, ix], mode, OHPLM,
+                                                      antenna)
+            assert np.array_equal(snap.server[iy, ix], servers)
+            assert np.array_equal(snap.sir[iy, ix], sirs)
+            assert np.array_equal(snap.rate[iy, ix], rates)
 
     def test_empty_ue_set(self):
         scn = make_scenario([[100.0, 100.0], [900.0, 900.0]], np.zeros((0, 2)))
@@ -786,8 +810,56 @@ def tied_powers(rng, n_mbs: int, layout: str):
     return [frozen(p) for p in powers]
 
 
+def ranked_powers(rng, n_mbs: int, layout: str):
+    """MBS powers then the UAV's, one slot for each case the MBS ranking must get right.
+
+    A slot is a UE column of the rows layout ((K,) MBS rows, an (n, K) UAV
+    block) and a position row of the columns layout ((n, 1) MBS columns, an
+    (n, K) UAV block). Slots: clean random powers; a lower-index MBS one ulp
+    and a few ulps below the top, and one just outside NEAR_TIE; exact ties;
+    every MBS at 0 (a column of nadir nulls); one MBS alone, whose total - p
+    is 0 (SIR inf); and two MBSs whose SIRs underflow to the same subnormal.
+    """
+    top = n_mbs - 1
+    below = rng.integers(0, top) if top else 0  # a lower index, where there is one
+
+    def clean():
+        return 10.0 ** rng.uniform(-12.0, -6.0, n_mbs)
+
+    # a mantissa just below 2 under a strong UAV: one ulp less power often rounds to
+    # the same SIR (the SIR's mantissa is near 1, so its ulp is relatively larger)
+    strong = 2.0 ** -17 * (2.0 - 2.0 ** -20)
+
+    def near(power):
+        col = clean()
+        col[top], col[below] = strong, power(strong)
+        return col
+
+    def tied():
+        col = clean()
+        col[rng.integers(0, n_mbs, 3)] = strong
+        return col
+
+    alone = np.zeros(n_mbs)
+    alone[top] = 1e-6
+    underflow = np.zeros(n_mbs)
+    underflow[:2] = (3e-300, 4e-300)[:n_mbs]
+    slots = [(clean(), 1e-8), (clean(), 1e-8),
+             (near(lambda p: np.nextafter(p, 0.0)), 1e-2),
+             (near(lambda p: p * (1.0 - 5 * 2.0 ** -53)), 1e-2),
+             (near(lambda p: p * (1.0 - 2.0 * radio.NEAR_TIE)), 1e-2),
+             (tied(), 1e-2), (np.zeros(n_mbs), 1e-8), (alone, 0.0), (underflow, 1e24)]
+    n = k = len(slots)
+    mbs = np.array([col for col, _ in slots]).T  # (M, slots)
+    scale = np.array([s for _, s in slots])
+    if layout == "rows":
+        return [frozen(row) for row in mbs] + [frozen(scale * rng.uniform(0.5, 2.0, (n, k)))]
+    return ([frozen(row[:, None]) for row in mbs]
+            + [frozen(scale[:, None] * rng.uniform(0.5, 2.0, (n, k)))])
+
+
 class TestBestSir:
-    """_best_sir's putmask running maximum has the bits of the copyto(where=) loop."""
+    """_best_sir, MBS ranking and putmask running maximum, has the bits of the copyto loop."""
 
     @pytest.mark.parametrize("n_mbs", [1, 2, 4, 7, 8, 9])
     @pytest.mark.parametrize("layout", ["rows", "columns"])
@@ -814,6 +886,39 @@ class TestBestSir:
         sir, index = radio._best_sir(powers)
         want_sir, want_index = best_sir(list(powers))
         assert np.array_equal(sir, want_sir) and np.array_equal(index, want_index)
+
+    @pytest.mark.parametrize("n_mbs", [1, 2, 8, 9, 16])
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    @pytest.mark.parametrize("prefix", ["all", "mbs"])
+    def test_mbs_ranking_matches_the_copyto_loop(self, n_mbs, layout, prefix):
+        powers = ranked_powers(np.random.default_rng(n_mbs), n_mbs, layout)
+        candidates = {"all": None, "mbs": n_mbs}[prefix]
+        sir, index = radio._best_sir(powers, candidates)
+        want_sir, want_index = best_sir(powers, candidates)
+        assert sir.shape == index.shape == want_sir.shape and index.dtype == np.intp
+        assert np.array_equal(sir, want_sir) and np.array_equal(index, want_index)
+
+    def test_near_ties_go_to_the_lower_index(self):
+        # one ulp below the top and in the subnormal range, MBSs tie on the rounded
+        # SIR at some positions, where the argmax alone would pick the stronger one
+        powers = ranked_powers(np.random.default_rng(9), 9, "rows")
+        _, index = radio._best_sir(powers, 9)
+        assert np.array_equal(index, best_sir(powers, 9)[1])
+        lower = index != np.argmax(np.stack(powers[:9]), axis=0)
+        assert np.any(lower[:, 2]) and np.any(lower[:, 8])
+        assert not np.any(lower[:, [0, 1, 3, 4, 5, 6, 7]])
+
+    @pytest.mark.parametrize("n_mbs", [2, 9])
+    def test_ranking_on_random_close_powers(self, n_mbs):
+        # every MBS within a few hundred ulps of the next: near ties in most columns
+        rng = np.random.default_rng(n_mbs)
+        base = 10.0 ** rng.uniform(-9.0, -6.0, 40)
+        mbs = base * (1.0 + rng.integers(-300, 300, (n_mbs, 40)) * 2.0 ** -53)
+        powers = [frozen(row) for row in mbs] + [frozen(10.0 ** rng.uniform(-9.0, -6.0, (7, 40)))]
+        for candidates in (None, n_mbs):
+            sir, index = radio._best_sir(powers, candidates)
+            want_sir, want_index = best_sir(powers, candidates)
+            assert np.array_equal(sir, want_sir) and np.array_equal(index, want_index)
 
 
 @UE_MODELS
