@@ -14,6 +14,6 @@ from .radio import (AssociationSnapshot, RewardMap, associate,
                     build_reward_maps, criterion_reward, max_sir_map,
                     relay_end_to_end_sir, stage_rates)
 from .scenario import Mission, PhysicalConfig, Scenario, generate_scenario
-from .smoothing import SmoothedTrajectory, evaluate_smoothed, smooth
+from .smoothing import SmoothedPaths, SmoothedTrajectory, evaluate_smoothed, smooth
 
 __version__ = "0.1.0"

@@ -33,7 +33,9 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # at 2.4-2.7 times that under tracemalloc. A one-realization run of the default mission at
 # cell_m 10 and 5 peaked at about 37 MiB plus 2.5 times it: below 0.7 GiB within the budget.
 LATTICE_BYTES = 256 * 2**20
-# Bezier smoothing of N stages (de Casteljau) holds two (N+1, 2, N+1) float64 blocks,
+# Bezier smoothing (de Casteljau) evaluates curves in chunks. A chunk within the floor holds
+# at most smoothing.CHUNK_ELEMENTS (level, sample) elements, 2 MiB in its four blocks; a
+# curve of N stages above it is a chunk of its own, with two (N+1, N+1, 2) float64 blocks,
 # the levels and their t-scaled copies, so the estimate counts an (N, N+1, 2) block four
 # times. One-realization runs of the default mission at 1000 and 2000 stages peaked 31
 # and 123 MiB above the 30-stage run, 2.0 times that block: the factor over-counts.

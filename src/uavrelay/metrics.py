@@ -147,13 +147,16 @@ def scenario_for(cfg: RunConfig, n_mbs: float, j: int) -> Scenario:
 
 
 def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
-    """Yield (combination, grid, reward maps, runs) per cfg.combinations() item.
+    """Yield (combination, grid, reward maps, runs, smoothed) per cfg.combinations() item.
 
     runs holds (T, criterion, trajectory, smoothed curve, violation count) in
     solve order: criterion first, then T. The maps serve every duration: nodes
     are static and the durations share the grid geometry. So does one backward
     DP pass per map, to the longest duration: the value-to-go with r stages
     left does not depend on T, and each duration backtracks from the same policy.
+    Every trajectory of the combination is solved first, and then one
+    smoothing.smooth call smooths them all: smoothed is its SmoothedPaths, whose
+    curves are the runs' smoothed curves, in the same order.
     """
     t_values = tuple(t_values)
     v_max = scn.config.v_max
@@ -166,18 +169,20 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     for combination in cfg.combinations():
         _, _, mode, uav_ue, antenna = combination
         maps = radio.build_reward_maps(scn, cfg.criteria, mode, uav_ue, antenna, grid)
-        runs = []
+        solved = []
         for criterion in cfg.criteria:
             backward = backward_pass(maps[criterion].rewards, grid, actions, n_max)
             for t, grid_t in zip(t_values, grids):
                 traj = solve_dp(maps[criterion], grid_t, actions, stage_dt=stage_dt,
                                 backward=backward)
-                violations = len(check_trajectory(traj, grid_t, actions, v_max))
-                sm = smoothing.smooth(traj, v_max=v_max)
-                runs.append((t, criterion, traj, sm, violations + len(sm.speed_violations)))
+                solved.append((t, criterion, traj,
+                               len(check_trajectory(traj, grid_t, actions, v_max))))
             # freed before the next pass: peak memory is one longest-duration policy
             del backward
-        yield combination, grid, maps, runs
+        smoothed = smoothing.smooth([traj for _, _, traj, _ in solved], v_max=v_max)
+        runs = [(t, criterion, traj, sm, violations + len(sm.speed_violations))
+                for (t, criterion, traj, violations), sm in zip(solved, smoothed, strict=True)]
+        yield combination, grid, maps, runs, smoothed
 
 
 def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
@@ -189,7 +194,7 @@ def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
     pool. max_sir_maps caches the SIR maps of scn by (uav_ue_model, antenna):
     the SIR probe depends on the links and antennas, not the mode.
     """
-    (model_name, antenna_name, mode, uav_ue, antenna), grid, maps, runs = plan
+    (model_name, antenna_name, mode, uav_ue, antenna), grid, maps, runs, _ = plan
     key = model_name, antenna_name
     if key not in max_sir_maps:
         max_sir_maps[key] = radio.max_sir_map(scn, uav_ue, antenna, grid)
@@ -223,12 +228,11 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
     showcase = None if showcase_t is None else []
     max_sir_maps: dict = {}
     for plan in plan_combinations(cfg, scn, t_values):
-        (model_name, antenna_name, mode, uav_ue, antenna), _, maps, runs = plan
+        (model_name, antenna_name, mode, uav_ue, antenna), _, maps, runs, smoothed = plan
         if showcase is not None:
             showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
         # one association batch over the smoothed samples of every (T, criterion)
-        sm_rates = smoothing.evaluate_smoothed([sm for _, _, _, sm, _ in runs], scn, mode,
-                                               uav_ue, antenna)
+        sm_rates = smoothing.evaluate_smoothed(smoothed, scn, mode, uav_ue, antenna)
         for (t, criterion, traj, _, viol), smoothed_rates in zip(runs, sm_rates, strict=True):
             violations += viol
             # trajectory positions are cell centres: gather the map's rates

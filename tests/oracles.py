@@ -126,10 +126,10 @@ class BezierCurve:
             raise ValueError("a Bezier curve needs at least 2 control points")
 
     def point(self, t: float) -> np.ndarray:
-        return de_casteljau(self.control, t)
+        return de_casteljau([self.control], [t]).reshape(np.shape(t) + (2,))
 
     def points(self, ts) -> np.ndarray:
-        return de_casteljau(self.control, ts)
+        return de_casteljau([self.control], [ts]).reshape(np.shape(ts) + (2,))
 
 
 @dataclass(frozen=True)

@@ -962,7 +962,7 @@ def reference_showcase(cfg, out_dir):
             traj = solve_dp(maps[criterion], grid, actions, stage_dt=mission.stage_dt)
             traj.to_csv(out_dir / f"trajectory_{tag}.csv")
             traj.to_json(out_dir / f"trajectory_{tag}.json")
-            smooth(traj, v_max=physical.v_max).to_csv(out_dir / f"smoothed_{tag}.csv")
+            smooth([traj], v_max=physical.v_max)[0].to_csv(out_dir / f"smoothed_{tag}.csv")
     return scn
 
 

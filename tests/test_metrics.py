@@ -110,11 +110,27 @@ def test_one_backward_pass_per_map_serves_every_duration(monkeypatch):
     monkeypatch.setattr(metrics, "backward_pass", counted)
     plans = list(plan_combinations(cfg, scenario_for(cfg, 4.0, 0), cfg.sweep_t))
     assert passes == [30] * 4  # 2 modes x 2 criteria, each to 240 s of 8-s stages
-    for _, _, _, runs in plans:
+    for _, _, _, runs, _ in plans:
         # solve order: each criterion's pass serves every duration before the next pass
         assert [(t, c) for t, c, *_ in runs] == [(t, c) for c in cfg.criteria
                                                  for t in cfg.sweep_t]
         assert [traj.n_stages for _, _, traj, _, _ in runs] == [30, 10, 20, 30, 10, 20]
+
+
+def test_one_smooth_call_per_realization_and_combination(monkeypatch):
+    cfg = replace(SMALL, criteria=("pf", "sum_rate"), modes=("relay",),
+                  antenna_modes=("omni", "dipole"), realizations=2)
+    calls = []
+    smooth = metrics.smoothing.smooth
+
+    def counted(trajs, v_max=None):
+        calls.append(len(trajs))
+        return smooth(trajs, v_max=v_max)
+
+    monkeypatch.setattr(metrics.smoothing, "smooth", counted)
+    monte_carlo_sweep(cfg)
+    # 2 realizations x 2 antennas, each call smoothing 2 criteria x 2 durations
+    assert calls == [4] * 4
 
 
 class TestSweep:

@@ -1,15 +1,17 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from uavrelay import radio
+from uavrelay import radio, smoothing
 from uavrelay.antenna import Omni
+from uavrelay.config import LATTICE_BYTES
 from uavrelay.pathloss import OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
-from uavrelay.smoothing import de_casteljau, evaluate_smoothed, smooth
+from uavrelay.smoothing import bezier_chunks, de_casteljau, evaluate_smoothed, smooth
 
 from oracles import BezierCurve, bernstein
 
@@ -95,7 +97,7 @@ class TestDeCasteljau:
         samples = np.arange(degree + 1) / degree
         for t in (0.0, 1.0, float(rng.uniform()), samples,
                   rng.uniform(size=(3, 4)), rng.uniform(size=(0,))):
-            got = de_casteljau(control, t)
+            got = de_casteljau([control], [t]).reshape(np.shape(t) + (2,))
             want = de_casteljau_by_levels(control, t)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -107,12 +109,73 @@ class TestDeCasteljau:
             start = rng.integers(0, 13, 2)
             cells = start + np.cumsum(steps[rng.integers(0, 9, rng.integers(1, 60))], axis=0)
             control = 100.0 * np.vstack([start, cells]) + 50.0
-            assert np.array_equal(de_casteljau(control, [0.0, 1.0]), control[[0, -1]])
+            assert np.array_equal(de_casteljau([control], [[0.0, 1.0]]), control[[0, -1]])
 
     def test_result_owns_its_memory(self):
         control = np.random.default_rng(4).uniform(size=(41, 2))
-        got = de_casteljau(control, np.linspace(0, 1, 41))
+        got = de_casteljau([control], [np.linspace(0, 1, 41)])
         assert got.base is None and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_batch_equals_the_level_by_level_oracle(self, seed):
+        """Mixed degrees 1-60 (and 300), repeats, empty parameter arrays; each
+        parametrized single-degree case above is a batch of one."""
+        rng = np.random.default_rng(seed)
+        degrees = [int(n) for n in rng.integers(1, 61, rng.integers(1, 9))]
+        degrees += degrees[:rng.integers(0, 3)]  # repeated degrees
+        if seed % 6 == 0:
+            degrees.append(300)
+        rng.shuffle(degrees)
+        controls = [rng.uniform(-500, 1500, size=(n + 1, 2)) for n in degrees]
+        params = [np.arange(n + 1) / n if rng.uniform() < 0.5
+                  else rng.uniform(size=rng.integers(0, 40)) for n in degrees]
+        params[rng.integers(len(params))] = rng.uniform(size=(0,))
+        got = de_casteljau(controls, params)
+        want = np.concatenate([de_casteljau_by_levels(c, t) for c, t in zip(controls, params)])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_one_control_point_is_a_constant_curve(self):
+        control = np.array([[3.0, -4.0]])
+        line = np.array([[0.0, 0.0], [1.0, 2.0]])
+        got = de_casteljau([control, line], [[0.0, 0.5, 1.0], [0.5]])
+        assert np.array_equal(got, [[3.0, -4.0]] * 3 + [[0.5, 1.0]])
+        with pytest.raises(ValueError, match="control point"):
+            de_casteljau([np.empty((0, 2))], [[0.5]])
+
+
+def random_walk_controls(rng, degrees):
+    return [100.0 * np.cumsum(rng.integers(-1, 2, size=(n + 1, 2)), axis=0) for n in degrees]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("floor", [0, 10**12])
+    def test_floor_does_not_move_the_bits(self, monkeypatch, floor):
+        """Every curve alone, with t broadcast, or one chunk, with t written out."""
+        rng = np.random.default_rng(23)
+        degrees = [10, 15, 20, 30, 40, 40, 7, 150]
+        controls = random_walk_controls(rng, degrees)
+        params = [np.arange(n + 1) / n for n in degrees]
+        want = de_casteljau(controls, params)
+        monkeypatch.setattr(smoothing, "CHUNK_ELEMENTS", floor)
+        chunks = bezier_chunks([n + 1 for n in degrees], [n + 1 for n in degrees])
+        assert len(chunks) == (len(degrees) if floor == 0 else 1)
+        assert np.array_equal(de_casteljau(controls, params), want)
+
+    def test_curves_are_chunked_greedily_longest_first(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "CHUNK_ELEMENTS", 2**14)
+        # fig7's five durations fit one chunk: 41 x 120 = 4920 elements
+        assert bezier_chunks([11, 16, 21, 31, 41], [11, 16, 21, 31, 41]) == [[4, 3, 2, 1, 0]]
+        # 201 x 201 elements exceed the floor: that curve is a chunk of its own
+        assert bezier_chunks([11, 201, 41], [11, 201, 41]) == [[1], [2, 0]]
+        # 81 x 162 elements fit, 81 x 203 do not; equal lengths keep their order
+        assert bezier_chunks([81, 41, 81], [81, 41, 81]) == [[0, 2], [1]]
+
+    def test_a_chunk_fits_the_bezier_budget_of_validate(self):
+        # a chunk within the floor holds four (levels, samples, 2) float64 blocks: the
+        # points, their t-scaled copies, t and 1 - t; a longer curve is a chunk of its
+        # own, with two blocks, which validate's per-duration estimate bounds
+        assert 4 * 2 * 8 * smoothing.CHUNK_ELEMENTS <= LATTICE_BYTES
 
 
 def lattice_trajectory(cells, criterion="pf", stage_dt=8.0):
@@ -133,7 +196,7 @@ def lattice_trajectory(cells, criterion="pf", stage_dt=8.0):
 class TestSmooth:
     def test_collinear_waypoints_stay_on_segment(self):
         cells = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
-        sm = smooth(lattice_trajectory(cells), v_max=17.7)
+        [sm] = smooth([lattice_trajectory(cells)], v_max=17.7)
         assert np.allclose(sm.positions, lattice_trajectory(cells).positions,
                            atol=1e-9)
         assert sm.speed_violations == []
@@ -141,7 +204,7 @@ class TestSmooth:
     def test_right_angle_corner_is_cut(self):
         cells = [(1, 1), (2, 1), (2, 2)]
         traj = lattice_trajectory(cells)
-        sm = smooth(traj, v_max=17.7)
+        [sm] = smooth([traj], v_max=17.7)
         mid = sm.positions[1]
         corner = traj.positions[1]
         assert np.linalg.norm(mid - corner) > 1.0  # pulled inside the corner
@@ -155,10 +218,10 @@ class TestSmooth:
             dx, dy = rng.integers(-1, 2, size=2)
             cells.append((cells[-1][0] + int(dx), cells[-1][1] + int(dy)))
         traj = lattice_trajectory(cells)
-        sm = smooth(traj)
+        [sm] = smooth([traj])
         shifted = lattice_trajectory(cells)
         shifted.positions = shifted.positions + np.array([250.0, -125.0])
-        sm2 = smooth(shifted)
+        [sm2] = smooth([shifted])
         assert np.allclose(sm2.positions, sm.positions + np.array([250.0, -125.0]),
                            atol=1e-9)
 
@@ -167,16 +230,54 @@ class TestSmooth:
         grid = StateGrid.from_mission(Mission())
         rm = radio.build_reward_maps(scn, ("pf",), "standalone", OHPLM, OMNI, grid)["pf"]
         traj = solve_dp(rm, grid, ACTIONS)
-        sm = smooth(traj, v_max=17.7)
+        [sm] = smooth([traj], v_max=17.7)
         assert sm.positions.shape[0] == traj.positions.shape[0]
         assert np.all(sm.speeds <= 17.7 + 1e-9)
         assert sm.speed_violations == []
+
+    @pytest.mark.parametrize("v_max", [None, 17.7, 9.0])
+    def test_batch_equals_smoothing_each_trajectory_alone(self, v_max):
+        rng = np.random.default_rng(41)
+        steps = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+        trajs = []
+        for n in (5, 30, 12, 30, 1, 40, 12):
+            start = rng.integers(0, 13, 2)
+            cells = start + np.cumsum(steps[rng.integers(0, 9, n)], axis=0)
+            cells = [tuple(int(v) for v in c) for c in np.vstack([start, cells])]
+            trajs.append(lattice_trajectory(cells, stage_dt=float(rng.choice([4.0, 8.0]))))
+        paths = smooth(trajs, v_max=v_max)
+        assert len(paths) == len(trajs)
+        assert np.array_equal(paths.positions, np.concatenate([sm.positions for sm in paths]))
+        for traj, sm in zip(trajs, paths):
+            # the per-trajectory pipeline: its own curve, speeds and audit
+            n = traj.positions.shape[0] - 1
+            positions = de_casteljau_by_levels(traj.positions, np.arange(n + 1) / n)
+            dx, dy = np.diff(positions, axis=0).T
+            speeds = np.sqrt(dx * dx + dy * dy) / traj.stage_dt
+            violations = ([] if v_max is None
+                          else [int(j) for j in np.nonzero(speeds > v_max + 1e-9)[0]])
+            assert np.array_equal(sm.positions, positions)
+            assert np.array_equal(sm.speeds, speeds)
+            assert sm.speed_violations == violations
+            assert sm.stage_dt == traj.stage_dt
+            [alone] = smooth([traj], v_max=v_max)
+            assert np.array_equal(alone.positions, positions)
+        if v_max == 9.0:
+            assert any(sm.speed_violations for sm in paths)
+
+    def test_paths_survive_pickling(self):
+        paths = smooth([lattice_trajectory([(1, 1), (2, 1), (2, 2)]),
+                        lattice_trajectory([(3, 3), (4, 4)])], v_max=17.7)
+        back = pickle.loads(pickle.dumps(paths))
+        assert type(back) is type(paths) and len(back) == 2
+        assert np.array_equal(back.positions, paths.positions)
+        assert [sm.speed_violations for sm in back] == [sm.speed_violations for sm in paths]
 
     def test_rejects_single_waypoint(self):
         traj = lattice_trajectory([(1, 1), (2, 2)])
         traj.positions = traj.positions[:1]
         with pytest.raises(ValueError):
-            smooth(traj)
+            smooth([traj])
 
 
 class TestEvaluateSmoothed:
@@ -184,8 +285,8 @@ class TestEvaluateSmoothed:
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 4)
         cells = [(5, 5)] * 7
         traj = lattice_trajectory(cells)
-        sm = smooth(traj, v_max=17.7)
-        [rates] = evaluate_smoothed([sm], scn, "standalone", OHPLM, OMNI)
+        paths = smooth([traj], v_max=17.7)
+        [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
         rewards = radio.criterion_reward(rates, "pf")
         disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
         assert np.array_equal(rates, disc)
@@ -195,20 +296,22 @@ class TestEvaluateSmoothed:
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 5)
         cells = [(1 + i, 1 + i) for i in range(6)]
         traj = lattice_trajectory(cells)
-        sm = smooth(traj, v_max=17.7)
+        paths = smooth([traj], v_max=17.7)
+        [sm] = paths
         # uniformly spaced collinear control points sample back to the waypoints
         assert np.allclose(sm.positions, traj.positions, atol=1e-9)
-        [rates] = evaluate_smoothed([sm], scn, "standalone", OHPLM, OMNI)
+        [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
         disc = radio.stage_rates(sm.positions[:-1], scn, "standalone", OHPLM, OMNI)
         assert np.allclose(rates, disc, rtol=1e-12)
 
     def test_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
         traj = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
-        sm = smooth(traj)
-        sm.positions = sm.positions + 5000.0
+        # smoothing is affine-invariant: the shifted path's curve is the curve shifted
+        traj.positions = traj.positions + 5000.0
+        sm = smooth([traj])
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed([sm], scn, "standalone", OHPLM, OMNI)
+            evaluate_smoothed(sm, scn, "standalone", OHPLM, OMNI)
 
     @pytest.mark.parametrize("mode", radio.MODES)
     def test_batch_equals_per_trajectory_stage_rates(self, mode):
@@ -216,27 +319,43 @@ class TestEvaluateSmoothed:
         grid = StateGrid.from_mission(Mission())
         rm = radio.build_reward_maps(scn, ("pf",), mode, OHPLM, OMNI, grid)["pf"]
         # horizons of different lengths, as the sweep batches its durations
-        smoothed = [smooth(solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)),
-                                    ACTIONS), v_max=17.7)
-                    for t in (160.0, 240.0, 200.0)]
+        smoothed = smooth([solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)),
+                                    ACTIONS) for t in (160.0, 240.0, 200.0)], v_max=17.7)
         batch = evaluate_smoothed(smoothed, scn, mode, OHPLM, OMNI)
         assert len(batch) == len(smoothed)
         for sm, rates in zip(smoothed, batch):
             single = radio.stage_rates(sm.positions[:-1], scn, mode, OHPLM, OMNI)
             assert np.array_equal(rates, single)
 
+    def test_one_area_check_and_one_stage_rates_call(self, monkeypatch):
+        scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 7)
+        paths = smooth([lattice_trajectory([(1, 1), (2, 2), (3, 3)]),
+                        lattice_trajectory([(5, 5)] * 4)])
+        checked, evaluated = [], []
+        rect_contains, stage_rates = smoothing.rect_contains, radio.stage_rates
+        monkeypatch.setattr(smoothing, "rect_contains",
+                            lambda rect, xy: checked.append(xy) or rect_contains(rect, xy))
+        monkeypatch.setattr(radio, "stage_rates",
+                            lambda xy, *a: evaluated.append(xy) or stage_rates(xy, *a))
+        rates = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        # the stacked samples themselves, not a per-curve concatenate of them
+        assert len(checked) == 1 and checked[0] is paths.positions
+        [starts] = evaluated
+        assert np.array_equal(starts, np.vstack([sm.positions[:-1] for sm in paths]))
+        assert [len(r) for r in rates] == [2, 3]
+
     def test_any_trajectory_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
-        inside = smooth(lattice_trajectory([(1, 1), (2, 2), (3, 3)]))
-        outside = smooth(lattice_trajectory([(1, 1), (2, 2), (3, 3)]))
+        inside = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
+        outside = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
         outside.positions = outside.positions + 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed([inside, outside], scn, "standalone", OHPLM, OMNI)
+            evaluate_smoothed(smooth([inside, outside]), scn, "standalone", OHPLM, OMNI)
 
 
 def test_smoothed_csv(tmp_path):
     traj = lattice_trajectory([(1, 1), (2, 1), (2, 2), (3, 3)])
-    sm = smooth(traj, v_max=17.7)
+    [sm] = smooth([traj], v_max=17.7)
     path = tmp_path / "smooth.csv"
     sm.to_csv(path)
     lines = path.read_text().splitlines()
