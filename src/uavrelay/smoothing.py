@@ -48,10 +48,6 @@ def _interpolate(controls: list[np.ndarray], params: list[np.ndarray]) -> np.nda
     block's rows 0..n are copied out with the curve's control points beside
     them, so no level is computed for a curve that lacks it.
     """
-    # written out, t and 1 - t make each level's operands one contiguous run, which numpy
-    # walks in one inner loop instead of one per row; a curve longer than a chunk has long
-    # rows, and keeps them broadcast so that its memory stays two blocks
-    written_out = len(controls[0]) * sum(x.size for x in params) <= CHUNK_ELEMENTS
     pts = np.empty((len(controls[0]), 0, 2))
     t = np.empty(0)
     joined = 0
@@ -67,10 +63,10 @@ def _interpolate(controls: list[np.ndarray], params: list[np.ndarray]) -> np.nda
             pts, t = np.concatenate(parts, axis=1), np.concatenate(ts)
             rows = pts.reshape(k + 1, -1)
             scaled = np.empty_like(rows[1:])
-            t_rows = np.broadcast_to(t, scaled.shape)
-            u_rows = np.broadcast_to(1.0 - t, scaled.shape)
-            if written_out:
-                t_rows, u_rows = t_rows.copy(), u_rows.copy()
+            # written out, t and 1 - t make each level's operands one contiguous run,
+            # which numpy walks in one inner loop instead of one per row
+            t_rows = np.broadcast_to(t, scaled.shape).copy()
+            u_rows = np.broadcast_to(1.0 - t, scaled.shape).copy()
         if k:
             p = rows[:k]
             np.multiply(t_rows[:k], rows[1:k + 1], out=scaled[:k])
@@ -102,14 +98,15 @@ def de_casteljau(controls: Sequence, params: Sequence) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SmoothedTrajectory:
     """A DP path smoothed by one global Bezier of the same degree.
 
     Curve parameter maps linearly to mission time, so clusters of hover
     waypoints compress arc length and the UAV slows down near them. Samples
     are taken at the N+1 stage times; speeds implied between samples are
-    reported (speed_violations) but never repaired here.
+    reported (speed_violations) but never repaired here. Frozen: positions and
+    speeds are views of the SmoothedPaths that evaluate_smoothed reads.
     """
 
     positions: np.ndarray      # (N+1, 2) meters
@@ -127,17 +124,15 @@ class SmoothedTrajectory:
 class SmoothedPaths(tuple):
     """The SmoothedTrajectory of each trajectory of one smooth call, in order.
 
-    positions stacks every curve's samples in that order, (S, 2); each curve's
-    positions and speeds are views of the stacked arrays.
+    positions stacks every curve's samples in that order, (S, 2), and curve i
+    ends just before stacked sample ends[i]; each curve's positions and speeds
+    are views of the stacked arrays.
     """
 
-    def __new__(cls, curves, positions: np.ndarray):
+    def __new__(cls, curves, positions: np.ndarray, ends: np.ndarray):
         paths = super().__new__(cls, curves)
-        paths.positions = positions
+        paths.positions, paths.ends = positions, ends
         return paths
-
-    def __getnewargs__(self):
-        return tuple(self), self.positions
 
 
 def smooth(trajs: Sequence[Trajectory], v_max: float | None = None) -> SmoothedPaths:
@@ -169,7 +164,7 @@ def smooth(trajs: Sequence[Trajectory], v_max: float | None = None) -> SmoothedP
         [SmoothedTrajectory(positions=positions[end - n:end], speeds=speeds[end - n:end - 1],
                             speed_violations=viol, stage_dt=traj.stage_dt)
          for traj, n, end, viol in zip(trajs, sizes, ends, violations)],
-        positions)
+        positions, ends)
 
 
 def evaluate_smoothed(smoothed: SmoothedPaths, scn: Scenario, mode: str,
@@ -183,7 +178,7 @@ def evaluate_smoothed(smoothed: SmoothedPaths, scn: Scenario, mode: str,
     """
     if not rect_contains(scn.mission.area_uav, smoothed.positions):
         raise ValueError("smoothed trajectory leaves the flight area")
-    ends = np.cumsum([len(sm.positions) for sm in smoothed])
+    ends = smoothed.ends
     # a curve's last sample starts no stage
     starts = np.delete(smoothed.positions, ends - 1, axis=0)
     rates = radio.stage_rates(starts, scn, mode, uav_ue, antenna)

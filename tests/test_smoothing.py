@@ -1,5 +1,6 @@
+import dataclasses
 import math
-import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.spatial import Delaunay
 
 from uavrelay import radio, smoothing
 from uavrelay.antenna import Omni
-from uavrelay.config import LATTICE_BYTES
+from uavrelay.config import BEZIER_BLOCK_FACTOR
 from uavrelay.pathloss import OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
@@ -151,7 +152,7 @@ def random_walk_controls(rng, degrees):
 class TestChunks:
     @pytest.mark.parametrize("floor", [0, 10**12])
     def test_floor_does_not_move_the_bits(self, monkeypatch, floor):
-        """Every curve alone, with t broadcast, or one chunk, with t written out."""
+        """Every curve alone, or all in one chunk."""
         rng = np.random.default_rng(23)
         degrees = [10, 15, 20, 30, 40, 40, 7, 150]
         controls = random_walk_controls(rng, degrees)
@@ -171,11 +172,21 @@ class TestChunks:
         # 81 x 162 elements fit, 81 x 203 do not; equal lengths keep their order
         assert bezier_chunks([81, 41, 81], [81, 41, 81]) == [[0, 2], [1]]
 
-    def test_a_chunk_fits_the_bezier_budget_of_validate(self):
-        # a chunk within the floor holds four (levels, samples, 2) float64 blocks: the
-        # points, their t-scaled copies, t and 1 - t; a longer curve is a chunk of its
-        # own, with two blocks, which validate's per-duration estimate bounds
-        assert 4 * 2 * 8 * smoothing.CHUNK_ELEMENTS <= LATTICE_BYTES
+    @pytest.mark.parametrize("stages", [180, 400])
+    def test_a_lone_curve_peaks_at_the_bezier_estimate_of_validate(self, stages):
+        """180 stages fill a chunk (181 x 181 elements), 400 are a chunk of their own."""
+        control = random_walk_controls(np.random.default_rng(stages), [stages])
+        params = [np.arange(stages + 1) / stages]
+        tracemalloc.start()
+        try:
+            de_casteljau(control, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four blocks (the points, their t-scaled copies, t and 1 - t), which validate
+        # counts as (N, N+1, 2) each, plus a few (N+1, 2) rows: the output, t, controls
+        row = 16 * (stages + 1)
+        assert peak <= BEZIER_BLOCK_FACTOR * stages * row + 16 * row
 
 
 def lattice_trajectory(cells, criterion="pf", stage_dt=8.0):
@@ -265,13 +276,14 @@ class TestSmooth:
         if v_max == 9.0:
             assert any(sm.speed_violations for sm in paths)
 
-    def test_paths_survive_pickling(self):
+    def test_curves_are_views_of_the_stacked_samples(self):
         paths = smooth([lattice_trajectory([(1, 1), (2, 1), (2, 2)]),
                         lattice_trajectory([(3, 3), (4, 4)])], v_max=17.7)
-        back = pickle.loads(pickle.dumps(paths))
-        assert type(back) is type(paths) and len(back) == 2
-        assert np.array_equal(back.positions, paths.positions)
-        assert [sm.speed_violations for sm in back] == [sm.speed_violations for sm in paths]
+        assert np.array_equal(paths.ends, [3, 5])
+        assert all(np.shares_memory(sm.positions, paths.positions) for sm in paths)
+        # a curve's samples cannot be rebound away from the stacked block
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            paths[0].positions = paths[0].positions + 1.0
 
     def test_rejects_single_waypoint(self):
         traj = lattice_trajectory([(1, 1), (2, 2)])
@@ -306,10 +318,8 @@ class TestEvaluateSmoothed:
 
     def test_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
-        traj = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
-        # smoothing is affine-invariant: the shifted path's curve is the curve shifted
-        traj.positions = traj.positions + 5000.0
-        sm = smooth([traj])
+        sm = smooth([lattice_trajectory([(1, 1), (2, 2), (3, 3)])])
+        sm.positions += 5000.0
         with pytest.raises(ValueError, match="flight area"):
             evaluate_smoothed(sm, scn, "standalone", OHPLM, OMNI)
 
@@ -346,11 +356,11 @@ class TestEvaluateSmoothed:
 
     def test_any_trajectory_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
-        inside = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
-        outside = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
-        outside.positions = outside.positions + 5000.0
+        paths = smooth([lattice_trajectory([(1, 1), (2, 2), (3, 3)])] * 2)
+        # the second curve only; it is a view of the stacked samples
+        paths[1].positions[:] += 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed(smooth([inside, outside]), scn, "standalone", OHPLM, OMNI)
+            evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
 
 
 def test_smoothed_csv(tmp_path):
