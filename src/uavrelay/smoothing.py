@@ -46,7 +46,10 @@ def _interpolate(controls: list[np.ndarray], params: list[np.ndarray]) -> np.nda
     samples, 2) block, interpolated in place level by level from the longest
     curve's degree down. A curve of degree n joins the block at level n: the
     block's rows 0..n are copied out with the curve's control points beside
-    them, so no level is computed for a curve that lacks it.
+    them, so no level is computed for a curve that lacks it. Each level walks
+    its rows in bands of at most CHUNK_ELEMENTS (level, sample) elements,
+    from row 0 up, so a band reads the next band's first row before it is
+    overwritten; a chunk within the floor is one band per level.
     """
     pts = np.empty((len(controls[0]), 0, 2))
     t = np.empty(0)
@@ -62,16 +65,19 @@ def _interpolate(controls: list[np.ndarray], params: list[np.ndarray]) -> np.nda
                 joined += 1
             pts, t = np.concatenate(parts, axis=1), np.concatenate(ts)
             rows = pts.reshape(k + 1, -1)
-            scaled = np.empty_like(rows[1:])
-            # written out, t and 1 - t make each level's operands one contiguous run,
-            # which numpy walks in one inner loop instead of one per row
-            t_rows = np.broadcast_to(t, scaled.shape).copy()
-            u_rows = np.broadcast_to(1.0 - t, scaled.shape).copy()
-        if k:
-            p = rows[:k]
-            np.multiply(t_rows[:k], rows[1:k + 1], out=scaled[:k])
-            np.multiply(p, u_rows[:k], out=p)
-            np.add(p, scaled[:k], out=p)
+            band = max(1, min(k, CHUNK_ELEMENTS // max(pts.shape[1], 1)))
+            # written out, t and 1 - t make each band's operands one contiguous run, which
+            # numpy walks in one inner loop instead of one per row; a band of a long
+            # curve stays in cache where a written-out block would not
+            t_band = np.broadcast_to(t, (band, t.size)).copy()
+            u_band = np.broadcast_to(1.0 - t, (band, t.size)).copy()
+            scaled = np.empty_like(t_band)
+        for r in range(0, k, band):
+            n = min(band, k - r)
+            p = rows[r:r + n]
+            np.multiply(t_band[:n], rows[r + 1:r + n + 1], out=scaled[:n])
+            np.multiply(p, u_band[:n], out=p)
+            np.add(p, scaled[:n], out=p)
     return pts[0]
 
 

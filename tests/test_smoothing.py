@@ -8,7 +8,6 @@ from scipy.spatial import Delaunay
 
 from uavrelay import radio, smoothing
 from uavrelay.antenna import Omni
-from uavrelay.config import BEZIER_BLOCK_FACTOR
 from uavrelay.pathloss import OhplmModel
 from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.scenario import Mission, PhysicalConfig, generate_scenario
@@ -152,7 +151,7 @@ def random_walk_controls(rng, degrees):
 class TestChunks:
     @pytest.mark.parametrize("floor", [0, 10**12])
     def test_floor_does_not_move_the_bits(self, monkeypatch, floor):
-        """Every curve alone, or all in one chunk."""
+        """Every curve alone, walked in one-row bands, or all in one chunk."""
         rng = np.random.default_rng(23)
         degrees = [10, 15, 20, 30, 40, 40, 7, 150]
         controls = random_walk_controls(rng, degrees)
@@ -173,8 +172,9 @@ class TestChunks:
         assert bezier_chunks([81, 41, 81], [81, 41, 81]) == [[0, 2], [1]]
 
     @pytest.mark.parametrize("stages", [180, 400])
-    def test_a_lone_curve_peaks_at_the_bezier_estimate_of_validate(self, stages):
-        """180 stages fill a chunk (181 x 181 elements), 400 are a chunk of their own."""
+    def test_a_lone_curve_holds_one_block_and_three_bands(self, stages):
+        """180 stages fill a chunk (181 x 181 elements), one band per level; 400 are
+        a chunk of their own, walked in bands of 81 rows."""
         control = random_walk_controls(np.random.default_rng(stages), [stages])
         params = [np.arange(stages + 1) / stages]
         tracemalloc.start()
@@ -183,10 +183,11 @@ class TestChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # four blocks (the points, their t-scaled copies, t and 1 - t), which validate
-        # counts as (N, N+1, 2) each, plus a few (N+1, 2) rows: the output, t, controls
+        # the (N+1, N+1, 2) float64 block of levels, then t, 1 - t and the t-scaled
+        # rows as bands, plus a few (N+1, 2) rows: the output, t and the controls
         row = 16 * (stages + 1)
-        assert peak <= BEZIER_BLOCK_FACTOR * stages * row + 16 * row
+        band = min(stages, smoothing.CHUNK_ELEMENTS // (stages + 1))
+        assert peak <= (stages + 1) * row + 3 * band * row + 8 * row
 
 
 def lattice_trajectory(cells, criterion="pf", stage_dt=8.0):
