@@ -33,12 +33,13 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # at 2.4-2.7 times that under tracemalloc. A one-realization run of the default mission at
 # cell_m 10 and 5 peaked at about 37 MiB plus 2.5 times it: below 0.7 GiB within the budget.
 LATTICE_BYTES = 256 * 2**20
-# Bezier smoothing (de Casteljau) evaluates curves in chunks. A chunk within the floor holds
-# at most smoothing.CHUNK_ELEMENTS (level, sample) elements, 2 MiB in its four blocks; a
-# curve of N stages above it is a chunk of its own, with two (N+1, N+1, 2) float64 blocks,
-# the levels and their t-scaled copies, so the estimate counts an (N, N+1, 2) block four
-# times. One-realization runs of the default mission at 1000 and 2000 stages peaked 31
-# and 123 MiB above the 30-stage run, 2.0 times that block: the factor over-counts.
+# Bezier smoothing (de Casteljau) evaluates curves in chunks of at most
+# smoothing.CHUNK_ELEMENTS (level, sample) elements; a curve of N stages above that is a
+# chunk of its own. A chunk holds its (N+1, N+1, 2) float64 block of levels and three
+# bands (t, 1 - t and the t-scaled rows) of at most CHUNK_ELEMENTS elements, 0.5 MiB each.
+# The estimate counts an (N, N+1, 2) block four times, about four times a long curve's
+# memory; it stays that high because nothing else bounds de Casteljau's O(N^3) time, which
+# it keeps at 2047 stages. A chunk within the floor (2 MiB at most) is far below it.
 BEZIER_BLOCK_FACTOR = 4
 
 

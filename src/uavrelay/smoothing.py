@@ -14,7 +14,8 @@ from .scenario import Scenario, rect_contains
 
 # Curves share one de Casteljau block while it holds at most this many (level, sample)
 # elements: its first, longest curve's control points times the samples of all its curves.
-# A curve that alone holds more is a block of its own. On a 2-core Xeon (numpy 2.4.6), one
+# A curve that alone holds more is a block of its own, and every block is updated in bands
+# of at most this many elements per level. On a 2-core Xeon (numpy 2.4.6), one
 # block of two same-degree curves beat two blocks by 1.2-1.6x up to 29 k elements, by
 # 1.07x at 46 k, and lost (0.79x) at 81 k.
 CHUNK_ELEMENTS = 2**15
@@ -112,7 +113,8 @@ class SmoothedTrajectory:
     waypoints compress arc length and the UAV slows down near them. Samples
     are taken at the N+1 stage times; speeds implied between samples are
     reported (speed_violations) but never repaired here. Frozen: positions and
-    speeds are views of the SmoothedPaths that evaluate_smoothed reads.
+    speeds are views of its SmoothedPaths' stacked arrays, which
+    evaluate_smoothed reads.
     """
 
     positions: np.ndarray      # (N+1, 2) meters
