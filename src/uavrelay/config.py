@@ -15,7 +15,7 @@ from .antenna import CrossedDipole, Omni
 from .pathloss import (BuildingModel, FsplModel, MplmModel, OhplmModel,
                        OHPLM_FC_RANGE, ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
-from .radio import CRITERIA, MODES
+from .radio import CRITERIA, MODES, TILE_VALUES
 from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        log_mbs_shortfall_chance)
 
@@ -28,10 +28,9 @@ ANTENNA_MODES = ("omni", "dipole")
 # fail on that realization after computing everything before it.
 MBS_SHORTFALL_CHANCE = 1e-12
 # Byte budget of each lattice-sized array of a run: the DP policy of one duration (an int8
-# per cell and stage) and the grid association, at a calibrated 24 bytes per cell and node.
-# build_reward_maps on 121x121 cells, 100 UEs and 4 MBSs (fig2, fig5 and fig7 models) peaked
-# at 2.4-2.7 times that under tracemalloc. A one-realization run of the default mission at
-# cell_m 10 and 5 peaked at about 37 MiB plus 2.5 times it: below 0.7 GiB within the budget.
+# per cell and stage) and a combination's reward maps (a float64 per cell and criterion)
+# with the one association tile they are built from, at most 6 float64s per tile value
+# (see radio.TILE_VALUES).
 LATTICE_BYTES = 256 * 2**20
 # Bezier smoothing (de Casteljau) evaluates curves in chunks of at most
 # smoothing.CHUNK_ELEMENTS (level, sample) elements; a curve of N stages above that is a
@@ -271,7 +270,6 @@ class RunConfig:
                            f"{_over_budget(smoothing)}")
         # expected node counts: the Poisson means that generate_scenario draws from
         area = area_km2(self.mission.area_ue)
-        nodes = self.min_mbs  # largest expected count of one node class; a draw has min_mbs
         for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]
                              + [("showcase_n_mbs", self.showcase_n_mbs)]):
             if not n_mbs > 0:
@@ -281,7 +279,6 @@ class RunConfig:
                 out.append(f"{label}={n_mbs} exceeds the largest expected node "
                            f"count {MAX_POISSON_MEAN:g}")
                 continue
-            nodes = max(nodes, n_mbs)
             if log_mbs_shortfall_chance(n_mbs, self.min_mbs) > math.log(MBS_SHORTFALL_CHANCE):
                 out.append(f"{label}={n_mbs} is too small: all {MAX_MBS_REDRAWS + 1} draws "
                            f"of a scenario fall below min_mbs={self.min_mbs} with a chance "
@@ -289,12 +286,10 @@ class RunConfig:
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
             out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
-        else:
-            nodes = max(nodes, self.physical.lambda_ue * area)
-        association = cells * nodes * 24  # the calibrated unit of LATTICE_BYTES
-        if association > LATTICE_BYTES:
-            out.append(f"run.cell_m={self.cell_m}: the grid association over {grid.nx}x"
-                       f"{grid.ny} cells and {nodes:g} expected nodes {_over_budget(association)}")
+        maps = 8 * cells * len(self.criteria) + 48 * TILE_VALUES
+        if maps > LATTICE_BYTES:
+            out.append(f"run.cell_m={self.cell_m}: holding the reward maps over {grid.nx}x"
+                       f"{grid.ny} cells and {len(self.criteria)} criteria {_over_budget(maps)}")
         return out
 
     def to_json_dict(self) -> dict:

@@ -189,9 +189,8 @@ def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
     """One plan_combinations item's showcase at duration t: a (file tag, heat
     map, trajectory, smoothed curve) entry per criterion.
 
-    The heat map is the criterion's reward map with max_sir_map's map and
-    without per-UE rates, so entries are small enough to cross the process
-    pool. max_sir_maps caches the SIR maps of scn by (uav_ue_model, antenna):
+    The heat map is a copy of the criterion's reward map with max_sir_map's
+    map. max_sir_maps caches the SIR maps of scn by (uav_ue_model, antenna):
     the SIR probe depends on the links and antennas, not the mode.
     """
     (model_name, antenna_name, mode, uav_ue, antenna), grid, maps, runs, _ = plan
@@ -199,7 +198,7 @@ def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
     if key not in max_sir_maps:
         max_sir_maps[key] = radio.max_sir_map(scn, uav_ue, antenna, grid)
     return [(f"{criterion}_{mode}_{model_name}_{antenna_name}",
-             replace(maps[criterion], rates=None, max_sir_db=max_sir_maps[key]), traj, sm)
+             replace(maps[criterion], max_sir_db=max_sir_maps[key]), traj, sm)
             for run_t, criterion, traj, sm, _ in runs if run_t == t]
 
 
@@ -228,16 +227,14 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
     showcase = None if showcase_t is None else []
     max_sir_maps: dict = {}
     for plan in plan_combinations(cfg, scn, t_values):
-        (model_name, antenna_name, mode, uav_ue, antenna), _, maps, runs, smoothed = plan
+        (model_name, antenna_name, mode, uav_ue, antenna), _, _, runs, smoothed = plan
         if showcase is not None:
             showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
-        # one association batch over the smoothed samples of every (T, criterion)
-        sm_rates = smoothing.evaluate_smoothed(smoothed, scn, mode, uav_ue, antenna)
-        for (t, criterion, traj, _, viol), smoothed_rates in zip(runs, sm_rates, strict=True):
+        # one association batch evaluates every (T, criterion) both ways
+        evaluated = smoothing.evaluate_smoothed(smoothed, scn, mode, uav_ue, antenna)
+        for (t, criterion, _, _, viol), *both in zip(runs, *evaluated, strict=True):
             violations += viol
-            # trajectory positions are cell centres: gather the map's rates
-            disc_rates = maps[criterion].rates_at(traj.cells[:-1])
-            for evaluation, rates in (("discrete", disc_rates), ("smoothed", smoothed_rates)):
+            for evaluation, rates in zip(EVALUATIONS, both):
                 if scn.n_ue:
                     caps = time_averaged_capacity(rates, t)
                     sample = (float(caps.mean()),

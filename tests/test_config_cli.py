@@ -335,11 +335,11 @@ INVALID_VALUES = [
     # a lattice the grid path fits, but too fine for the memory of one run
     ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
      "T=8000.0s: the DP policy over 1201x1201 cells and 1000 stages takes 1376 MiB"),
-    ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
-     "the grid association over 1201x1201 cells and 100 expected nodes takes 3302 MiB"),
-    ({"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
-      "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}},
-     "run.cell_m=5.0: the grid association over 241x241 cells and 300 expected nodes"),
+    # one stage over a fine lattice: the reward maps, a float64 per cell and criterion
+    ({"mission": {"finish": [0, 0]}, "run": {"cell_m": 0.25, "criteria": list(CRITERIA)},
+      "sweep": {"t_values": [8]}, "showcase": {"t": 8}},
+     "run.cell_m=0.25: holding the reward maps over 4801x4801 cells and 3 criteria takes "
+     "531 MiB, above the lattice budget of 256 MiB"),
     # de Casteljau's (N, N+1, 2) block grows as the square of the stage count
     ({"sweep": {"t_values": [40000]}},
      "T=40000.0s: the Bezier smoothing of 5000 stages takes 1527 MiB, above the lattice "
@@ -402,6 +402,12 @@ class TestBadInputs:
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    def test_many_ues_over_a_fine_lattice_are_accepted(self):
+        # the grid is associated in tiles, so the UE count does not bound the lattice
+        fine = {"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
+                "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}}
+        assert from_json_dict({**MINIMAL, **fine}).validate() == []
 
     def test_backhaul_altitude_checked_only_with_relay_mode(self):
         high = {"physical": {"h_uav": 400}}
@@ -1026,7 +1032,8 @@ def test_sweep_showcase_plan_holds_no_rates(jobs):
     showcase = metrics.monte_carlo_sweep(cfg, jobs=jobs).showcase
     assert [tag for tag, *_ in showcase] == ["pf_relay_ohplm_omni", "pf_relay_ohplm_dipole"]
     for _, heat_map, _, _ in showcase:
-        assert heat_map.rates is None
+        # the reward map's rewards and the SIR map, and no per-cell rates
+        assert set(vars(heat_map)) == {"criterion", "xs", "ys", "rewards", "max_sir_db"}
         assert heat_map.max_sir_db.shape == heat_map.rewards.shape
     off_sweep = replace(cfg, showcase_t=200.0)
     assert metrics.monte_carlo_sweep(off_sweep, jobs=jobs).showcase is None

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavrelay import config, metrics, scenario
+from uavrelay import cli, config, metrics, radio, scenario
 from uavrelay.config import RunConfig
 from uavrelay.metrics import (CSV_COLUMNS, SweepPoint, monte_carlo_sweep, outage_probability,
                               plan_combinations, realization_seed, run_realization,
@@ -131,6 +131,32 @@ def test_one_smooth_call_per_realization_and_combination(monkeypatch):
     monte_carlo_sweep(cfg)
     # 2 realizations x 2 antennas, each call smoothing 2 criteria x 2 durations
     assert calls == [4] * 4
+
+
+def test_the_tile_bound_changes_no_realization(monkeypatch):
+    """fig5's realization 0 gives the same samples and showcase entries when its reward
+    maps are associated in tiles of a few cells as in one tile."""
+    cfg = replace(cli.load_preset("fig5"), realizations=1)
+    associate = radio.associate
+
+    def realization():
+        calls = []
+        monkeypatch.setattr(radio, "associate", lambda *a: calls.append(a) or associate(*a))
+        out = run_realization(cfg, cfg.sweep_t, cfg.showcase_n_mbs, 0, cfg.showcase_t)
+        return out, len(calls)
+
+    default, default_calls = realization()
+    monkeypatch.setattr(radio, "TILE_VALUES", 1000)
+    small, small_calls = realization()
+    assert small_calls > default_calls
+    assert small[:3] == default[:3]
+    for got, want in zip(small[3], default[3], strict=True):
+        (tag, heat_map, traj, sm), (want_tag, want_map, want_traj, want_sm) = got, want
+        assert tag == want_tag
+        assert np.array_equal(heat_map.rewards, want_map.rewards)
+        assert np.array_equal(heat_map.max_sir_db, want_map.max_sir_db)
+        assert np.array_equal(traj.positions, want_traj.positions)
+        assert np.array_equal(sm.positions, want_sm.positions)
 
 
 class TestSweep:

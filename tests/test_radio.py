@@ -13,6 +13,7 @@ from uavrelay.planner import ActionSet, StateGrid, solve_dp
 from uavrelay.radio import (associate, criterion_reward, dbm_to_mw, relay_end_to_end_sir,
                             stage_rates)
 from uavrelay.scenario import Mission, PhysicalConfig, Scenario, generate_scenario
+from uavrelay.smoothing import evaluate_smoothed, smooth
 
 from oracles import (LinkGeometry, best_sir, interleaved_combined_gain, interleaved_received_mw,
                      interleaved_ue_link_gain, tx_gain)
@@ -462,13 +463,16 @@ class TestBatchedEngine:
             assert np.array_equal(powers[iy, ix], single)
 
     @pytest.mark.parametrize("mode", radio.MODES)
-    def test_map_rates_are_the_discrete_trajectory_rates(self, mode):
+    def test_discrete_rates_are_associate_at_the_cell_centres(self, mode):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 9)
         grid = StateGrid.from_mission(Mission())
         rm = radio.build_reward_maps(scn, ("pf",), mode, OHPLM, DIPOLE, grid)["pf"]
         traj = solve_dp(rm, grid, ActionSet.standard(100.0, 8.0, 17.7))
-        disc = stage_rates(traj.positions[:-1], scn, mode, OHPLM, DIPOLE)
-        assert np.array_equal(rm.rates_at(traj.cells[:-1]), disc)
+        [disc], _ = evaluate_smoothed(smooth([traj]), scn, mode, OHPLM, DIPOLE)
+        ix, iy = np.transpose(traj.cells[:-1])
+        centres = np.column_stack([grid.axis_x()[ix], grid.axis_y()[iy]])
+        assert np.array_equal(disc, associate(scn, centres, mode, OHPLM, DIPOLE).rate)
+        # the map's rewards along the path are the rewards of those rates
         assert np.array_equal(criterion_reward(disc, "pf"), traj.stage_rewards)
 
     @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
@@ -668,18 +672,29 @@ class TestTransmitterMajorKernel:
         assert_same_association(one, ue_major_associate(scn, POSITION_GRID[1, 2], mode,
                                                          uav_ue, DIPOLE))
 
+    # cells per tile, and the tiles of the 13x13 grid: the default bound, one cell per
+    # tile, and tiles that split the grid unevenly
+    @pytest.mark.parametrize("tile,sizes", [(None, [169]), (1, [1] * 169),
+                                            (37, [37] * 4 + [21])],
+                             ids=["default", "one-cell", "uneven"])
     @pytest.mark.parametrize("mode", radio.MODES)
     @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
-    def test_whole_grid_reward_maps_equal_the_row_loop(self, mode, antenna):
+    def test_whole_grid_reward_maps_equal_the_row_loop(self, mode, antenna, tile, sizes,
+                                                       monkeypatch):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 13,
                                 n_mbs=8.0, min_mbs=2)
         grid = StateGrid.from_mission(Mission())
-        maps = radio.build_reward_maps(scn, radio.CRITERIA, mode, MPLM, antenna, grid)
         xs, ys = grid.axis_x(), grid.axis_y()
         rows = np.stack([associate(scn, np.column_stack([xs, np.full(xs.size, y)]), mode,
                                    MPLM, antenna).rate for y in ys])
+        if tile:
+            monkeypatch.setattr(radio, "TILE_VALUES", tile * (scn.n_ue + scn.n_mbs + 1))
+        calls = []
+        monkeypatch.setattr(radio, "associate",
+                            lambda s, pos, *a: calls.append(len(pos)) or associate(s, pos, *a))
+        maps = radio.build_reward_maps(scn, radio.CRITERIA, mode, MPLM, antenna, grid)
+        assert calls == sizes
         for c, rm in maps.items():
-            assert np.array_equal(rm.rates, rows)
             assert np.array_equal(rm.rewards, criterion_reward(rows, c))
 
     def test_max_sir_map_equals_the_row_loop(self):

@@ -299,9 +299,10 @@ class TestEvaluateSmoothed:
         cells = [(5, 5)] * 7
         traj = lattice_trajectory(cells)
         paths = smooth([traj], v_max=17.7)
-        [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        [discrete], [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
         rewards = radio.criterion_reward(rates, "pf")
         disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
+        assert np.array_equal(discrete, disc)
         assert np.array_equal(rates, disc)
         assert rewards.shape == (6,)
 
@@ -313,8 +314,9 @@ class TestEvaluateSmoothed:
         [sm] = paths
         # uniformly spaced collinear control points sample back to the waypoints
         assert np.allclose(sm.positions, traj.positions, atol=1e-9)
-        [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
-        disc = radio.stage_rates(sm.positions[:-1], scn, "standalone", OHPLM, OMNI)
+        [discrete], [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
+        assert np.array_equal(discrete, disc)
         assert np.allclose(rates, disc, rtol=1e-12)
 
     def test_outside_flight_area_rejected(self):
@@ -330,30 +332,43 @@ class TestEvaluateSmoothed:
         grid = StateGrid.from_mission(Mission())
         rm = radio.build_reward_maps(scn, ("pf",), mode, OHPLM, OMNI, grid)["pf"]
         # horizons of different lengths, as the sweep batches its durations
-        smoothed = smooth([solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)),
-                                    ACTIONS) for t in (160.0, 240.0, 200.0)], v_max=17.7)
-        batch = evaluate_smoothed(smoothed, scn, mode, OHPLM, OMNI)
-        assert len(batch) == len(smoothed)
-        for sm, rates in zip(smoothed, batch):
-            single = radio.stage_rates(sm.positions[:-1], scn, mode, OHPLM, OMNI)
-            assert np.array_equal(rates, single)
+        trajs = [solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)), ACTIONS)
+                 for t in (160.0, 240.0, 200.0)]
+        smoothed = smooth(trajs, v_max=17.7)
+        discrete, batch = evaluate_smoothed(smoothed, scn, mode, OHPLM, OMNI)
+        assert len(discrete) == len(batch) == len(smoothed)
+        for traj, sm, disc, rates in zip(trajs, smoothed, discrete, batch, strict=True):
+            assert np.array_equal(
+                disc, radio.stage_rates(traj.positions[:-1], scn, mode, OHPLM, OMNI))
+            assert np.array_equal(
+                rates, radio.stage_rates(sm.positions[:-1], scn, mode, OHPLM, OMNI))
 
     def test_one_area_check_and_one_stage_rates_call(self, monkeypatch):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 7)
-        paths = smooth([lattice_trajectory([(1, 1), (2, 2), (3, 3)]),
-                        lattice_trajectory([(5, 5)] * 4)])
+        trajs = [lattice_trajectory([(1, 1), (2, 1), (2, 2), (3, 3)]),
+                 lattice_trajectory([(5, 5)] * 4)]
+        paths = smooth(trajs)
         checked, evaluated = [], []
         rect_contains, stage_rates = smoothing.rect_contains, radio.stage_rates
         monkeypatch.setattr(smoothing, "rect_contains",
                             lambda rect, xy: checked.append(xy) or rect_contains(rect, xy))
         monkeypatch.setattr(radio, "stage_rates",
                             lambda xy, *a: evaluated.append(xy) or stage_rates(xy, *a))
-        rates = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        discrete, rates = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
         # the stacked samples themselves, not a per-curve concatenate of them
         assert len(checked) == 1 and checked[0] is paths.positions
-        [starts] = evaluated
-        assert np.array_equal(starts, np.vstack([sm.positions[:-1] for sm in paths]))
-        assert [len(r) for r in rates] == [2, 3]
+        # one call for both evaluations, with each distinct stage start once: the cells
+        # of the DP paths, two off-grid samples, and the shared start and hover samples
+        [batch] = evaluated
+        starts = {tuple(p) for path in [*trajs, *paths] for p in path.positions[:-1]}
+        assert len(starts) == 6
+        assert sorted(map(tuple, batch)) == sorted(starts)
+        assert [len(r) for r in discrete] == [len(r) for r in rates] == [3, 3]
+        for traj, sm, disc, smoothed_rates in zip(trajs, paths, discrete, rates):
+            assert np.array_equal(disc, stage_rates(traj.positions[:-1], scn, "standalone",
+                                                    OHPLM, OMNI))
+            assert np.array_equal(smoothed_rates, stage_rates(sm.positions[:-1], scn,
+                                                              "standalone", OHPLM, OMNI))
 
     def test_any_trajectory_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
