@@ -15,7 +15,7 @@ from .antenna import CrossedDipole, Omni
 from .pathloss import (BuildingModel, FsplModel, MplmModel, OhplmModel,
                        OHPLM_FC_RANGE, ohplm_range_problems, uma_av_altitude_problem)
 from .planner import ActionSet, StateGrid, min_stages
-from .radio import CRITERIA, MODES, TILE_VALUES
+from .radio import CRITERIA, MODES
 from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        log_mbs_shortfall_chance)
 
@@ -27,10 +27,11 @@ ANTENNA_MODES = ("omni", "dipole")
 # and all redraws) falls below min_mbs with a larger chance: the run would
 # fail on that realization after computing everything before it.
 MBS_SHORTFALL_CHANCE = 1e-12
-# Byte budget of each lattice-sized array of a run: the DP policy of one duration (an int8
-# per cell and stage) and a combination's reward maps (a float64 per cell and criterion)
-# with the one association tile they are built from, at most 6 float64s per tile value
-# (see radio.TILE_VALUES).
+# Byte budget of a run's lattice-sized arrays: the DP policy of one duration (an int8 per
+# cell and stage), and apart from it a combination's reward maps (a float64 per cell and
+# criterion) with the DP's buffers (9 action values, argmax's copy of them, the best and the
+# padded value-to-go) or the showcase's max_sir_map probe (tracemalloc peak below 4 float64s
+# per cell and 5 per cell and expected MBS). Association tiles add a fixed 3 MiB.
 LATTICE_BYTES = 256 * 2**20
 # Bezier smoothing (de Casteljau) evaluates curves in chunks of at most
 # smoothing.CHUNK_ELEMENTS (level, sample) elements; a curve of N stages above that is a
@@ -286,10 +287,11 @@ class RunConfig:
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
             out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
-        maps = 8 * cells * len(self.criteria) + 48 * TILE_VALUES
-        if maps > LATTICE_BYTES:
-            out.append(f"run.cell_m={self.cell_m}: holding the reward maps over {grid.nx}x"
-                       f"{grid.ny} cells and {len(self.criteria)} criteria {_over_budget(maps)}")
+        mbs = max(self.min_mbs, min(self.showcase_n_mbs, MAX_POISSON_MEAN))
+        working = cells * 8 * (len(self.criteria) + max(2 * len(actions or ()) + 3, 4 + 5 * mbs))
+        if working > LATTICE_BYTES:
+            out.append(f"run.cell_m={self.cell_m}: the whole-grid working set over {grid.nx}x"
+                       f"{grid.ny} cells {_over_budget(working)}")
         return out
 
     def to_json_dict(self) -> dict:

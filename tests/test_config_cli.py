@@ -335,11 +335,19 @@ INVALID_VALUES = [
     # a lattice the grid path fits, but too fine for the memory of one run
     ({"run": {"cell_m": 1}, "sweep": {"t_values": [8000]}, "showcase": {"t": 8000}},
      "T=8000.0s: the DP policy over 1201x1201 cells and 1000 stages takes 1376 MiB"),
-    # one stage over a fine lattice: the reward maps, a float64 per cell and criterion
+    # one stage over a fine lattice: the reward maps, a float64 per cell and criterion, with
+    # the DP's 21 float64s per cell
     ({"mission": {"finish": [0, 0]}, "run": {"cell_m": 0.25, "criteria": list(CRITERIA)},
       "sweep": {"t_values": [8]}, "showcase": {"t": 8}},
-     "run.cell_m=0.25: holding the reward maps over 4801x4801 cells and 3 criteria takes "
-     "531 MiB, above the lattice budget of 256 MiB"),
+     "run.cell_m=0.25: the whole-grid working set over 4801x4801 cells takes 4749 MiB, "
+     "above the lattice budget of 256 MiB"),
+    ({"mission": {"finish": [0, 0]}, "run": {"cell_m": 0.25, "criteria": ["pf"]},
+      "sweep": {"t_values": [8]}, "showcase": {"t": 8}},
+     "run.cell_m=0.25: the whole-grid working set over 4801x4801 cells takes 4397 MiB, "
+     "above the lattice budget of 256 MiB"),
+    # the showcase's SIR probe grows with its expected MBS count, the sweep's does not count
+    ({"run": {"cell_m": 10}, "sweep": {"t_values": [800]}, "showcase": {"t": 800, "n_mbs": 700}},
+     "run.cell_m=10.0: the whole-grid working set over 121x121 cells takes 392 MiB"),
     # de Casteljau's (N, N+1, 2) block grows as the square of the stage count
     ({"sweep": {"t_values": [40000]}},
      "T=40000.0s: the Bezier smoothing of 5000 stages takes 1527 MiB, above the lattice "
@@ -408,6 +416,10 @@ class TestBadInputs:
         fine = {"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
                 "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}}
         assert from_json_dict({**MINIMAL, **fine}).validate() == []
+        # nor do the sweep's MBSs, as only the showcase computes the SIR probe
+        many = {"run": {"cell_m": 10}, "sweep": {"t_values": [800], "n_mbs_values": [700]},
+                "showcase": {"t": 800}}
+        assert from_json_dict({**MINIMAL, **many}).validate() == []
 
     def test_backhaul_altitude_checked_only_with_relay_mode(self):
         high = {"physical": {"h_uav": 400}}
