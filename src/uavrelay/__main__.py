@@ -1,0 +1,7 @@
+"""`python -m uavrelay`: the uavrelay command line, without installing the package."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

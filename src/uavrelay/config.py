@@ -31,7 +31,9 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # cell and stage), and apart from it a combination's reward maps (a float64 per cell and
 # criterion) with the DP's buffers (9 action values, argmax's copy of them, the best and the
 # padded value-to-go) or the showcase's max_sir_map probe (tracemalloc peak below 4 float64s
-# per cell and 5 per cell and expected MBS). Association tiles add a fixed 3 MiB.
+# per cell and 5 per cell and expected MBS). Association tiles add a fixed 3 MiB. Up to
+# 64 MiB of freed heap (the trim threshold metrics._retain_heap pins) stays mapped beside
+# it and is not part of the estimate.
 LATTICE_BYTES = 256 * 2**20
 # Bezier smoothing (de Casteljau) evaluates curves in chunks of at most
 # smoothing.CHUNK_ELEMENTS (level, sample) elements; a curve of N stages above that is a

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -32,6 +33,9 @@ from .planner import ActionSet, StateGrid, backward_pass, check_trajectory, solv
 from .scenario import Scenario, generate_scenario
 
 EVALUATIONS = ("discrete", "smoothed")
+# glibc's mallopt parameters
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
 
 
 def time_averaged_capacity(stage_rates, duration_t: float) -> np.ndarray:
@@ -146,6 +150,30 @@ def scenario_for(cfg: RunConfig, n_mbs: float, j: int) -> Scenario:
                              n_mbs=n_mbs, min_mbs=cfg.min_mbs)
 
 
+@cache
+def _retain_heap() -> None:
+    """Keep freed association planes in the heap, once per process.
+
+    glibc's dynamic thresholds give a freed heap top back to the kernel after
+    almost every radio.associate call, so the next call faults the same pages in
+    again. Where libc exports mallopt (glibc), this pins both thresholds at the
+    values that rule climbs to: an mmap threshold of 32 MiB (its
+    DEFAULT_MMAP_THRESHOLD_MAX) and a trim threshold of twice that. Both, since
+    setting either one turns the dynamic rule off: the trim threshold alone
+    leaves every plane above the 128 KiB default mmapped, and a smaller mmap
+    threshold mmaps the DP's per-stage argmax copy on fine grids.
+    """
+    import ctypes
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallopt"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(M_TRIM_THRESHOLD, 64 * 2**20)
+
+
 def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     """Yield (combination, grid, reward maps, runs, smoothed) per cfg.combinations() item.
 
@@ -158,6 +186,7 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     smoothing.smooth call smooths them all: smoothed is its SmoothedPaths, whose
     curves are the runs' smoothed curves, in the same order.
     """
+    _retain_heap()
     t_values = tuple(t_values)
     v_max = scn.config.v_max
     stage_dt = scn.mission.stage_dt

@@ -1096,3 +1096,13 @@ def test_each_field_is_declared_once():
 def test_version_is_the_pyproject_version():
     with (Path(__file__).parents[1] / "pyproject.toml").open("rb") as f:
         assert uavrelay.__version__ == tomllib.load(f)["project"]["version"]
+
+
+def test_the_package_runs_as_a_module():
+    """`python -m uavrelay` is the command line, without installing the package."""
+    src = str(Path(uavrelay.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "uavrelay", "validate", "--preset", "fig7"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "config ok\n")

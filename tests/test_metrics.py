@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import os
 import subprocess
 import sys
@@ -299,3 +300,52 @@ class TestSweep:
         assert p.t_s == 240.0
         with pytest.raises(TypeError):
             res.find(density=4.0)
+
+
+class TestRetainHeap:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # the process's next plan sets the real thresholds again
+        metrics._retain_heap.cache_clear()
+        yield
+        metrics._retain_heap.cache_clear()
+
+    def test_sets_both_thresholds_once_per_process(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def __init__(self):
+                self.mallopt = lambda param, value: calls.append((param, value))
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        metrics._retain_heap()
+        metrics._retain_heap()
+        assert calls == [(metrics.M_MMAP_THRESHOLD, 32 * 2**20),
+                         (metrics.M_TRIM_THRESHOLD, 64 * 2**20)]
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert metrics._retain_heap() is None
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="libc exports no mallopt, so the heap thresholds stay as they are")
+    def test_a_repeated_realization_faults_in_no_planes(self, tmp_path):
+        # the heap of a fresh process, as a run's: pytest's own has been shaped by other tests
+        script = tmp_path / "faults.py"
+        script.write_text(
+            "import resource\n"
+            "from uavrelay import cli, metrics\n"
+            "cfg = cli.load_preset('fig7')\n"
+            "def realization():\n"
+            "    metrics.run_realization(cfg, cfg.sweep_t, cfg.sweep_n_mbs[0], 0)\n"
+            "realization()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "realization()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = str(Path(metrics.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, check=True)
+        # about 250 at glibc's dynamic thresholds: the freed planes go back to the kernel
+        assert int(proc.stdout) < 20
