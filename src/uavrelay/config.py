@@ -18,6 +18,7 @@ from .planner import ActionSet, StateGrid, min_stages
 from .radio import CRITERIA, MODES
 from .scenario import (MAX_MBS_REDRAWS, MAX_POISSON_MEAN, Mission, PhysicalConfig, area_km2,
                        log_mbs_shortfall_chance)
+from .smoothing import MAX_STAGES
 
 SCHEMA_VERSION = 1
 
@@ -35,14 +36,6 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # 64 MiB of freed heap (the trim threshold metrics._retain_heap pins) stays mapped beside
 # it and is not part of the estimate.
 LATTICE_BYTES = 256 * 2**20
-# Bezier smoothing (de Casteljau) evaluates curves in chunks of at most
-# smoothing.CHUNK_ELEMENTS (level, sample) elements; a curve of N stages above that is a
-# chunk of its own. A chunk holds its (N+1, N+1, 2) float64 block of levels and three
-# bands (t, 1 - t and the t-scaled rows) of at most CHUNK_ELEMENTS elements, 0.5 MiB each.
-# The estimate counts an (N, N+1, 2) block four times, about four times a long curve's
-# memory; it stays that high because nothing else bounds de Casteljau's O(N^3) time, which
-# it keeps at 2047 stages. A chunk within the floor (2 MiB at most) is far below it.
-BEZIER_BLOCK_FACTOR = 4
 
 
 class ConfigError(ValueError):
@@ -267,10 +260,10 @@ class RunConfig:
             elif cells * mission.n_stages > LATTICE_BYTES:
                 out.append(f"T={t}s: the DP policy over {grid.nx}x{grid.ny} cells and "
                            f"{mission.n_stages} stages {_over_budget(cells * mission.n_stages)}")
-            smoothing = BEZIER_BLOCK_FACTOR * 16 * mission.n_stages * (mission.n_stages + 1)
-            if smoothing > LATTICE_BYTES:
-                out.append(f"T={t}s: the Bezier smoothing of {mission.n_stages} stages "
-                           f"{_over_budget(smoothing)}")
+            if mission.n_stages > MAX_STAGES:
+                out.append(f"T={t}s: the Bezier smoothing of {mission.n_stages} stages is "
+                           f"above its cap of {MAX_STAGES} (its time grows as the cube of "
+                           f"the stage count)")
         # expected node counts: the Poisson means that generate_scenario draws from
         area = area_km2(self.mission.area_ue)
         for label, n_mbs in ([("n_mbs", n) for n in self.sweep_n_mbs]

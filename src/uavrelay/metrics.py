@@ -184,7 +184,9 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
     left does not depend on T, and each duration backtracks from the same policy.
     Every trajectory of the combination is solved first, and then one
     smoothing.smooth call smooths them all: smoothed is its SmoothedPaths, whose
-    curves are the runs' smoothed curves, in the same order.
+    curves are the runs' smoothed curves, in the same order. Those curves stay
+    frozen views of smoothed.positions, so evaluate_smoothed's one flight-area
+    check of the stacked samples covers every sample it evaluates.
     """
     _retain_heap()
     t_values = tuple(t_values)
@@ -260,7 +262,8 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
         if showcase is not None:
             showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
         # one association batch evaluates every (T, criterion) both ways
-        evaluated = smoothing.evaluate_smoothed(smoothed, scn, mode, uav_ue, antenna)
+        evaluated = smoothing.evaluate_smoothed([traj for _, _, traj, _, _ in runs], smoothed,
+                                                scn, mode, uav_ue, antenna)
         for (t, criterion, _, _, viol), *both in zip(runs, *evaluated, strict=True):
             violations += viol
             for evaluation, rates in zip(EVALUATIONS, both):

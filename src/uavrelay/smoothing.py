@@ -1,7 +1,6 @@
 """Bezier smoothing of DP waypoint paths and their batched re-evaluation."""
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +18,10 @@ from .scenario import Scenario, rect_contains
 # block of two same-degree curves beat two blocks by 1.2-1.6x up to 29 k elements, by
 # 1.07x at 46 k, and lost (0.79x) at 81 k.
 CHUNK_ELEMENTS = 2**15
+# The most stages validate accepts for one curve. De Casteljau's time grows as the cube of
+# the stage count: one 2000-stage curve takes about 11 s, and 13 s at the cap (2-core
+# Xeon, numpy 2.4.6).
+MAX_STAGES = 2047
 
 
 def bezier_chunks(levels: Sequence[int], samples: Sequence[int]) -> list[list[int]]:
@@ -113,8 +116,8 @@ class SmoothedTrajectory:
     waypoints compress arc length and the UAV slows down near them. Samples
     are taken at the N+1 stage times; speeds implied between samples are
     reported (speed_violations) but never repaired here. Frozen: positions and
-    speeds are views of its SmoothedPaths' stacked arrays, which
-    evaluate_smoothed reads.
+    speeds are views of its SmoothedPaths' stacked arrays, so the one
+    flight-area check of evaluate_smoothed covers every sample a curve holds.
     """
 
     positions: np.ndarray      # (N+1, 2) meters
@@ -132,15 +135,13 @@ class SmoothedTrajectory:
 class SmoothedPaths(tuple):
     """The SmoothedTrajectory of each trajectory of one smooth call, in order.
 
-    positions stacks every curve's samples in that order, (S, 2), and
-    waypoints the DP cell centres they were fitted to, one per sample; curve i
-    ends just before stacked sample ends[i]. Each curve's positions and speeds
-    are views of the stacked arrays.
+    positions stacks every curve's samples in that order, (S, 2); each
+    curve's positions and speeds are views of the stacked arrays.
     """
 
-    def __new__(cls, curves, positions: np.ndarray, waypoints: np.ndarray, ends: np.ndarray):
+    def __new__(cls, curves, positions: np.ndarray):
         paths = super().__new__(cls, curves)
-        paths.positions, paths.waypoints, paths.ends = positions, waypoints, ends
+        paths.positions = positions
         return paths
 
 
@@ -149,55 +150,51 @@ def smooth(trajs: Sequence[Trajectory], v_max: float | None = None) -> SmoothedP
 
     De Casteljau's (1 - t) p + t q returns the start/finish exactly at t = 0
     and 1; interior samples live in the convex hull of the waypoints. All the
-    curves are evaluated by one de_casteljau call, and their speeds and
-    speed violations are computed once over the stacked samples.
+    curves are evaluated by one de_casteljau call and their speeds computed
+    once over the stacked samples; each curve audits its own slice of them.
     """
     waypoints = [np.asarray(traj.positions, dtype=float) for traj in trajs]
     if any(w.shape[0] < 2 for w in waypoints):
         raise ValueError("need at least 2 waypoints to smooth")
     sizes = [w.shape[0] for w in waypoints]
     positions = de_casteljau(waypoints, [np.arange(n) / (n - 1) for n in sizes])
-    ends = np.cumsum(sizes)
     dx, dy = np.diff(positions, axis=0).T
+    # the step from a curve's last sample to the next curve's first lands in no slice
     speeds = np.sqrt(dx * dx + dy * dy) / np.repeat([traj.stage_dt for traj in trajs],
                                                     sizes)[:-1]
-    violations: list[list[int]] = [[] for _ in trajs]
-    if v_max is not None:
-        over = speeds > v_max + 1e-9
-        # the step from a curve's last sample to the next curve's first is no flight
-        over[ends[:-1] - 1] = False
-        for j in np.flatnonzero(over):
-            i = bisect_right(ends, j)
-            violations[i].append(int(j - ends[i] + sizes[i]))
-    return SmoothedPaths(
-        [SmoothedTrajectory(positions=positions[end - n:end], speeds=speeds[end - n:end - 1],
-                            speed_violations=viol, stage_dt=traj.stage_dt)
-         for traj, n, end, viol in zip(trajs, sizes, ends, violations)],
-        positions, np.concatenate(waypoints), ends)
+    curves, start = [], 0
+    for traj, n in zip(trajs, sizes):
+        own = speeds[start:start + n - 1]
+        violations = [] if v_max is None else np.flatnonzero(own > v_max + 1e-9).tolist()
+        curves.append(SmoothedTrajectory(positions=positions[start:start + n], speeds=own,
+                                         speed_violations=violations, stage_dt=traj.stage_dt))
+        start += n
+    return SmoothedPaths(curves, positions)
 
 
-def evaluate_smoothed(smoothed: SmoothedPaths, scn: Scenario, mode: str, uav_ue,
-                      antenna: AntennaMode) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def evaluate_smoothed(trajs: Sequence[Trajectory], smoothed: SmoothedPaths, scn: Scenario,
+                      mode: str, uav_ue, antenna: AntennaMode
+                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-UE rates along each DP path and along its smoothed curve.
 
-    Returns (discrete, smoothed), each one (N, K) array per trajectory. Each
-    stage is taken at its start: the discrete path at its cell centre, the
-    smoothed curve at its sample, with no grid snapping. Every smoothed sample
-    is checked against the flight area, and the distinct stage starts of both
+    trajs are the trajectories smoothed, in smoothed's order. Returns
+    (discrete, smoothed), each one (N, K) array per trajectory. Each stage is
+    taken at its start: the discrete path at its cell centre, the smoothed
+    curve at its sample, with no grid snapping. Every smoothed sample is
+    checked against the flight area, and the distinct stage starts of both
     evaluations are re-associated in one batch.
     """
+    if len(trajs) != len(smoothed) or any(
+            len(traj.positions) != len(sm.positions) for traj, sm in zip(trajs, smoothed)):
+        raise ValueError("the trajectories do not pair with the smoothed curves")
     if not rect_contains(scn.mission.area_uav, smoothed.positions):
         raise ValueError("smoothed trajectory leaves the flight area")
-    ends = smoothed.ends
     # the DP paths, then the curves; a path's or curve's last point starts no stage
-    starts = np.delete(np.concatenate([smoothed.waypoints, smoothed.positions]),
-                       np.concatenate([ends, ends + ends[-1]]) - 1, axis=0)
+    starts = [path.positions[:-1] for path in (*trajs, *smoothed)]
     # each distinct start's row in the batch, by dict: a run's first np.unique maps about
     # 0.25 MiB more of numpy into memory
     row: dict = {}
-    index = [row.setdefault(xy, len(row)) for xy in map(tuple, starts.tolist())]
+    index = [row.setdefault(xy, len(row)) for xy in map(tuple, np.concatenate(starts).tolist())]
     rates = radio.stage_rates(np.array(list(row)), scn, mode, uav_ue, antenna)[index]
-    stage_ends = ends - np.arange(1, len(ends) + 1)
-    per_trajectory = np.split(rates, np.concatenate([stage_ends,
-                                                     stage_ends + stage_ends[-1]])[:-1])
-    return per_trajectory[:len(ends)], per_trajectory[len(ends):]
+    per_path = np.split(rates, np.cumsum([len(xy) for xy in starts[:-1]]))
+    return per_path[:len(trajs)], per_path[len(trajs):]

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uavrelay
-from uavrelay import cli, metrics, pathloss, radio
+from uavrelay import cli, metrics, pathloss, radio, smoothing
 from uavrelay.config import (ANTENNA_MODES, UE_LINK_MODELS, ConfigError, MplmSettings,
                              RunConfig, from_json_dict, load_config)
 from uavrelay.pathloss import OHPLM_FC_RANGE
@@ -348,14 +348,12 @@ INVALID_VALUES = [
     # the showcase's SIR probe grows with its expected MBS count, the sweep's does not count
     ({"run": {"cell_m": 10}, "sweep": {"t_values": [800]}, "showcase": {"t": 800, "n_mbs": 700}},
      "run.cell_m=10.0: the whole-grid working set over 121x121 cells takes 392 MiB"),
-    # de Casteljau's (N, N+1, 2) block grows as the square of the stage count
+    # de Casteljau's time grows as the cube of the stage count
     ({"sweep": {"t_values": [40000]}},
-     "T=40000.0s: the Bezier smoothing of 5000 stages takes 1527 MiB, above the lattice "
-     "budget of 256 MiB"),
-    # 256.125 MiB is rounded up, so it never prints as the budget itself
+     "T=40000.0s: the Bezier smoothing of 5000 stages is above its cap of 2047"),
+    # one stage over the cap; test_longest_smoothed_duration_is_accepted pins the cap itself
     ({"sweep": {"t_values": [16384]}},
-     "T=16384.0s: the Bezier smoothing of 2048 stages takes 257 MiB, above the lattice "
-     "budget of 256 MiB"),
+     "T=16384.0s: the Bezier smoothing of 2048 stages is above its cap of 2047"),
     # cell and stage counts of 2**53 or more are refused before any count is used
     ({"run": {"cell_m": 1e-320}}, "area_uav x extent 1200.0 m is not a multiple of 1e-320 m "
      "cells: inf lattice steps are not a whole count below 2**53"),
@@ -420,6 +418,11 @@ class TestBadInputs:
         many = {"run": {"cell_m": 10}, "sweep": {"t_values": [800], "n_mbs_values": [700]},
                 "showcase": {"t": 800}}
         assert from_json_dict({**MINIMAL, **many}).validate() == []
+
+    def test_longest_smoothed_duration_is_accepted(self):
+        # 2047 stages of 8 s, the smoothing cap; one stage more is refused (INVALID_VALUES)
+        assert smoothing.MAX_STAGES == 2047
+        assert from_json_dict({**MINIMAL, "sweep": {"t_values": [16376]}}).validate() == []
 
     def test_backhaul_altitude_checked_only_with_relay_mode(self):
         high = {"physical": {"h_uav": 400}}

@@ -468,7 +468,7 @@ class TestBatchedEngine:
         grid = StateGrid.from_mission(Mission())
         rm = radio.build_reward_maps(scn, ("pf",), mode, OHPLM, DIPOLE, grid)["pf"]
         traj = solve_dp(rm, grid, ActionSet.standard(100.0, 8.0, 17.7))
-        [disc], _ = evaluate_smoothed(smooth([traj]), scn, mode, OHPLM, DIPOLE)
+        [disc], _ = evaluate_smoothed([traj], smooth([traj]), scn, mode, OHPLM, DIPOLE)
         ix, iy = np.transpose(traj.cells[:-1])
         centres = np.column_stack([grid.axis_x()[ix], grid.axis_y()[iy]])
         assert np.array_equal(disc, associate(scn, centres, mode, OHPLM, DIPOLE).rate)

@@ -280,7 +280,6 @@ class TestSmooth:
     def test_curves_are_views_of_the_stacked_samples(self):
         paths = smooth([lattice_trajectory([(1, 1), (2, 1), (2, 2)]),
                         lattice_trajectory([(3, 3), (4, 4)])], v_max=17.7)
-        assert np.array_equal(paths.ends, [3, 5])
         assert all(np.shares_memory(sm.positions, paths.positions) for sm in paths)
         # a curve's samples cannot be rebound away from the stacked block
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -299,7 +298,7 @@ class TestEvaluateSmoothed:
         cells = [(5, 5)] * 7
         traj = lattice_trajectory(cells)
         paths = smooth([traj], v_max=17.7)
-        [discrete], [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        [discrete], [rates] = evaluate_smoothed([traj], paths, scn, "standalone", OHPLM, OMNI)
         rewards = radio.criterion_reward(rates, "pf")
         disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
         assert np.array_equal(discrete, disc)
@@ -314,17 +313,18 @@ class TestEvaluateSmoothed:
         [sm] = paths
         # uniformly spaced collinear control points sample back to the waypoints
         assert np.allclose(sm.positions, traj.positions, atol=1e-9)
-        [discrete], [rates] = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        [discrete], [rates] = evaluate_smoothed([traj], paths, scn, "standalone", OHPLM, OMNI)
         disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
         assert np.array_equal(discrete, disc)
         assert np.allclose(rates, disc, rtol=1e-12)
 
     def test_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
-        sm = smooth([lattice_trajectory([(1, 1), (2, 2), (3, 3)])])
+        traj = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
+        sm = smooth([traj])
         sm.positions += 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed(sm, scn, "standalone", OHPLM, OMNI)
+            evaluate_smoothed([traj], sm, scn, "standalone", OHPLM, OMNI)
 
     @pytest.mark.parametrize("mode", radio.MODES)
     def test_batch_equals_per_trajectory_stage_rates(self, mode):
@@ -335,7 +335,7 @@ class TestEvaluateSmoothed:
         trajs = [solve_dp(rm, StateGrid.from_mission(Mission(duration_t=t)), ACTIONS)
                  for t in (160.0, 240.0, 200.0)]
         smoothed = smooth(trajs, v_max=17.7)
-        discrete, batch = evaluate_smoothed(smoothed, scn, mode, OHPLM, OMNI)
+        discrete, batch = evaluate_smoothed(trajs, smoothed, scn, mode, OHPLM, OMNI)
         assert len(discrete) == len(batch) == len(smoothed)
         for traj, sm, disc, rates in zip(trajs, smoothed, discrete, batch, strict=True):
             assert np.array_equal(
@@ -354,7 +354,7 @@ class TestEvaluateSmoothed:
                             lambda rect, xy: checked.append(xy) or rect_contains(rect, xy))
         monkeypatch.setattr(radio, "stage_rates",
                             lambda xy, *a: evaluated.append(xy) or stage_rates(xy, *a))
-        discrete, rates = evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+        discrete, rates = evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
         # the stacked samples themselves, not a per-curve concatenate of them
         assert len(checked) == 1 and checked[0] is paths.positions
         # one call for both evaluations, with each distinct stage start once: the cells
@@ -372,11 +372,23 @@ class TestEvaluateSmoothed:
 
     def test_any_trajectory_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
-        paths = smooth([lattice_trajectory([(1, 1), (2, 2), (3, 3)])] * 2)
+        trajs = [lattice_trajectory([(1, 1), (2, 2), (3, 3)])] * 2
+        paths = smooth(trajs)
         # the second curve only; it is a view of the stacked samples
         paths[1].positions[:] += 5000.0
         with pytest.raises(ValueError, match="flight area"):
-            evaluate_smoothed(paths, scn, "standalone", OHPLM, OMNI)
+            evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
+
+    def test_trajectories_must_pair_with_the_curves(self):
+        scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
+        short = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
+        long = lattice_trajectory([(1, 1), (2, 1), (2, 2), (3, 3)])
+        paths = smooth([short, long])
+        # the right stage count in total, but not curve by curve, would split the rates
+        # at the wrong stage without this check
+        for trajs in ([short], [short, long, long], [long, short]):
+            with pytest.raises(ValueError, match="do not pair"):
+                evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
 
 
 def test_smoothed_csv(tmp_path):
