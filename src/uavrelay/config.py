@@ -31,8 +31,7 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # Byte budget of a run's lattice-sized arrays: the DP policy of one duration (an int8 per
 # cell and stage), and apart from it a combination's reward maps (a float64 per cell and
 # criterion) with the DP's buffers (9 action values, argmax's copy of them, the best and the
-# padded value-to-go) or the showcase's max_sir_map probe (tracemalloc peak below 4 float64s
-# per cell and 5 per cell and expected MBS). Association tiles add a fixed 3 MiB. Up to
+# padded value-to-go). The reward maps' and SIR probe's tiles add a fixed 3 MiB. Up to
 # 64 MiB of freed heap (the trim threshold metrics._retain_heap pins) stays mapped beside
 # it and is not part of the estimate.
 LATTICE_BYTES = 256 * 2**20
@@ -282,8 +281,7 @@ class RunConfig:
         if not self.physical.lambda_ue * area <= MAX_POISSON_MEAN:
             out.append(f"lambda_ue={self.physical.lambda_ue} over area_ue exceeds the "
                        f"largest expected node count {MAX_POISSON_MEAN:g}")
-        mbs = max(self.min_mbs, min(self.showcase_n_mbs, MAX_POISSON_MEAN))
-        working = cells * 8 * (len(self.criteria) + max(2 * len(actions or ()) + 3, 4 + 5 * mbs))
+        working = cells * 8 * (len(self.criteria) + 2 * len(actions or ()) + 3)
         if working > LATTICE_BYTES:
             out.append(f"run.cell_m={self.cell_m}: the whole-grid working set over {grid.nx}x"
                        f"{grid.ny} cells {_over_budget(working)}")

@@ -339,15 +339,12 @@ INVALID_VALUES = [
     # the DP's 21 float64s per cell
     ({"mission": {"finish": [0, 0]}, "run": {"cell_m": 0.25, "criteria": list(CRITERIA)},
       "sweep": {"t_values": [8]}, "showcase": {"t": 8}},
-     "run.cell_m=0.25: the whole-grid working set over 4801x4801 cells takes 4749 MiB, "
+     "run.cell_m=0.25: the whole-grid working set over 4801x4801 cells takes 4221 MiB, "
      "above the lattice budget of 256 MiB"),
     ({"mission": {"finish": [0, 0]}, "run": {"cell_m": 0.25, "criteria": ["pf"]},
       "sweep": {"t_values": [8]}, "showcase": {"t": 8}},
-     "run.cell_m=0.25: the whole-grid working set over 4801x4801 cells takes 4397 MiB, "
+     "run.cell_m=0.25: the whole-grid working set over 4801x4801 cells takes 3869 MiB, "
      "above the lattice budget of 256 MiB"),
-    # the showcase's SIR probe grows with its expected MBS count, the sweep's does not count
-    ({"run": {"cell_m": 10}, "sweep": {"t_values": [800]}, "showcase": {"t": 800, "n_mbs": 700}},
-     "run.cell_m=10.0: the whole-grid working set over 121x121 cells takes 392 MiB"),
     # de Casteljau's time grows as the cube of the stage count
     ({"sweep": {"t_values": [40000]}},
      "T=40000.0s: the Bezier smoothing of 5000 stages is above its cap of 2047"),
@@ -414,9 +411,11 @@ class TestBadInputs:
         fine = {"run": {"cell_m": 5}, "physical": {"lambda_ue": 300},
                 "sweep": {"t_values": [1600]}, "showcase": {"t": 1600}}
         assert from_json_dict({**MINIMAL, **fine}).validate() == []
-        # nor do the sweep's MBSs, as only the showcase computes the SIR probe
+        # nor do the MBSs, as the showcase's SIR probe takes the grid in tiles too
         many = {"run": {"cell_m": 10}, "sweep": {"t_values": [800], "n_mbs_values": [700]},
                 "showcase": {"t": 800}}
+        assert from_json_dict({**MINIMAL, **many}).validate() == []
+        many["showcase"]["n_mbs"] = 700
         assert from_json_dict({**MINIMAL, **many}).validate() == []
 
     def test_longest_smoothed_duration_is_accepted(self):
@@ -548,7 +547,7 @@ class TestValidation:
         assert from_json_dict(RunConfig().to_json_dict()).validate() == []
 
     def test_five_metre_cells_fit_the_lattice_budget(self):
-        # about 360 MiB peak RSS for one realization
+        # one in-process realization peaks at 57 MiB RSS (ru_maxrss, 2-core Xeon, numpy 2.4.6)
         doc = {**MINIMAL, "run": {"cell_m": 5}, "sweep": {"t_values": [1600]},
                "showcase": {"t": 1600}}
         assert from_json_dict(doc).validate() == []

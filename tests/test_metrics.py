@@ -136,20 +136,24 @@ def test_one_smooth_call_per_realization_and_combination(monkeypatch):
 
 def test_the_tile_bound_changes_no_realization(monkeypatch):
     """fig5's realization 0 gives the same samples and showcase entries when its reward
-    maps are associated in tiles of a few cells as in one tile."""
+    maps and SIR probes take the grid in tiles of a few cells as in one tile."""
     cfg = replace(cli.load_preset("fig5"), realizations=1)
-    associate = radio.associate
+    associate, link_budget = radio.associate, radio.link_budget
 
     def realization():
-        calls = []
+        calls, budgets = [], []
         monkeypatch.setattr(radio, "associate", lambda *a: calls.append(a) or associate(*a))
+        monkeypatch.setattr(radio, "link_budget",
+                            lambda *a, **k: budgets.append(a) or link_budget(*a, **k))
         out = run_realization(cfg, cfg.sweep_t, cfg.showcase_n_mbs, 0, cfg.showcase_t)
-        return out, len(calls)
+        return out, len(calls), len(budgets)
 
-    default, default_calls = realization()
+    default, default_calls, default_budgets = realization()
     monkeypatch.setattr(radio, "TILE_VALUES", 1000)
-    small, small_calls = realization()
+    small, small_calls, small_budgets = realization()
     assert small_calls > default_calls
+    # every association calls link_budget once; the calls beyond them are the probe's tiles
+    assert small_budgets - small_calls > default_budgets - default_calls
     assert small[:3] == default[:3]
     for got, want in zip(small[3], default[3], strict=True):
         (tag, heat_map, traj, sm), (want_tag, want_map, want_traj, want_sm) = got, want

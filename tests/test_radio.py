@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -697,16 +698,45 @@ class TestTransmitterMajorKernel:
         for c, rm in maps.items():
             assert np.array_equal(rm.rewards, criterion_reward(rows, c))
 
-    def test_max_sir_map_equals_the_row_loop(self):
+    # the probe's tiles, as for the reward maps; its nodes are the MBSs, the UAV and the probe
+    @pytest.mark.parametrize("tile,sizes", [(None, [169]), (1, [1] * 169),
+                                            (37, [37] * 4 + [21])],
+                             ids=["default", "one-cell", "uneven"])
+    @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
+    def test_max_sir_map_equals_the_row_loop(self, antenna, tile, sizes, monkeypatch):
         scn = SCENARIOS["dense"]()
         grid = StateGrid.from_mission(Mission())
         xs, ys = grid.axis_x(), grid.axis_y()
         want = np.empty((ys.size, xs.size))
         for iy, y in enumerate(ys):
             row = np.column_stack([xs, np.full(xs.size, y)])
-            probe = link_budget(scn, row, OHPLM, DIPOLE, ue_xy=row[:, None, :])[:, 0]
+            probe = link_budget(scn, row, OHPLM, antenna, ue_xy=row[:, None, :])[:, 0]
             want[iy] = 10.0 * np.log10((probe / (probe.sum(-1, keepdims=True) - probe)).max(-1))
-        assert np.array_equal(radio.max_sir_map(scn, OHPLM, DIPOLE, grid), want)
+        if tile:
+            monkeypatch.setattr(radio, "TILE_VALUES", tile * (scn.n_mbs + 2))
+        calls, budget = [], radio.link_budget
+
+        def counting(s, pos, *args, **kwargs):
+            calls.append(len(pos))
+            return budget(s, pos, *args, **kwargs)
+
+        monkeypatch.setattr(radio, "link_budget", counting)
+        assert np.array_equal(radio.max_sir_map(scn, OHPLM, antenna, grid), want)
+        assert calls == sizes
+
+    def test_max_sir_map_holds_a_few_tiles(self):
+        """197 MBSs over 61x61 cells: the probe of the whole grid at once peaked at
+        23 MiB (tracemalloc), its tiles of 2**16 (cell, node) values at 2.6 MiB."""
+        scn = generate_scenario(PhysicalConfig(), Mission(), 272, n_mbs=200)
+        grid = StateGrid.from_mission(Mission(), 20.0)
+        assert (scn.n_mbs, grid.nx, grid.ny) == (197, 61, 61)
+        tracemalloc.start()
+        try:
+            radio.max_sir_map(scn, OHPLM, DIPOLE, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_max_sir_map_without_interference_is_inf(self):
         # one MBS, and the UAV dipole's nadir null hides the UAV from the probe below it
