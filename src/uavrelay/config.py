@@ -31,9 +31,9 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # Byte budget of a run's lattice-sized arrays: the DP policy of one duration (an int8 per
 # cell and stage), and apart from it a combination's reward maps (a float64 per cell and
 # criterion) with the DP's buffers (9 action values, argmax's copy of them, the best and the
-# padded value-to-go). The reward maps' and SIR probe's tiles add a fixed 3 MiB. Up to
-# 64 MiB of freed heap (the trim threshold metrics._retain_heap pins) stays mapped beside
-# it and is not part of the estimate.
+# padded value-to-go). The association tiles (reward maps, SIR probe, re-evaluation) add a
+# fixed 3 MiB. Up to 64 MiB of freed heap (the trim threshold metrics._retain_heap pins)
+# stays mapped beside it and is not part of the estimate.
 LATTICE_BYTES = 256 * 2**20
 
 

@@ -38,13 +38,12 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 
 
-def time_averaged_capacity(stage_rates, duration_t: float) -> np.ndarray:
-    """Per-UE capacity (sum_i R_k(i) * dt) / T over the N stage intervals."""
-    rates = np.asarray(stage_rates, dtype=float)
-    if rates.ndim != 2 or rates.shape[0] == 0:
+def time_averaged_capacity(rate_sums, n_stages: int, duration_t: float) -> np.ndarray:
+    """Per-UE capacity (sum_i R_k(i) * dt) / T from each UE's rate sum over the N stages."""
+    if n_stages < 1:
         raise ValueError("need at least one stage of per-UE rates")
-    dt = duration_t / rates.shape[0]
-    return rates.sum(axis=0) * dt / duration_t
+    dt = duration_t / n_stages
+    return np.asarray(rate_sums, dtype=float) * dt / duration_t
 
 
 def outage_probability(capacities, threshold: float) -> float:
@@ -261,14 +260,14 @@ def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
         (model_name, antenna_name, mode, uav_ue, antenna), _, _, runs, smoothed = plan
         if showcase is not None:
             showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
-        # one association batch evaluates every (T, criterion) both ways
+        # one re-evaluation, in radio's tiles, sums every (T, criterion)'s rates both ways
         evaluated = smoothing.evaluate_smoothed([traj for _, _, traj, _, _ in runs], smoothed,
                                                 scn, mode, uav_ue, antenna)
-        for (t, criterion, _, _, viol), *both in zip(runs, *evaluated, strict=True):
+        for (t, criterion, traj, _, viol), *both in zip(runs, *evaluated, strict=True):
             violations += viol
-            for evaluation, rates in zip(EVALUATIONS, both):
+            for evaluation, rate_sums in zip(EVALUATIONS, both):
                 if scn.n_ue:
-                    caps = time_averaged_capacity(rates, t)
+                    caps = time_averaged_capacity(rate_sums, traj.n_stages, t)
                     sample = (float(caps.mean()),
                               outage_probability(caps, scn.config.outage_threshold))
                 else:

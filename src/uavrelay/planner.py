@@ -118,6 +118,11 @@ class StateGrid:
     def axis_y(self) -> np.ndarray:
         return self.y0 + self.cell_m * np.arange(self.ny)
 
+    def centres(self, run: slice) -> np.ndarray:
+        """(n, 2) centres of a run of cells in flat row order."""
+        iy, ix = np.divmod(np.arange(run.start, run.stop), self.nx)
+        return np.column_stack([self.axis_x()[ix], self.axis_y()[iy]])
+
     def cell_xy(self, cell: tuple[int, int]) -> tuple[float, float]:
         return (self.x0 + cell[0] * self.cell_m, self.y0 + cell[1] * self.cell_m)
 

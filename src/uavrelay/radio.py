@@ -18,9 +18,9 @@ standalone server, the relay donor and the heat-map probe all use it. At
 one total a larger power never has a smaller SIR, so the position-free MBS
 rows are ranked once per call by power, and the running maximum redoes only
 the UE columns where a lower-index MBS comes within NEAR_TIE of the top
-power, then folds in the UAV. The reward maps and the SIR probe take the grid
-in tiles of cells, and a reward map keeps only the rewards; a re-evaluation is
-one call over its trajectories' distinct cells and smoothed samples.
+power, then folds in the UAV. Every association batch is one tile of _tiles:
+the grid's cells for the reward maps (which keep only rewards) and the SIR
+probe, or a re-evaluation's stage starts (which keeps only each path's sums).
 
 A grid's (position, UE) planes are large, so each call allocates a few and
 computes every later step into them with out=, instead of one fresh array
@@ -59,10 +59,11 @@ SIR_CEILING = 2.0 ** 53
 # margin. A subnormal SIR (below TINY) keeps too few bits for that.
 NEAR_TIE = 2.0 ** -40
 TINY = np.finfo(float).tiny
-# A grid is taken in tiles of at most this many (cell, node) values, nodes being the UEs, MBSs
-# and UAV of a reward map or the MBSs, UAV and probe of max_sir_map: 3 MiB at the 6 float64s
-# per (position, node) an association call peaked at (tracemalloc). Tiles stay in cache: on a
-# 2-core Xeon, 241x241 cells with 105 nodes built 1.5x faster at 2**14 to 2**18 than at once.
+# An association batch is a tile of at most this many (position, node) values, nodes being the
+# UEs, MBSs and UAV of a reward map or re-evaluation, or the MBSs, UAV and probe of max_sir_map:
+# 3 MiB at the 6 float64s per (position, node) an association peaked at (tracemalloc). Tiles
+# stay in cache: on a 2-core Xeon, 241x241 cells with 105 nodes built 1.5x faster at 2**14 to
+# 2**18 than at once.
 TILE_VALUES = 2**16
 # A run varies only the UAV->UE law. As in the paper, the other two links have
 # one law each: Okumura-Hata on every MBS->UE link, and the 3GPP UMa
@@ -354,8 +355,8 @@ def build_reward_maps(scn: Scenario, criteria, mode: str, uav_ue, antenna: Anten
             raise ValueError(f"unknown criterion {c!r}")
     xs, ys = grid.axis_x(), grid.axis_y()
     rewards = {c: np.empty(xs.size * ys.size) for c in criteria}
-    for run, cells in _tiles(grid, scn.n_ue + scn.n_mbs + 1):
-        rates = associate(scn, cells, mode, uav_ue, antenna).rate
+    for run in _tiles(xs.size * ys.size, scn.n_ue + scn.n_mbs + 1):
+        rates = associate(scn, grid.centres(run), mode, uav_ue, antenna).rate
         for c in criteria:
             rewards[c][run] = criterion_reward(rates, c)
     return {c: RewardMap(criterion=c, xs=xs, ys=ys, rewards=r.reshape(ys.size, xs.size))
@@ -365,17 +366,15 @@ def build_reward_maps(scn: Scenario, criteria, mode: str, uav_ue, antenna: Anten
 def max_sir_map(scn: Scenario, uav_ue, antenna: AntennaMode, grid: "StateGrid") -> np.ndarray:
     """Best-transmitter SIR (dB) of a probe UE on the ground below each cell; (ny, nx)."""
     sir = np.empty(grid.nx * grid.ny)
-    for run, cells in _tiles(grid, scn.n_mbs + 2):
+    for run in _tiles(grid.nx * grid.ny, scn.n_mbs + 2):
+        cells = grid.centres(run)
         p_mbs, p_uav = link_budget(scn, cells, uav_ue, antenna, ue_xy=cells[:, None, :])
         # one MBS and a probe in the UAV dipole's nadir null: no interference, SIR inf
         sir[run] = _best_sir([*np.moveaxis(p_mbs, -2, 0), p_uav])[0][:, 0]
     return 10.0 * np.log10(sir.reshape(grid.ny, grid.nx))
 
 
-def _tiles(grid: "StateGrid", nodes: int):
-    """(flat slice, (n, 2) centres) per row-order run of max(1, TILE_VALUES // nodes) cells."""
-    xs, ys = grid.axis_x(), grid.axis_y()
+def _tiles(count: int, nodes: int):
+    """Flat slices of count positions, in runs of max(1, TILE_VALUES // nodes)."""
     size = max(1, TILE_VALUES // nodes)
-    for lo in range(0, xs.size * ys.size, size):
-        iy, ix = np.divmod(np.arange(lo, min(lo + size, xs.size * ys.size)), xs.size)
-        yield slice(lo, lo + iy.size), np.column_stack([xs[ix], ys[iy]])
+    return (slice(lo, min(lo + size, count)) for lo in range(0, count, size))

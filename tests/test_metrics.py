@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -22,12 +23,14 @@ SMALL = RunConfig(criteria=("pf",), sweep_t=(160.0, 240.0), sweep_n_mbs=(4.0,),
 class TestTimeAveragedCapacity:
     def test_constant_rate(self):
         rates = np.full((30, 5), 0.37)
-        assert np.allclose(time_averaged_capacity(rates, 240.0), 0.37, rtol=1e-12)
+        assert np.allclose(time_averaged_capacity(rates.sum(axis=0), 30, 240.0), 0.37,
+                           rtol=1e-12)
 
     def test_half_on_half_off(self):
         rates = np.zeros((10, 3))
         rates[:5] = 0.8
-        assert np.allclose(time_averaged_capacity(rates, 80.0), 0.4, rtol=1e-12)
+        assert np.allclose(time_averaged_capacity(rates.sum(axis=0), 10, 80.0), 0.4,
+                           rtol=1e-12)
 
     def test_independent_summation_oracle(self):
         rng = np.random.default_rng(8)
@@ -39,12 +42,12 @@ class TestTimeAveragedCapacity:
             for i in range(30):
                 acc += rates[i, k] * dt
             expected[k] = acc / t
-        got = time_averaged_capacity(rates, t)
+        got = time_averaged_capacity(rates.sum(axis=0), 30, t)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
 
     def test_empty_stage_list_rejected(self):
         with pytest.raises(ValueError):
-            time_averaged_capacity(np.zeros((0, 4)), 240.0)
+            time_averaged_capacity(np.zeros(4), 0, 240.0)
 
 
 class TestOutage:
@@ -138,22 +141,26 @@ def test_the_tile_bound_changes_no_realization(monkeypatch):
     """fig5's realization 0 gives the same samples and showcase entries when its reward
     maps and SIR probes take the grid in tiles of a few cells as in one tile."""
     cfg = replace(cli.load_preset("fig5"), realizations=1)
-    associate, link_budget = radio.associate, radio.link_budget
+    associate, link_budget, stage_rates = radio.associate, radio.link_budget, radio.stage_rates
 
     def realization():
-        calls, budgets = [], []
+        calls, budgets, evaluated = [], [], []
         monkeypatch.setattr(radio, "associate", lambda *a: calls.append(a) or associate(*a))
         monkeypatch.setattr(radio, "link_budget",
                             lambda *a, **k: budgets.append(a) or link_budget(*a, **k))
+        monkeypatch.setattr(radio, "stage_rates",
+                            lambda *a: evaluated.append(a) or stage_rates(*a))
         out = run_realization(cfg, cfg.sweep_t, cfg.showcase_n_mbs, 0, cfg.showcase_t)
-        return out, len(calls), len(budgets)
+        return out, len(calls), len(budgets), len(evaluated)
 
-    default, default_calls, default_budgets = realization()
+    default, default_calls, default_budgets, default_evaluated = realization()
     monkeypatch.setattr(radio, "TILE_VALUES", 1000)
-    small, small_calls, small_budgets = realization()
+    small, small_calls, small_budgets, small_evaluated = realization()
     assert small_calls > default_calls
     # every association calls link_budget once; the calls beyond them are the probe's tiles
     assert small_budgets - small_calls > default_budgets - default_calls
+    # the re-evaluations split too, mid-path: their sums must not move
+    assert small_evaluated > default_evaluated
     assert small[:3] == default[:3]
     for got, want in zip(small[3], default[3], strict=True):
         (tag, heat_map, traj, sm), (want_tag, want_map, want_traj, want_sm) = got, want
@@ -162,6 +169,17 @@ def test_the_tile_bound_changes_no_realization(monkeypatch):
         assert np.array_equal(heat_map.max_sir_db, want_map.max_sir_db)
         assert np.array_equal(traj.positions, want_traj.positions)
         assert np.array_equal(sm.positions, want_sm.positions)
+
+
+@pytest.mark.parametrize("mode", radio.MODES)
+def test_a_realization_without_ues_has_nan_samples(mode):
+    """lambda_ue 0 draws no UE: every reward is 0, the re-evaluation sums are empty, and
+    each sample is NaN with no warning (pytest makes a RuntimeWarning an error)."""
+    cfg = replace(SMALL, physical=replace(SMALL.physical, lambda_ue=0.0), modes=(mode,))
+    samples, _, _, _ = run_realization(cfg, cfg.sweep_t, 4.0, 0)
+    assert scenario_for(cfg, 4.0, 0).n_ue == 0
+    assert {key[6] for key in samples} == {"discrete", "smoothed"}
+    assert all(math.isnan(c) and math.isnan(o) for c, o in samples.values())
 
 
 class TestSweep:

@@ -472,9 +472,10 @@ class TestBatchedEngine:
         [disc], _ = evaluate_smoothed([traj], smooth([traj]), scn, mode, OHPLM, DIPOLE)
         ix, iy = np.transpose(traj.cells[:-1])
         centres = np.column_stack([grid.axis_x()[ix], grid.axis_y()[iy]])
-        assert np.array_equal(disc, associate(scn, centres, mode, OHPLM, DIPOLE).rate)
-        # the map's rewards along the path are the rewards of those rates
-        assert np.array_equal(criterion_reward(disc, "pf"), traj.stage_rewards)
+        assert np.array_equal(disc, stage_rates(centres, scn, mode, OHPLM, DIPOLE).sum(axis=0))
+        # the map's rewards along the path are the rewards of the rates at those centres
+        rates = associate(scn, centres, mode, OHPLM, DIPOLE).rate
+        assert np.array_equal(criterion_reward(rates, "pf"), traj.stage_rewards)
 
     @pytest.mark.parametrize("antenna", [OMNI, DIPOLE], ids=["omni", "dipole"])
     @pytest.mark.parametrize("mode", radio.MODES)

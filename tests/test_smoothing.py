@@ -292,18 +292,22 @@ class TestSmooth:
             smooth([traj])
 
 
+def path_sums(positions, scn, mode, uav_ue=OHPLM, antenna=OMNI):
+    """The rates at a path's stage starts, summed over the stages."""
+    return radio.stage_rates(positions[:-1], scn, mode, uav_ue, antenna).sum(axis=0)
+
+
 class TestEvaluateSmoothed:
     def test_hover_only_path_identical_to_discrete(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 4)
         cells = [(5, 5)] * 7
         traj = lattice_trajectory(cells)
         paths = smooth([traj], v_max=17.7)
-        [discrete], [rates] = evaluate_smoothed([traj], paths, scn, "standalone", OHPLM, OMNI)
-        rewards = radio.criterion_reward(rates, "pf")
-        disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
+        [discrete], [sums] = evaluate_smoothed([traj], paths, scn, "standalone", OHPLM, OMNI)
+        disc = path_sums(traj.positions, scn, "standalone")
         assert np.array_equal(discrete, disc)
-        assert np.array_equal(rates, disc)
-        assert rewards.shape == (6,)
+        assert np.array_equal(sums, disc)
+        assert sums.shape == (scn.n_ue,)
 
     def test_straight_line_matches_discrete_exactly(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 5)
@@ -313,10 +317,10 @@ class TestEvaluateSmoothed:
         [sm] = paths
         # uniformly spaced collinear control points sample back to the waypoints
         assert np.allclose(sm.positions, traj.positions, atol=1e-9)
-        [discrete], [rates] = evaluate_smoothed([traj], paths, scn, "standalone", OHPLM, OMNI)
-        disc = radio.stage_rates(traj.positions[:-1], scn, "standalone", OHPLM, OMNI)
+        [discrete], [sums] = evaluate_smoothed([traj], paths, scn, "standalone", OHPLM, OMNI)
+        disc = path_sums(traj.positions, scn, "standalone")
         assert np.array_equal(discrete, disc)
-        assert np.allclose(rates, disc, rtol=1e-12)
+        assert np.allclose(sums, disc, rtol=1e-12)
 
     def test_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
@@ -337,11 +341,9 @@ class TestEvaluateSmoothed:
         smoothed = smooth(trajs, v_max=17.7)
         discrete, batch = evaluate_smoothed(trajs, smoothed, scn, mode, OHPLM, OMNI)
         assert len(discrete) == len(batch) == len(smoothed)
-        for traj, sm, disc, rates in zip(trajs, smoothed, discrete, batch, strict=True):
-            assert np.array_equal(
-                disc, radio.stage_rates(traj.positions[:-1], scn, mode, OHPLM, OMNI))
-            assert np.array_equal(
-                rates, radio.stage_rates(sm.positions[:-1], scn, mode, OHPLM, OMNI))
+        for traj, sm, disc, sums in zip(trajs, smoothed, discrete, batch, strict=True):
+            assert np.array_equal(disc, path_sums(traj.positions, scn, mode))
+            assert np.array_equal(sums, path_sums(sm.positions, scn, mode))
 
     def test_one_area_check_and_one_stage_rates_call(self, monkeypatch):
         scn = generate_scenario(PhysicalConfig(lambda_ue=20.0), Mission(), 7)
@@ -354,7 +356,7 @@ class TestEvaluateSmoothed:
                             lambda rect, xy: checked.append(xy) or rect_contains(rect, xy))
         monkeypatch.setattr(radio, "stage_rates",
                             lambda xy, *a: evaluated.append(xy) or stage_rates(xy, *a))
-        discrete, rates = evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
+        discrete, sums = evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
         # the stacked samples themselves, not a per-curve concatenate of them
         assert len(checked) == 1 and checked[0] is paths.positions
         # one call for both evaluations, with each distinct stage start once: the cells
@@ -363,12 +365,31 @@ class TestEvaluateSmoothed:
         starts = {tuple(p) for path in [*trajs, *paths] for p in path.positions[:-1]}
         assert len(starts) == 6
         assert sorted(map(tuple, batch)) == sorted(starts)
-        assert [len(r) for r in discrete] == [len(r) for r in rates] == [3, 3]
-        for traj, sm, disc, smoothed_rates in zip(trajs, paths, discrete, rates):
-            assert np.array_equal(disc, stage_rates(traj.positions[:-1], scn, "standalone",
-                                                    OHPLM, OMNI))
-            assert np.array_equal(smoothed_rates, stage_rates(sm.positions[:-1], scn,
-                                                              "standalone", OHPLM, OMNI))
+        assert [s.shape for s in discrete] == [s.shape for s in sums] == [(scn.n_ue,)] * 2
+        for traj, sm, disc, smoothed_sums in zip(trajs, paths, discrete, sums):
+            assert np.array_equal(disc, path_sums(traj.positions, scn, "standalone"))
+            assert np.array_equal(smoothed_sums, path_sums(sm.positions, scn, "standalone"))
+
+    def test_a_long_re_evaluation_holds_a_few_tiles(self):
+        """700 UEs, 3 criteria and T 800/840 s: 6 paths of 100 and 105 stages, each
+        evaluated both ways. Holding every stage's rates peaked at 13.3 MiB (tracemalloc);
+        tiles of 92 starts keep one tile and the sums, and paths cross tile boundaries."""
+        scn = generate_scenario(PhysicalConfig(lambda_ue=700.0), Mission(), 272)
+        grid = StateGrid.from_mission(Mission())
+        maps = radio.build_reward_maps(scn, radio.CRITERIA, "standalone", OHPLM, OMNI, grid)
+        trajs = [solve_dp(maps[c], StateGrid.from_mission(Mission(duration_t=t)), ACTIONS)
+                 for c in radio.CRITERIA for t in (800.0, 840.0)]
+        paths = smooth(trajs)
+        assert radio.TILE_VALUES // (scn.n_ue + scn.n_mbs + 1) < sum(t.n_stages for t in trajs)
+        tracemalloc.start()
+        try:
+            discrete, sums = evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+        for path, got in zip([*trajs, *paths], [*discrete, *sums], strict=True):
+            assert np.array_equal(got, path_sums(path.positions, scn, "standalone"))
 
     def test_any_trajectory_outside_flight_area_rejected(self):
         scn = generate_scenario(PhysicalConfig(lambda_ue=10.0), Mission(), 6)
@@ -384,11 +405,37 @@ class TestEvaluateSmoothed:
         short = lattice_trajectory([(1, 1), (2, 2), (3, 3)])
         long = lattice_trajectory([(1, 1), (2, 1), (2, 2), (3, 3)])
         paths = smooth([short, long])
-        # the right stage count in total, but not curve by curve, would split the rates
-        # at the wrong stage without this check
+        # the right stage count in total, but not curve by curve, would add rates into
+        # the wrong path's sum without this check
         for trajs in ([short], [short, long, long], [long, short]):
             with pytest.raises(ValueError, match="do not pair"):
                 evaluate_smoothed(trajs, paths, scn, "standalone", OHPLM, OMNI)
+
+
+def test_numpy_sums_rows_in_order():
+    """The re-evaluation adds each path's rate rows one by one, through a flat
+    np.add.at; sweep.csv had the bits of sum(axis=0) over each path's (N, K)
+    block. numpy does not document either order, so pin that all three agree,
+    whole and in uneven runs of rows. A one-UE block is left out: sum(axis=0)
+    then walks a contiguous column, which numpy sums pairwise."""
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 300)), int(rng.integers(2, 120))
+        block = rng.lognormal(0.0, 2.0, (n, k))
+        block[rng.random((n, k)) < 0.2] = 0.0
+        by_rows = np.zeros(k)
+        for row in block:
+            by_rows += row
+        assert np.array_equal(block.sum(axis=0), by_rows)
+        # two paths whose rows arrive whole, then in runs of uneven length split mid-path
+        owner = np.repeat([0, 1], [n // 3, n - n // 3])
+        for cuts in ([], np.sort(rng.integers(0, n + 1, 4))):
+            flat = np.zeros(2 * k)
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                np.add.at(flat, (owner[lo:hi, None] * k + np.arange(k)).ravel(),
+                          block[lo:hi].ravel())
+            assert np.array_equal(flat[:k], block[:n // 3].sum(axis=0))
+            assert np.array_equal(flat[k:], block[n // 3:].sum(axis=0))
 
 
 def test_smoothed_csv(tmp_path):
