@@ -93,11 +93,11 @@ def _write_outputs(cfg: RunConfig, out_dir: str, write) -> int:
 def _write_showcase(cfg: RunConfig, out: _OutputTracker, showcase=None) -> None:
     """Heat maps, trajectories and smoothed curves of sweep realization 0 at the showcase point.
 
-    showcase is the sweep's plan of that point (SweepResult.showcase); without
-    one, the showcase is planned here at (showcase_t,), with the same bits.
+    showcase is the sweep's plan of that point (SweepResult.showcase); without one,
+    realization 0 runs here at (showcase_t,) for the same bits; its samples and counters go.
     """
     if showcase is None:
-        showcase = metrics.plan_showcase(cfg)
+        showcase = metrics.run_realization(cfg, (cfg.showcase_t,), cfg.showcase_n_mbs, 0)[3]
     for tag, heat_map, traj, sm in showcase:
         heat_map.to_csv(out.path(f"heatmap_{tag}.csv"))
         traj.to_csv(out.path(f"trajectory_{tag}.csv"))

@@ -33,7 +33,8 @@ MBS_SHORTFALL_CHANCE = 1e-12
 # criterion) with the DP's buffers (9 action values, argmax's copy of them, the best and the
 # padded value-to-go). The association tiles (reward maps, SIR probe, re-evaluation) add a
 # fixed 3 MiB. Up to 64 MiB of freed heap (the trim threshold metrics._retain_heap pins)
-# stays mapped beside it and is not part of the estimate.
+# stays mapped beside it and is not part of the estimate. Nor is de Casteljau's block: one
+# (N+1, N+1, 2) float64 block per Bezier curve of N stages, 64 MiB at smoothing.MAX_STAGES.
 LATTICE_BYTES = 256 * 2**20
 
 

@@ -13,10 +13,10 @@ The pipeline exists once: scenario_for draws a realization and
 plan_combinations plans it (reward maps, DP, smoothing) per combination,
 with one backward DP pass per reward map serving every duration.
 run_realization adds the re-evaluation for the sweep. The showcase is
-realization 0 at the showcase MBS count and duration: when that is a sweep
-point, the sweep task that plans it also returns its showcase plan (a list
-of showcase_entries), else plan_showcase plans it on its own at that
-duration.
+realization 0 at the showcase MBS count and duration: the run_realization
+task of that realization, at durations that include the showcase duration,
+also returns its showcase plan. A showcase that is not a sweep point is one
+more such task, planned at that duration alone.
 """
 from __future__ import annotations
 
@@ -100,7 +100,7 @@ class SweepResult:
     realizations: int
     trajectory_violations: int = 0
     mbs_rejections: int = 0
-    # realization 0's showcase plan when the showcase point is a sweep point;
+    # run_realization's showcase plan when the showcase point is a sweep point;
     # not part of to_json_dict
     showcase: list | None = field(default=None, repr=False)
 
@@ -215,51 +215,32 @@ def plan_combinations(cfg: RunConfig, scn: Scenario, t_values):
         yield combination, grid, maps, runs, smoothed
 
 
-def showcase_entries(scn: Scenario, plan, t: float, max_sir_maps: dict) -> list:
-    """One plan_combinations item's showcase at duration t: a (file tag, heat
-    map, trajectory, smoothed curve) entry per criterion.
-
-    The heat map is a copy of the criterion's reward map with max_sir_map's
-    map. max_sir_maps caches the SIR maps of scn by (uav_ue_model, antenna):
-    the SIR probe depends on the links and antennas, not the mode.
-    """
-    (model_name, antenna_name, mode, uav_ue, antenna), grid, maps, runs, _ = plan
-    key = model_name, antenna_name
-    if key not in max_sir_maps:
-        max_sir_maps[key] = radio.max_sir_map(scn, uav_ue, antenna, grid)
-    return [(f"{criterion}_{mode}_{model_name}_{antenna_name}",
-             replace(maps[criterion], max_sir_db=max_sir_maps[key]), traj, sm)
-            for run_t, criterion, traj, sm, _ in runs if run_t == t]
-
-
-def plan_showcase(cfg: RunConfig) -> list:
-    """The showcase planned on its own: realization 0 at showcase_n_mbs, planned at
-    (showcase_t,), as the showcase_entries of each combination in order."""
-    scn = scenario_for(cfg, cfg.showcase_n_mbs, 0)
-    max_sir_maps: dict = {}
-    return [entry for plan in plan_combinations(cfg, scn, (cfg.showcase_t,))
-            for entry in showcase_entries(scn, plan, cfg.showcase_t, max_sir_maps)]
-
-
-def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int,
-                    showcase_t: float | None = None):
+def run_realization(cfg: RunConfig, t_values, n_mbs: float, j: int):
     """Full pipeline for one network realization at one MBS density.
 
     Returns (samples, trajectory_violations, mbs_rejections, showcase), where
     samples maps each sweep point's key (its KEY_COLUMNS values) to this
-    realization's (mean capacity, outage). showcase holds the
-    showcase_entries of each combination at showcase_t, one of t_values, or
-    is None without a showcase_t.
+    realization's (mean capacity, outage). For the showcase realization (j 0 at
+    showcase_n_mbs, showcase_t among t_values), showcase holds a (file tag, heat
+    map, trajectory, smoothed curve) entry per combination and criterion at
+    showcase_t, else it is None. A heat map is a copy of its reward map with the
+    max_sir_map of its links and antennas, which serves both modes.
     """
     scn = scenario_for(cfg, n_mbs, j)
     samples: dict[tuple, tuple[float, float]] = {}
     violations = 0
-    showcase = None if showcase_t is None else []
-    max_sir_maps: dict = {}
-    for plan in plan_combinations(cfg, scn, t_values):
-        (model_name, antenna_name, mode, uav_ue, antenna), _, _, runs, smoothed = plan
+    showcase = ([] if j == 0 and n_mbs == cfg.showcase_n_mbs and cfg.showcase_t in t_values
+                else None)
+    max_sir_maps: dict = {}  # by (uav_ue_model, antenna)
+    for (model_name, antenna_name, mode, uav_ue, antenna), grid, maps, runs, smoothed in (
+            plan_combinations(cfg, scn, t_values)):
         if showcase is not None:
-            showcase += showcase_entries(scn, plan, showcase_t, max_sir_maps)
+            key = model_name, antenna_name
+            if key not in max_sir_maps:
+                max_sir_maps[key] = radio.max_sir_map(scn, uav_ue, antenna, grid)
+            showcase += [(f"{criterion}_{mode}_{model_name}_{antenna_name}",
+                          replace(maps[criterion], max_sir_db=max_sir_maps[key]), traj, sm)
+                         for t, criterion, traj, sm, _ in runs if t == cfg.showcase_t]
         # one re-evaluation, in radio's tiles, sums every (T, criterion)'s rates both ways
         evaluated = smoothing.evaluate_smoothed([traj for _, _, traj, _, _ in runs], smoothed,
                                                 scn, mode, uav_ue, antenna)
@@ -284,9 +265,9 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
     evaluation) and samples appended in (n_mbs, realization) task order,
     which `pool.map` keeps, so outputs are byte-stable for any `jobs`. When
     (showcase_n_mbs, showcase_t) is a sweep point, the task of realization 0
-    at showcase_n_mbs also returns its showcase plan, kept in
-    SweepResult.showcase: the longest-duration DP pass gives every shorter
-    duration the bits of a pass of its own.
+    at showcase_n_mbs returns its showcase plan, kept in SweepResult.showcase:
+    the longest-duration DP pass gives every shorter duration the bits of a
+    pass of its own.
     """
     if cfg.realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -301,12 +282,9 @@ def monte_carlo_sweep(cfg: RunConfig, jobs: int = 1) -> SweepResult:
     points = {key: SweepPoint(*key, capacity_samples=[], outage_samples=[]) for key in keys}
 
     n_mbs_column = [n_mbs for n_mbs in cfg.sweep_n_mbs for _ in range(cfg.realizations)]
-    showcase_column = [None] * len(n_mbs_column)
-    if cfg.showcase_t in cfg.sweep_t and cfg.showcase_n_mbs in cfg.sweep_n_mbs:
-        showcase_column[n_mbs_column.index(cfg.showcase_n_mbs)] = cfg.showcase_t
     # run_realization's positional arguments, one column each, in task order
     tasks = (repeat(cfg), repeat(cfg.sweep_t), n_mbs_column,
-             [j for _ in cfg.sweep_n_mbs for j in range(cfg.realizations)], showcase_column)
+             [j for _ in cfg.sweep_n_mbs for j in range(cfg.realizations)])
     # a worker per task at most: the pool starts all of its workers at once
     workers = min(jobs, len(n_mbs_column))
     if workers > 1:

@@ -986,22 +986,29 @@ def reference_showcase(cfg, out_dir):
     return scn
 
 
-@pytest.mark.parametrize("command,showcase_t", [
-    (["heatmap"], 160), (["run", "--jobs", "1"], 160), (["run", "--jobs", "2"], 160),
-    (["run", "--jobs", "1"], 200)],
-    ids=["heatmap", "run-jobs1", "run-jobs2", "run-off-sweep-t"])
-def test_showcase_matches_the_reference_showcase(tmp_path, command, showcase_t):
-    """heatmap plans the showcase on its own, as does a run whose showcase_t is not a
-    sweep T; a run whose showcase_t is a sweep T below the longest takes it from the
-    sweep, in a pool worker under --jobs 2."""
+def relay_showcase_doc(showcase_t, showcase_n_mbs=4):
     # seed 279 first draws one MBS, so relay's two-MBS minimum forces a redraw
-    doc = small_run_doc(master_seed=279,
-                        models={"uav_ue": ["ohplm"]},
-                        run={"criteria": ["pf", "sum_rate"], "modes": ["standalone", "relay"],
-                             "antenna_modes": ["omni", "dipole"], "realizations": 2},
-                        showcase={"t": showcase_t, "n_mbs": 4})
+    return small_run_doc(master_seed=279,
+                         models={"uav_ue": ["ohplm"]},
+                         run={"criteria": ["pf", "sum_rate"], "modes": ["standalone", "relay"],
+                              "antenna_modes": ["omni", "dipole"], "realizations": 2},
+                         showcase={"t": showcase_t, "n_mbs": showcase_n_mbs})
+
+
+@pytest.mark.parametrize("command,showcase_t,showcase_n_mbs", [
+    (["heatmap"], 160, 4), (["run", "--jobs", "1"], 160, 4), (["run", "--jobs", "2"], 160, 4),
+    (["run", "--jobs", "1"], 200, 4),
+    (["heatmap"], 160, 3), (["run", "--jobs", "1"], 160, 3), (["run", "--jobs", "2"], 160, 3)],
+    ids=["heatmap", "run-jobs1", "run-jobs2", "run-off-sweep-t",
+         "heatmap-off-sweep-n-mbs", "run-jobs1-off-sweep-n-mbs", "run-jobs2-off-sweep-n-mbs"])
+def test_showcase_matches_the_reference_showcase(tmp_path, command, showcase_t,
+                                                 showcase_n_mbs):
+    """heatmap, and a run whose showcase T or MBS count is not a sweep value, run
+    realization 0 at the showcase point alone; a run whose showcase point is a sweep
+    point, at a T below the longest, takes it from the sweep, in a pool worker under
+    --jobs 2."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(relay_showcase_doc(showcase_t, showcase_n_mbs)))
     want = tmp_path / "want"
     want.mkdir()
     scn = reference_showcase(load_config(path), want)
@@ -1016,10 +1023,31 @@ def test_showcase_matches_the_reference_showcase(tmp_path, command, showcase_t):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("showcase_t,maps_built,draws", [(240.0, 4, 2), (200.0, 6, 3)])
-def test_run_plans_the_showcase_once(tmp_path, monkeypatch, showcase_t, maps_built, draws):
+def test_an_off_sweep_showcase_leaves_the_sweep_alone(tmp_path):
+    """The showcase run off the sweep adds no sample and no counter: the redraw at
+    seed 279 is counted by the sweep's realization 0 only, as with the showcase on it."""
+    outputs = []
+    for showcase_t in (160, 200):
+        path = tmp_path / f"cfg{showcase_t}.json"
+        path.write_text(json.dumps(relay_showcase_doc(showcase_t)))
+        out = tmp_path / f"out{showcase_t}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs.append(((out / "sweep.csv").read_bytes(), (out / "sweep.json").read_bytes(),
+                        manifest["trajectory_violations"], manifest["mbs_rejections"]))
+    on_sweep, off_sweep = outputs
+    assert on_sweep[3] > 0
+    assert off_sweep == on_sweep
+
+
+@pytest.mark.parametrize("command,showcase_t,maps_built,draws", [
+    ("run", 240.0, 4, 2), ("run", 200.0, 6, 3), ("heatmap", 240.0, 2, 1)],
+    ids=["240.0-4-2", "200.0-6-3", "heatmap-240.0-2-1"])
+def test_run_plans_the_showcase_once(tmp_path, monkeypatch, command, showcase_t, maps_built,
+                                     draws):
     """A showcase at a sweep point comes from the sweep's realization 0: fig7 at 2
-    realizations builds 2 grids of maps per draw and draws no third scenario for it."""
+    realizations builds 2 grids of maps per draw and draws no third scenario for it.
+    heatmap draws the showcase's scenario and builds its 2 grids of maps, no more."""
     cfg = replace(cli.load_preset("fig7"), realizations=2, showcase_t=showcase_t)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_json_dict()))
@@ -1036,7 +1064,7 @@ def test_run_plans_the_showcase_once(tmp_path, monkeypatch, showcase_t, maps_bui
 
     monkeypatch.setattr(radio, "build_reward_maps", counted_build)
     monkeypatch.setattr(metrics, "generate_scenario", counted_draw)
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"maps": maps_built, "draws": draws}
 
 

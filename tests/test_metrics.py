@@ -150,7 +150,7 @@ def test_the_tile_bound_changes_no_realization(monkeypatch):
                             lambda *a, **k: budgets.append(a) or link_budget(*a, **k))
         monkeypatch.setattr(radio, "stage_rates",
                             lambda *a: evaluated.append(a) or stage_rates(*a))
-        out = run_realization(cfg, cfg.sweep_t, cfg.showcase_n_mbs, 0, cfg.showcase_t)
+        out = run_realization(cfg, cfg.sweep_t, cfg.showcase_n_mbs, 0)
         return out, len(calls), len(budgets), len(evaluated)
 
     default, default_calls, default_budgets, default_evaluated = realization()
